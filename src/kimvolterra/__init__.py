@@ -52,7 +52,6 @@ from .boundary import (
     eval_boundary,
     initial_boundary,
     perpetual_lower_bound,
-    kernel_nodiv,
     solve_boundary,
     solve_boundary_hybrid,
     solve_boundary_kim2d,
@@ -103,7 +102,6 @@ __all__ = [
     "eval_boundary",
     "initial_boundary",
     "perpetual_lower_bound",
-    "kernel_nodiv",
     "solve_boundary",
     "solve_boundary_hybrid",
     "solve_boundary_kim2d",

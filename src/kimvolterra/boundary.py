@@ -9,13 +9,14 @@ B_i is found by a safeguarded scalar Newton iteration given its
 predecessors.  The i = 0 row is singular and B_0 is assigned its known
 expiry limit instead.
 
-Two equation forms are discretized: a single exponential-kernel form used
-when the dividend yield is zero, and the general form whose singular part
-carries both exponential kernels and whose smooth part (a normal-CDF
-kernel) is handled by direct interpolatory quadrature.  A trapezoid
-discretization of the underlying two-dimensional value-matching equation
-is included as an independent cross-check, and a hybrid mode solves Newton
-steps on a coarse grid only, filling interior nodes by linear
+One equation is discretized.  Its singular part carries two exponential
+kernels and its smooth part (a normal-CDF kernel) is handled by direct
+interpolatory quadrature; every dividend term carries a factor delta, so at
+delta = 0 the second kernel and the smooth part drop out and are not
+evaluated.  A trapezoid discretization of the underlying two-dimensional
+value-matching equation is included as an independent cross-check; both
+discretizations share one row-marching driver.  A hybrid mode solves
+Newton steps on a coarse grid only, filling interior nodes by linear
 interpolation.
 """
 
@@ -42,7 +43,6 @@ __all__ = [
     "BoundaryCurve",
     "initial_boundary",
     "perpetual_lower_bound",
-    "kernel_nodiv",
     "solve_boundary",
     "solve_boundary_hybrid",
     "solve_boundary_kim2d",
@@ -55,6 +55,8 @@ FH = "fh"
 BFH = "bfh"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_NEWTON_MAX_ITER = 50
+_FD_REL_STEP = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -78,9 +80,9 @@ class SolverConfig:
 
     ``family`` selects the kernel-interpolation basis: "fh" uses the
     Floater-Hormann weights of order ``d`` throughout, "bfh" uses Berrut
-    weights inside the singular product weights while keeping
-    Floater-Hormann weights for the smooth-term quadrature and the final
-    curve (``bfh_swap`` reverses that composition).
+    weights inside the singular product weights and Floater-Hormann
+    weights of order ``d`` for the smooth-term quadrature and the final
+    curve.
     """
 
     n: int
@@ -88,12 +90,6 @@ class SolverConfig:
     family: str = FH
     hybrid_m: int | None = None
     newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    fd_rel_step: float = 1e-6
-    weight_points: int = 64
-    weight_panels: int | None = None
-    quad_points: int = 32
-    bfh_swap: bool = False
 
     def __post_init__(self) -> None:
         if self.d < 0:
@@ -104,10 +100,8 @@ class SolverConfig:
             raise ValueError(f"family must be '{FH}' or '{BFH}', got {self.family!r}")
         if self.hybrid_m is not None and self.hybrid_m < 2:
             raise ValueError(f"hybrid_m must be >= 2, got {self.hybrid_m}")
-        if self.newton_tol <= 0.0 or self.fd_rel_step <= 0.0:
-            raise ValueError("newton_tol and fd_rel_step must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be >= 1")
+        if self.newton_tol <= 0.0:
+            raise ValueError("newton_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -167,24 +161,6 @@ def _perpetual_exponent(p: MarketParams) -> float:
     return (-mu - math.sqrt(mu * mu + 2.0 * p.volatility**2 * p.rate)) / p.volatility**2
 
 
-def kernel_nodiv(i: int, j: int, b_i: float, b_j: float, grid: np.ndarray,
-                 p: MarketParams) -> float:
-    """Smooth kernel factor of the zero-dividend equation at nodes (i, j).
-
-    Returns exp(-(r (t_i - t_j) + d2(b_i, t_i - t_j, b_j)^2 / 2)) * r K / (sigma sqrt(2 pi));
-    the coincident case j = i is the analytic limit r K / (sigma sqrt(2 pi)).
-    """
-    if not 0 <= j <= i:
-        raise ValueError(f"need 0 <= j <= i, got i={i}, j={j}")
-    if b_i <= 0.0 or b_j <= 0.0:
-        raise ValueError("boundary values must be positive")
-    prefactor = p.rate * p.strike / (p.volatility * _SQRT_2PI)
-    if j == i:
-        return prefactor
-    d = d1d2(b_i, float(grid[i] - grid[j]), b_j, p)
-    return prefactor * math.exp(-(p.rate * (grid[i] - grid[j]) + 0.5 * d.d2 * d.d2))
-
-
 def _d12_arrays(x: float, tau: np.ndarray, y: np.ndarray,
                 p: MarketParams) -> tuple[np.ndarray, np.ndarray]:
     sig_sqrt = p.volatility * np.sqrt(tau)
@@ -192,69 +168,45 @@ def _d12_arrays(x: float, tau: np.ndarray, y: np.ndarray,
     return d1, d1 - sig_sqrt
 
 
-def _product_row_basis(sub: np.ndarray, i: int, cfg: SolverConfig) -> BaryBasis:
-    if cfg.family == FH or (cfg.family == BFH and cfg.bfh_swap):
-        return fh_basis(sub, min(cfg.d, i))
-    return berrut_basis(sub)
+@lru_cache(maxsize=32)
+def _product_table(n: int, horizon: float, d: int, family: str):
+    """Grid and per-row singular product weights w_{i, .}, i = 1..n (read-only).
 
-
-def _quad_row_basis(sub: np.ndarray, i: int, cfg: SolverConfig) -> BaryBasis:
-    if cfg.family == FH or (cfg.family == BFH and not cfg.bfh_swap):
-        return fh_basis(sub, min(cfg.d, i))
-    return berrut_basis(sub)
+    Shared by every solve on (n, T, d, family), whatever its dividend yield.
+    """
+    grid = np.linspace(0.0, horizon, n + 1)
+    rows: list[np.ndarray | None] = [None]
+    for i in range(1, n + 1):
+        sub = grid[: i + 1]
+        basis = fh_basis(sub, min(d, i)) if family == FH else berrut_basis(sub)
+        rows.append(product_weights(i, basis).weights)
+    return grid, tuple(rows)
 
 
 @lru_cache(maxsize=32)
-def _weight_tables(n: int, horizon: float, d: int, family: str, bfh_swap: bool,
-                   points: int, panels: int | None, quad_points: int,
-                   with_quad: bool):
-    """Per-row singular product weights (and smooth quadrature weights).
-
-    Rows w_{i, .} are an O(n^2) table, each entry a fixed-order quadrature;
-    the table is computed once per (n, d, family, T) and reused across
-    solves.  Tables are written once here and treated as read-only.
-    """
-    cfg = SolverConfig(n=n, d=d, family=family, bfh_swap=bfh_swap,
-                       weight_points=points, weight_panels=panels,
-                       quad_points=quad_points)
+def _quad_table(n: int, horizon: float, d: int):
+    """Per-row Floater-Hormann weights for the smooth term; delta > 0 only."""
     grid = np.linspace(0.0, horizon, n + 1)
-    product_rows: list[np.ndarray | None] = [None]
-    quad_rows: list[np.ndarray | None] = [None]
+    rows: list[np.ndarray | None] = [None]
     for i in range(1, n + 1):
         sub = grid[: i + 1]
-        basis = _product_row_basis(sub, i, cfg)
-        product_rows.append(product_weights(i, basis, points=points,
-                                            panels=panels).weights)
-        if with_quad:
-            qbasis = _quad_row_basis(sub, i, cfg)
-            quad_rows.append(brq_weights(qbasis, (sub[0], sub[-1]),
-                                         points_per_panel=quad_points).weights)
-    return grid, tuple(product_rows), tuple(quad_rows) if with_quad else None
+        rows.append(brq_weights(fh_basis(sub, min(d, i)), (sub[0], sub[-1])).weights)
+    return tuple(rows)
 
 
 def clear_weight_cache() -> None:
     """Drop cached product/quadrature weight tables (used by timing studies)."""
-    _weight_tables.cache_clear()
+    _product_table.cache_clear()
+    _quad_table.cache_clear()
 
 
-def _residual_nodiv(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
-                    w: np.ndarray, p: MarketParams) -> float:
-    """Row residual for the zero-dividend boundary equation."""
-    t_i = grid[i]
-    pref = 1.0 / (p.volatility * _SQRT_2PI)
-    d = d1d2(b, t_i, p.strike, p)
-    lhs = b * norm_cdf(d.d1) + b * math.exp(-0.5 * d.d1 * d.d1) * pref / math.sqrt(t_i)
-    rhs = p.strike * math.exp(-(p.rate * t_i + 0.5 * d.d2 * d.d2)) * pref / math.sqrt(t_i)
-    tau = t_i - grid[:i]
-    d1j, d2j = _d12_arrays(b, tau, prior, p)
-    kern = p.rate * p.strike * pref * np.exp(-(p.rate * tau + 0.5 * d2j * d2j))
-    rhs += w[:i] @ kern + w[i] * (p.rate * p.strike * pref)
-    return lhs - rhs
+def _residual(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
+              w: np.ndarray, om: np.ndarray | None, p: MarketParams) -> float:
+    """Row residual of the product-integrated boundary equation.
 
-
-def _residual_div(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
-                  w: np.ndarray, om: np.ndarray, p: MarketParams) -> float:
-    """Row residual for the dividend-paying boundary equation."""
+    The dividend terms vanish at delta = 0 and are then skipped, so ``om``
+    (the smooth-term quadrature row) may be None.
+    """
     t_i = grid[i]
     r, delta, k = p.rate, p.dividend, p.strike
     pref = 1.0 / (p.volatility * _SQRT_2PI)
@@ -264,13 +216,15 @@ def _residual_div(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
     f -= b * math.exp(-(delta * t_i + 0.5 * d.d1 * d.d1)) * pref / math.sqrt(t_i)
     tau = t_i - grid[:i]
     d1j, d2j = _d12_arrays(b, tau, prior, p)
-    kern = pref * (r * k * np.exp(-(r * tau + 0.5 * d2j * d2j))
-                   - delta * b * np.exp(-(delta * tau + 0.5 * d1j * d1j)))
-    f += w[:i] @ kern + w[i] * pref * (r * k - delta * b)
-    smooth = np.exp(-delta * tau) * ndtr(d1j)
-    # coincident node: d1 -> 0 as the time gap vanishes with equal arguments
-    f -= delta * b * (om[:i] @ smooth + om[i] * 0.5)
-    return f
+    kern = r * k * np.exp(-(r * tau + 0.5 * d2j * d2j))
+    coincident = r * k
+    if delta > 0.0:
+        kern -= delta * b * np.exp(-(delta * tau + 0.5 * d1j * d1j))
+        coincident -= delta * b
+        smooth = np.exp(-delta * tau) * ndtr(d1j)
+        # coincident node: d1 -> 0 as the time gap vanishes with equal arguments
+        f -= delta * b * (om[:i] @ smooth + om[i] * 0.5)
+    return f + pref * (w[:i] @ kern + w[i] * coincident)
 
 
 def _residual_kim2d(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
@@ -317,23 +271,66 @@ def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, 
     raise SolverError(f"bisection did not converge at row {step}", step=step)
 
 
-def _newton_scalar(f, x0: float, lo: float, hi: float, cfg: SolverConfig,
-                   scale: float, step: int) -> tuple[float, int, float]:
+def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
+                   step: int) -> tuple[float, int, float]:
     """Safeguarded scalar Newton: finite-difference slope, bisection fallback."""
-    tol_abs = cfg.newton_tol * scale
     margin = 0.5 * (hi - lo)
     b = min(max(x0, lo), hi)
-    for it in range(1, cfg.newton_max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         fb = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb)
-        h = cfg.fd_rel_step * max(1.0, abs(b))
+        h = _FD_REL_STEP * max(1.0, abs(b))
         slope = (f(b + h) - f(b - h)) / (2.0 * h)
         nxt = b - fb / slope if slope != 0.0 else float("nan")
         if not math.isfinite(nxt) or nxt < lo - margin or nxt > hi + margin:
             return _bisect(f, lo, hi, tol_abs, step)
         b = nxt
     return _bisect(f, lo, hi, tol_abs, step)
+
+
+def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
+    """Grid and row residual F(b, i, prior) of a "product" or "trapezoid" solve."""
+    if method == "trapezoid":
+        grid = np.linspace(0.0, p.expiry, n + 1)
+        h = p.expiry / n
+        return grid, lambda b, i, prior: _residual_kim2d(b, i, grid, prior, h, p)
+    grid, w_rows = _product_table(n, p.expiry, cfg.d, cfg.family)
+    q_rows = (_quad_table(n, p.expiry, cfg.d) if p.dividend > 0.0
+              else (None,) * (n + 1))
+    return grid, lambda b, i, prior: _residual(b, i, grid, prior, w_rows[i],
+                                               q_rows[i], p)
+
+
+def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
+    """Solve rows 1..n in order by scalar Newton in [perpetual bound, B_0]."""
+    if p.rate == 0.0:
+        raise ValueError("rate = 0 makes early exercise worthless; "
+                         "the boundary equation degenerates")
+    start = time.perf_counter()
+    grid, resid = _row_residual(method, n, cfg, p)
+    b0 = initial_boundary(p)
+    lower = perpetual_lower_bound(p)
+    values = np.empty(n + 1)
+    values[0] = b0
+    iterations = np.zeros(n + 1, dtype=int)
+    residuals = np.zeros(n + 1)
+    warnings: list[str] = []
+    for i in range(1, n + 1):
+        b, its, res = _newton_scalar(
+            lambda x, i=i, prior=values[:i]: resid(x, i, prior),
+            values[i - 1], lower, b0, cfg.newton_tol * p.strike, i)
+        values[i] = b
+        iterations[i] = its
+        residuals[i] = res
+        if not 0.9 * lower <= b <= 1.1 * b0:
+            warnings.append(
+                f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
+    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
+                            warnings=tuple(warnings),
+                            wall_time=time.perf_counter() - start)
+    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
+                         params=p, config=cfg, diagnostics=diag, method=method)
 
 
 def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -346,41 +343,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     between nodes.  ``hybrid_m`` is ignored here; see
     :func:`solve_boundary_hybrid`.
     """
-    if p.rate == 0.0:
-        raise ValueError("rate = 0 makes early exercise worthless; "
-                         "the boundary equation degenerates")
-    start = time.perf_counter()
-    grid, w_rows, q_rows = _weight_tables(
-        cfg.n, p.expiry, cfg.d, cfg.family, cfg.bfh_swap, cfg.weight_points,
-        cfg.weight_panels, cfg.quad_points, with_quad=p.dividend > 0.0)
-    b0 = initial_boundary(p)
-    lower = perpetual_lower_bound(p)
-    values = np.empty(cfg.n + 1)
-    values[0] = b0
-    iterations = np.zeros(cfg.n + 1, dtype=int)
-    residuals = np.zeros(cfg.n + 1)
-    warnings: list[str] = []
-    for i in range(1, cfg.n + 1):
-        prior = values[:i]
-        if p.dividend > 0.0:
-            def resid(b, i=i, prior=prior):
-                return _residual_div(b, i, grid, prior, w_rows[i], q_rows[i], p)
-        else:
-            def resid(b, i=i, prior=prior):
-                return _residual_nodiv(b, i, grid, prior, w_rows[i], p)
-        b, its, res = _newton_scalar(resid, values[i - 1], lower, b0, cfg,
-                                     p.strike, i)
-        values[i] = b
-        iterations[i] = its
-        residuals[i] = res
-        if not 0.9 * lower <= b <= 1.1 * b0:
-            warnings.append(
-                f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
-    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            warnings=tuple(warnings),
-                            wall_time=time.perf_counter() - start)
-    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
-                         params=p, config=cfg, diagnostics=diag)
+    return _march("product", cfg.n, cfg, p)
 
 
 def solve_boundary_hybrid(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -401,10 +364,7 @@ def solve_boundary_hybrid(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     total = cfg.n + (cfg.n - 1) * (cfg.hybrid_m - 2)
     fine_grid = np.linspace(0.0, p.expiry, total)
     fine_values = np.interp(fine_grid, coarse.grid, coarse.values)
-    diag = SolveDiagnostics(iterations=coarse.diagnostics.iterations,
-                            residuals=coarse.diagnostics.residuals,
-                            warnings=coarse.diagnostics.warnings,
-                            wall_time=time.perf_counter() - start)
+    diag = replace(coarse.diagnostics, wall_time=time.perf_counter() - start)
     return BoundaryCurve(grid=fine_grid, values=fine_values,
                          basis=fh_basis(fine_grid, cfg.d), params=p, config=cfg,
                          diagnostics=diag)
@@ -420,35 +380,7 @@ def solve_boundary_kim2d(n: int, p: MarketParams) -> BoundaryCurve:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if p.rate == 0.0:
-        raise ValueError("rate = 0 makes early exercise worthless; "
-                         "the boundary equation degenerates")
-    cfg = SolverConfig(n=n, d=min(2, n - 1))
-    start = time.perf_counter()
-    grid = np.linspace(0.0, p.expiry, n + 1)
-    h = p.expiry / n
-    b0 = initial_boundary(p)
-    lower = perpetual_lower_bound(p)
-    values = np.empty(n + 1)
-    values[0] = b0
-    iterations = np.zeros(n + 1, dtype=int)
-    residuals = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        prior = values[:i]
-
-        def resid(b, i=i, prior=prior):
-            return _residual_kim2d(b, i, grid, prior, h, p)
-
-        b, its, res = _newton_scalar(resid, values[i - 1], lower, b0, cfg,
-                                     p.strike, i)
-        values[i] = b
-        iterations[i] = its
-        residuals[i] = res
-    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            warnings=(), wall_time=time.perf_counter() - start)
-    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
-                         params=p, config=cfg, diagnostics=diag,
-                         method="trapezoid")
+    return _march("trapezoid", n, SolverConfig(n=n, d=min(2, n - 1)), p)
 
 
 def eval_boundary(curve: BoundaryCurve, t):
@@ -474,27 +406,11 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     Returns |F_i(B_i)| for i = 1..n (index 0 is the assigned expiry limit);
     this is the residual certificate for an accepted solve.
     """
-    p, cfg = curve.params, curve.config
+    cfg = curve.config
     if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     n = curve.grid.size - 1
-    out = np.empty(n)
-    if curve.method == "trapezoid":
-        h = curve.horizon / n
-        for i in range(1, n + 1):
-            out[i - 1] = abs(_residual_kim2d(curve.values[i], i, curve.grid,
-                                             curve.values[:i], h, p))
-        return out
-    grid, w_rows, q_rows = _weight_tables(
-        n, p.expiry, cfg.d, cfg.family, cfg.bfh_swap, cfg.weight_points,
-        cfg.weight_panels, cfg.quad_points, with_quad=p.dividend > 0.0)
-    for i in range(1, n + 1):
-        prior = curve.values[:i]
-        if p.dividend > 0.0:
-            out[i - 1] = abs(_residual_div(curve.values[i], i, grid, prior,
-                                           w_rows[i], q_rows[i], p))
-        else:
-            out[i - 1] = abs(_residual_nodiv(curve.values[i], i, grid, prior,
-                                             w_rows[i], p))
-    return out
+    _, resid = _row_residual(curve.method, n, cfg, curve.params)
+    return np.array([abs(resid(curve.values[i], i, curve.values[:i]))
+                     for i in range(1, n + 1)])

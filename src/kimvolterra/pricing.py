@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -64,13 +64,13 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))
 
 
-def _premium_grid(curve: BoundaryCurve, t: float, quad_d: int) -> np.ndarray:
+def _premium_grid(curve: BoundaryCurve, t: float, d: int) -> np.ndarray:
     """Equidistant quadrature nodes on [0, t], matching curve nodes when t is one."""
     horizon = curve.horizon
     if abs(t - horizon) <= 1e-12 * horizon:
         return np.asarray(curve.grid)
     spacing = horizon / (curve.grid.size - 1)
-    segments = max(quad_d + 1, int(math.ceil(t / spacing - 1e-12)))
+    segments = max(d + 1, int(math.ceil(t / spacing - 1e-12)))
     return np.linspace(0.0, t, segments + 1)
 
 
@@ -82,15 +82,14 @@ def _endpoint_indicator(spot: float, boundary_value: float, strike: float) -> fl
     return 1.0 if spot < boundary_value else 0.0
 
 
-def american_put_price(t: float, spot: float, curve: BoundaryCurve,
-                       quad_d: int | None = None) -> PriceResult:
+def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
     """American put value at time-to-expiry t via the premium representation.
 
     In the exercise region (spot at or below the boundary) the value is
     exactly the payoff K - spot.  Otherwise the premium integral over
-    [0, t] is evaluated with rational-interpolatory quadrature weights of
-    order ``quad_d`` (defaulting to the curve's own order) on a grid that
-    coincides with the curve nodes when t is the full horizon.
+    [0, t] is evaluated with Floater-Hormann quadrature weights of the
+    curve's own order on a grid that coincides with the curve nodes when t
+    is the full horizon.
     """
     start = time.perf_counter()
     p = curve.params
@@ -100,8 +99,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve,
     if not 0.0 < t <= horizon * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {horizon}], got {t}")
     t = min(t, horizon)
-    if quad_d is None:
-        quad_d = curve.basis.degree if curve.basis.degree is not None else curve.config.d
+    d = curve.basis.degree
 
     boundary_at_t = float(eval_boundary(curve, t))
     euro = european_put(t, spot, p)
@@ -112,9 +110,8 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve,
                            bound_factor=error_bound_factor(spot, p),
                            wall_time=time.perf_counter() - start)
 
-    nodes = _premium_grid(curve, t, quad_d)
-    rule = brq_weights(fh_basis(nodes, quad_d), (0.0, t),
-                       points_per_panel=curve.config.quad_points)
+    nodes = _premium_grid(curve, t, d)
+    rule = brq_weights(fh_basis(nodes, d), (0.0, t))
     boundary_vals = np.asarray(eval_boundary(curve, nodes[:-1]))
     tau = t - nodes[:-1]
     sig_sqrt = p.volatility * np.sqrt(tau)
@@ -154,10 +151,7 @@ def american_call_price(t: float, spot: float, p: MarketParams,
                              dividend=p.rate, volatility=p.volatility)
     curve = solve_boundary(cfg, symmetric)
     result = american_put_price(t, p.strike, curve)
-    return PriceResult(value=result.value, european_part=result.european_part,
-                       premium_part=result.premium_part,
-                       bound_factor=result.bound_factor,
-                       wall_time=time.perf_counter() - start)
+    return replace(result, wall_time=time.perf_counter() - start)
 
 
 def _european_call(t: float, spot: float, p: MarketParams) -> float:

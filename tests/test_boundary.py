@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import kimvolterra.boundary as boundary
 from kimvolterra import (
     BFH,
     MarketParams,
     SolverConfig,
+    american_put_price,
+    clear_weight_cache,
     collocation_residuals,
     eval_boundary,
     initial_boundary,
-    kernel_nodiv,
     perpetual_lower_bound,
     solve_boundary,
     solve_boundary_hybrid,
@@ -63,54 +65,14 @@ class TestPerpetualLowerBound:
         assert perpetual_lower_bound(params_with(0.1, rate=0.0)) == 0.0
 
 
-class TestKernelNodiv:
-    def test_coincident_limit(self):
-        p = params_with(0.0)
-        grid = np.linspace(0.0, 3.0, 31)
-        expected = p.rate * p.strike / (p.volatility * math.sqrt(2.0 * math.pi))
-        for i in (1, 7, 30):
-            assert kernel_nodiv(i, i, 87.3, 87.3, grid, p) == expected
-
-    def test_zero_rate_vanishes(self):
-        p = MarketParams(strike=100.0, expiry=3.0, rate=0.0, dividend=0.0,
-                         volatility=0.2)
-        grid = np.linspace(0.0, 3.0, 11)
-        for j in (0, 1, 2):
-            assert kernel_nodiv(2, j, 95.0, 96.0, grid, p) == 0.0
-
-    def test_derived_value(self):
-        # direct evaluation of the summand at tau = 0.1 with equal boundary
-        # values; frozen from a scripted closed-form computation
-        p = params_with(0.0)
-        grid = np.arange(0.0, 1.05, 0.1)
-        value = kernel_nodiv(2, 1, 100.0, 100.0, grid, p)
-        assert value == pytest.approx(15.759461592114409, rel=1e-13)
-        tau = 0.1
-        d2 = (0.08 + 0.02) * tau / (0.2 * math.sqrt(tau)) - 0.2 * math.sqrt(tau)
-        oracle = (0.08 * 100.0 / (0.2 * math.sqrt(2 * math.pi))
-                  * math.exp(-(0.08 * tau + 0.5 * d2 * d2)))
-        assert value == pytest.approx(oracle, rel=1e-14)
-
-    def test_domain_errors(self):
-        p = params_with(0.0)
-        grid = np.linspace(0.0, 3.0, 11)
-        with pytest.raises(ValueError):
-            kernel_nodiv(1, 2, 100.0, 100.0, grid, p)
-        with pytest.raises(ValueError):
-            kernel_nodiv(2, 1, -5.0, 100.0, grid, p)
-
-
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(n=32, d=2)
         assert cfg.newton_tol == 1e-12
-        assert cfg.newton_max_iter == 50
-        assert cfg.fd_rel_step == 1e-6
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
         dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
-        dict(n=8, d=2, newton_max_iter=0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -177,10 +139,22 @@ class TestSolveBoundary:
         assert np.all(np.diff(curve.values) <= 1e-9 * 100.0)
         assert collocation_residuals(curve).max() <= 1e-10 * 100.0
 
-    def test_bfh_swap_variant(self):
-        curve = solve_boundary(SolverConfig(n=16, d=2, family=BFH, bfh_swap=True),
-                               TABLE3_PARAMS)
-        assert np.all(np.diff(curve.values) <= 1e-9 * 100.0)
+    def test_weight_tables_shared_across_dividends(self, monkeypatch):
+        # the benchmark tracer wraps these two names in this module's namespace
+        calls = {"product_weights": 0, "brq_weights": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(boundary, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(boundary, name, counted)
+        cfg = SolverConfig(n=16, d=2)
+        clear_weight_cache()
+        solve_boundary(cfg, params_with(0.0))
+        solve_boundary(cfg, params_with(0.08))
+        assert calls == {"product_weights": 16, "brq_weights": 16}
+        clear_weight_cache()
+        solve_boundary(cfg, params_with(0.08))
+        assert calls == {"product_weights": 32, "brq_weights": 32}
 
 
 class TestHybrid:
@@ -267,3 +241,91 @@ class TestEvalBoundary:
                 nearest = np.argsort(np.abs(grid - t))[: d + 2]
                 lo, hi = values[nearest].min(), values[nearest].max()
                 assert lo - 1e-9 <= v <= hi + 1e-9
+
+
+# Values frozen from the solver with separate zero-dividend and dividend
+# residuals: n = 32, d = 2 node values on the Table-3 market with the given
+# dividend yield, the five Table-3 prices at t = T, and trapezoid nodes at
+# n = 16.  The single residual must reproduce them.
+_FROZEN = {
+    (0.0, "fh"): (
+        100.0, 91.05224558320029, 89.63395082678971, 88.33107210857362,
+        87.52398094783157, 86.79399822048207, 86.26297103722833,
+        85.76994178405907, 85.38104589144736, 85.01632924678168,
+        84.71435723256525, 84.42977255578347, 84.18630191664812,
+        83.95626920206365, 83.7547095847818, 83.564032118888, 83.39385634401714,
+        83.2327814247033, 83.08689654506922, 82.94880190475646,
+        82.82220718534275, 82.70239807055614, 82.59144032012628,
+        82.48647318059484, 82.38840613634055, 82.29568450692913,
+        82.20839445171043, 82.12591538492462, 82.04774300221494,
+        81.97393145157483, 81.9035520751365, 81.83714903167643,
+        81.77348974747184,
+    ),
+    (0.0, "bfh"): (
+        100.0, 91.05224558320029, 89.59626029997327, 88.30353826168584,
+        87.50280970443787, 86.78006450363024, 86.25135991495159,
+        85.76065798723292, 85.37416866394923, 85.00967079753829,
+        84.71025205197027, 84.42484520524745, 84.1840054809688,
+        83.9525762461225, 83.75368264300234, 83.56126442390946,
+        83.39376776718348, 83.23073256355927, 83.08752870743406,
+        82.94732706466144, 82.82340946888236, 82.7013918137807,
+        82.59310417319277, 82.48585644937847, 82.39045073974525,
+        82.2953965849149, 82.21075801087801, 82.12590869811186,
+        82.05037721049615, 81.97416808218549, 81.9064184568592,
+        81.8375983093721, 81.77655716341289,
+    ),
+    (0.08, "fh"): (
+        100.0, 86.25020265506416, 82.96982815590262, 80.6910879817115,
+        79.05705138576322, 77.70519690875858, 76.62228815461609,
+        75.66565615874279, 74.86127362319884, 74.12683135093775,
+        73.49201474389064, 72.90057830485279, 72.38013945900771,
+        71.88855796553537, 71.45051269044225, 71.03258703849207,
+        70.65668702563622, 70.29528548013474, 69.96788157663283,
+        69.65117650967572, 69.36262465369832, 69.08210384781012,
+        68.82533543201838, 68.57466796766883, 68.34434750521947,
+        68.1186974484329, 67.91069932740139, 67.70629013360008,
+        67.5173593141898, 67.3311863186905, 67.15871032510171,
+        66.98834465287852, 66.83019567586645,
+    ),
+    (0.08, "bfh"): (
+        100.0, 86.25020265506416, 83.02726093960538, 80.65338316041256,
+        79.08362443274527, 77.6827264693461, 76.63872704259498,
+        75.64925176889929, 74.8727993002358, 74.11376601045289,
+        73.50072443085665, 72.88965744581388, 72.3870573389412,
+        71.87914548943046, 71.45620758024577, 71.02430125124994,
+        70.6615042645808, 70.28787802092073, 69.97204492208479,
+        69.64447600924358, 69.36628645184499, 69.07598667562965,
+        68.82860352964138, 68.56904175527913, 68.34730068485355,
+        68.1134912052194, 67.9133966474701, 67.70144801114856,
+        67.51984601527569, 67.32666351164393, 67.1610217046377,
+        66.98410461021045, 66.83235971053627,
+    ),
+    "table3_prices": (
+        22.204605772977224, 16.206952123814844, 11.703816192620117,
+        8.367013522655014, 5.929829418925312,
+    ),
+    "kim2d": (
+        100.0, 83.83530530555997, 79.314877867738, 76.76076563683999,
+        74.95305085621165, 73.5599930468378, 72.4341412145161,
+        71.49551908495566, 70.69552112459817, 70.00227410030791,
+        69.39370112861818, 68.85386226873793, 68.37086622680287,
+        67.9356043547146, 67.54094533611519, 67.18120232884625,
+        66.85176866772288,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_FROZEN),
+                         ids=lambda c: c if isinstance(c, str) else "delta%s-%s" % c)
+def test_frozen_values(case):
+    if case == "table3_prices":
+        curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
+        got = [american_put_price(3.0, s, curve).value
+               for s in (80.0, 90.0, 100.0, 110.0, 120.0)]
+    elif case == "kim2d":
+        got = solve_boundary_kim2d(16, TABLE3_PARAMS).values
+    else:
+        dividend, family = case
+        got = solve_boundary(SolverConfig(n=32, d=2, family=family),
+                             params_with(dividend)).values
+    np.testing.assert_allclose(got, _FROZEN[case], rtol=0.0, atol=1e-10)
