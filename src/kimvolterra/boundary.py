@@ -18,6 +18,11 @@ value-matching equation is included as an independent cross-check; both
 discretizations share one row-marching driver.  A hybrid mode solves
 Newton steps on a coarse grid only, filling interior nodes by linear
 interpolation.
+
+Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
+row on the unit nodes 0..i, which depends on neither n nor T, so each row
+is built once per process and scaled for every solve and every premium
+integral in pricing.
 """
 
 from __future__ import annotations
@@ -168,36 +173,25 @@ def _d12_arrays(x: float, tau: np.ndarray, y: np.ndarray,
     return d1, d1 - sig_sqrt
 
 
-@lru_cache(maxsize=32)
-def _product_table(n: int, horizon: float, d: int, family: str):
-    """Grid and per-row singular product weights w_{i, .}, i = 1..n (read-only).
-
-    Shared by every solve on (n, T, d, family), whatever its dividend yield.
-    """
-    grid = np.linspace(0.0, horizon, n + 1)
-    rows: list[np.ndarray | None] = [None]
-    for i in range(1, n + 1):
-        sub = grid[: i + 1]
-        basis = fh_basis(sub, min(d, i)) if family == FH else berrut_basis(sub)
-        rows.append(product_weights(i, basis).weights)
-    return grid, tuple(rows)
+@lru_cache(maxsize=None)
+def _product_row(i: int, d: int, family: str) -> np.ndarray:
+    """Singular product weights of row i on the unit nodes 0..i (read-only)."""
+    sub = np.arange(i + 1.0)
+    basis = fh_basis(sub, min(d, i)) if family == FH else berrut_basis(sub)
+    return product_weights(i, basis).weights
 
 
-@lru_cache(maxsize=32)
-def _quad_table(n: int, horizon: float, d: int):
-    """Per-row Floater-Hormann weights for the smooth term; delta > 0 only."""
-    grid = np.linspace(0.0, horizon, n + 1)
-    rows: list[np.ndarray | None] = [None]
-    for i in range(1, n + 1):
-        sub = grid[: i + 1]
-        rows.append(brq_weights(fh_basis(sub, min(d, i)), (sub[0], sub[-1])).weights)
-    return tuple(rows)
+@lru_cache(maxsize=None)
+def _brq_row(i: int, d: int) -> np.ndarray:
+    """Floater-Hormann quadrature weights of row i on the unit nodes 0..i."""
+    sub = np.arange(i + 1.0)
+    return brq_weights(fh_basis(sub, min(d, i)), (0.0, float(i))).weights
 
 
 def clear_weight_cache() -> None:
-    """Drop cached product/quadrature weight tables (used by timing studies)."""
-    _product_table.cache_clear()
-    _quad_table.cache_clear()
+    """Drop the cached unit-spacing weight rows (used by timing studies)."""
+    _product_row.cache_clear()
+    _brq_row.cache_clear()
 
 
 def _residual(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
@@ -291,13 +285,14 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
     """Grid and row residual F(b, i, prior) of a "product" or "trapezoid" solve."""
+    grid = np.linspace(0.0, p.expiry, n + 1)
+    h = p.expiry / n
     if method == "trapezoid":
-        grid = np.linspace(0.0, p.expiry, n + 1)
-        h = p.expiry / n
         return grid, lambda b, i, prior: _residual_kim2d(b, i, grid, prior, h, p)
-    grid, w_rows = _product_table(n, p.expiry, cfg.d, cfg.family)
-    q_rows = (_quad_table(n, p.expiry, cfg.d) if p.dividend > 0.0
-              else (None,) * (n + 1))
+    w_rows = [None] + [math.sqrt(h) * _product_row(i, cfg.d, cfg.family)
+                       for i in range(1, n + 1)]
+    q_rows = ([None] + [h * _brq_row(i, cfg.d) for i in range(1, n + 1)]
+              if p.dividend > 0.0 else [None] * (n + 1))
     return grid, lambda b, i, prior: _residual(b, i, grid, prior, w_rows[i],
                                                q_rows[i], p)
 

