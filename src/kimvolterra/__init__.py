@@ -11,7 +11,6 @@ against a CRR binomial oracle.
 
 from .market import (
     ConfigurationError,
-    D12,
     MarketParams,
     binomial_american_put,
     d1d2,
@@ -34,8 +33,6 @@ from .barycentric import (
     lebesgue_constant,
 )
 from .quadrature import (
-    ProductWeights,
-    QuadratureRule,
     brq_weights,
     gauss_legendre,
     product_weights,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError",
-    "D12",
     "MarketParams",
     "binomial_american_put",
     "d1d2",
@@ -86,8 +82,6 @@ __all__ = [
     "lagrange_basis",
     "lagrange_weights",
     "lebesgue_constant",
-    "ProductWeights",
-    "QuadratureRule",
     "brq_weights",
     "gauss_legendre",
     "product_weights",

@@ -90,10 +90,6 @@ class BaryBasis:
         return self.nodes.size - 1
 
     @property
-    def spacing(self) -> float:
-        return (self.nodes[-1] - self.nodes[0]) / self.n
-
-    @property
     def span(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
 

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .barycentric import BaryBasis, berrut_basis, eval_interpolant, fh_basis
-from .market import MarketParams, d1d2, norm_cdf
+from .market import MarketParams, d1d2, european_put, norm_cdf
 from .quadrature import brq_weights, product_weights
 
 __all__ = [
@@ -105,8 +105,8 @@ class SolverConfig:
             raise ValueError(f"family must be '{FH}' or '{BFH}', got {self.family!r}")
         if self.hybrid_m is not None and self.hybrid_m < 2:
             raise ValueError(f"hybrid_m must be >= 2, got {self.hybrid_m}")
-        if self.newton_tol <= 0.0:
-            raise ValueError("newton_tol must be positive")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
 
 
 @dataclass(frozen=True)
@@ -173,19 +173,31 @@ def _d12_arrays(x: float, tau: np.ndarray, y: np.ndarray,
     return d1, d1 - sig_sqrt
 
 
+def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
+                       p: MarketParams) -> np.ndarray:
+    """Early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau) N(-d1).
+
+    ``y`` holds the boundary values at the time gaps ``tau`` > 0; the
+    pricing integral takes x = spot and the value-matching equation x = B.
+    """
+    d1, d2 = _d12_arrays(x, tau, y, p)
+    return (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
+            - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
+
+
 @lru_cache(maxsize=None)
 def _product_row(i: int, d: int, family: str) -> np.ndarray:
     """Singular product weights of row i on the unit nodes 0..i (read-only)."""
     sub = np.arange(i + 1.0)
     basis = fh_basis(sub, min(d, i)) if family == FH else berrut_basis(sub)
-    return product_weights(i, basis).weights
+    return product_weights(basis)
 
 
 @lru_cache(maxsize=None)
 def _brq_row(i: int, d: int) -> np.ndarray:
     """Floater-Hormann quadrature weights of row i on the unit nodes 0..i."""
     sub = np.arange(i + 1.0)
-    return brq_weights(fh_basis(sub, min(d, i)), (0.0, float(i))).weights
+    return brq_weights(fh_basis(sub, min(d, i)))
 
 
 def clear_weight_cache() -> None:
@@ -204,10 +216,10 @@ def _residual(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
     t_i = grid[i]
     r, delta, k = p.rate, p.dividend, p.strike
     pref = 1.0 / (p.volatility * _SQRT_2PI)
-    d = d1d2(b, t_i, k, p)
-    f = -b * math.exp(-delta * t_i) * norm_cdf(d.d1)
-    f += k * math.exp(-(r * t_i + 0.5 * d.d2 * d.d2)) * pref / math.sqrt(t_i)
-    f -= b * math.exp(-(delta * t_i + 0.5 * d.d1 * d.d1)) * pref / math.sqrt(t_i)
+    d1, d2 = d1d2(b, t_i, k, p)
+    f = -b * math.exp(-delta * t_i) * norm_cdf(d1)
+    f += k * math.exp(-(r * t_i + 0.5 * d2 * d2)) * pref / math.sqrt(t_i)
+    f -= b * math.exp(-(delta * t_i + 0.5 * d1 * d1)) * pref / math.sqrt(t_i)
     tau = t_i - grid[:i]
     d1j, d2j = _d12_arrays(b, tau, prior, p)
     kern = r * k * np.exp(-(r * tau + 0.5 * d2j * d2j))
@@ -223,20 +235,16 @@ def _residual(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
 
 def _residual_kim2d(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
                     h: float, p: MarketParams) -> float:
-    """Row residual of the trapezoid-discretized value-matching equation."""
-    r, delta, k = p.rate, p.dividend, p.strike
+    """Row residual of the trapezoid-discretized value-matching equation.
+
+    K - B = European(B) + premium(B): the pricing formula taken at S = B.
+    """
     t_i = grid[i]
-    tau = t_i - grid[:i]
-    d1j, d2j = _d12_arrays(b, tau, prior, p)
-    f = r * k * np.exp(-r * tau) * ndtr(-d2j) \
-        - delta * b * np.exp(-delta * tau) * ndtr(-d1j)
+    f = _premium_integrand(b, t_i - grid[:i], prior, p)
     # s = t_i endpoint: equal arguments push both CDF factors to 1/2
-    end = 0.5 * (r * k - delta * b)
+    end = 0.5 * (p.rate * p.strike - p.dividend * b)
     premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
-    d = d1d2(b, t_i, k, p)
-    euro = (k * math.exp(-r * t_i) * norm_cdf(-d.d2)
-            - b * math.exp(-delta * t_i) * norm_cdf(-d.d1))
-    return (k - b) - euro - premium
+    return (p.strike - b) - european_put(t_i, b, p) - premium
 
 
 def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, int, float]:

@@ -1,5 +1,10 @@
 """Market data, Black-Scholes primitives, and a CRR binomial oracle.
 
+``d1d2`` (a plain (d1, d2) tuple) and ``european_put`` are the only scalar
+Black-Scholes formulas: calls follow from put-call symmetry in the pricing
+module, and the array d1/d2 and premium integrand along a boundary live in
+the boundary solver.
+
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
 """
@@ -14,7 +19,6 @@ import numpy as np
 __all__ = [
     "ConfigurationError",
     "MarketParams",
-    "D12",
     "norm_cdf",
     "d1d2",
     "european_put",
@@ -69,14 +73,6 @@ class MarketParams:
             raise ValueError(f"dividend must be >= 0, got {self.dividend}")
 
 
-@dataclass(frozen=True)
-class D12:
-    """The pair of Black-Scholes exponents; d2 == d1 - sigma*sqrt(t) exactly."""
-
-    d1: float
-    d2: float
-
-
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
@@ -87,11 +83,12 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def d1d2(x: float, t: float, y: float, p: MarketParams) -> D12:
+def d1d2(x: float, t: float, y: float, p: MarketParams) -> tuple[float, float]:
     """d1 = [ln(x/y) + (r - delta + sigma^2/2) t] / (sigma sqrt(t)), d2 = d1 - sigma sqrt(t).
 
-    Requires x > 0, y > 0 and t > 0; the t -> 0 limits are handled by the
-    kernel routines in the boundary solver, not here.
+    Returns the plain tuple (d1, d2).  Requires x > 0, y > 0 and t > 0; the
+    t -> 0 limits are handled by the kernel routines in the boundary solver,
+    not here.
     """
     if t <= 0.0:
         raise ValueError(f"d1d2 requires t > 0, got {t}")
@@ -99,7 +96,7 @@ def d1d2(x: float, t: float, y: float, p: MarketParams) -> D12:
         raise ValueError(f"d1d2 requires positive price arguments, got x={x}, y={y}")
     sig_sqrt_t = p.volatility * math.sqrt(t)
     d1 = (math.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * t) / sig_sqrt_t
-    return D12(d1, d1 - sig_sqrt_t)
+    return d1, d1 - sig_sqrt_t
 
 
 def european_put(t: float, spot: float, p: MarketParams) -> float:
@@ -113,9 +110,9 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
         raise ValueError(f"european_put requires t >= 0, got {t}")
     if t == 0.0:
         return max(p.strike - spot, 0.0)
-    d = d1d2(spot, t, p.strike, p)
-    return (p.strike * math.exp(-p.rate * t) * norm_cdf(-d.d2)
-            - spot * math.exp(-p.dividend * t) * norm_cdf(-d.d1))
+    d1, d2 = d1d2(spot, t, p.strike, p)
+    return (p.strike * math.exp(-p.rate * t) * norm_cdf(-d2)
+            - spot * math.exp(-p.dividend * t) * norm_cdf(-d1))
 
 
 def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:

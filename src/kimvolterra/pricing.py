@@ -2,11 +2,13 @@
 
 The put value splits into its European part plus the early-exercise
 premium, an integral of discounted exercise benefits against the boundary
-over [0, t].  The premium integral is evaluated with the solver's cached
-quadrature rows of the curve's rational basis, scaled to the grid spacing;
-the integrand's endpoint limit vanishes in the continuation region.  Calls
-are priced through put-call symmetry (strike and spot swap roles, as do
-rate and dividend yield).
+over [0, t].  The premium integrand is the boundary solver's own (the
+value-matching cross-check is this formula at S = B), and the integral is
+evaluated with the solver's cached quadrature rows of the curve's rational
+basis, scaled to the grid spacing; the integrand's endpoint limit vanishes
+in the continuation region.  Calls are priced through put-call symmetry
+(strike and spot swap roles, as do rate and dividend yield), which also
+gives the European call without dividends.
 
 Pricing is pure given an immutable curve; concurrent pricing across
 spots and times is safe.
@@ -19,11 +21,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
-from .boundary import (BoundaryCurve, SolverConfig, _brq_row, eval_boundary,
-                       solve_boundary)
-from .market import MarketParams, d1d2, european_put, norm_cdf
+from .boundary import (BoundaryCurve, SolverConfig, _brq_row, _perpetual_exponent,
+                       _premium_integrand, eval_boundary, solve_boundary)
+from .market import MarketParams, european_put
 # unused here; kept because the benchmark tracer wraps pricing.brq_weights
 from .quadrature import brq_weights  # noqa: F401
 
@@ -59,8 +60,7 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     """
     if p.rate <= 0.0:
         raise ValueError("error_bound_factor requires rate > 0")
-    mu = p.rate - p.dividend - 0.5 * p.volatility**2
-    theta = (-mu - math.sqrt(mu * mu + 2.0 * p.volatility**2 * p.rate)) / p.volatility**2
+    theta = _perpetual_exponent(p)
     scale = (theta - 1.0) / (p.volatility * theta * math.sqrt(2.0))
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))
 
@@ -117,13 +117,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     # node hits interpolate to exact unit rows, so this is bitwise eval_boundary
     boundary_vals = (curve.values[:-1] if nodes is curve.grid
                      else np.asarray(eval_boundary(curve, nodes[:-1])))
-    tau = t - nodes[:-1]
-    sig_sqrt = p.volatility * np.sqrt(tau)
-    d1 = (np.log(spot / boundary_vals)
-          + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
-    d2 = d1 - sig_sqrt
-    integrand = (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
-                 - p.dividend * spot * np.exp(-p.dividend * tau) * ndtr(-d1))
+    integrand = _premium_integrand(spot, t - nodes[:-1], boundary_vals, p)
     endpoint = (_endpoint_indicator(spot, boundary_at_t, p.strike)
                 * (p.rate * p.strike - p.dividend * spot))
     premium = float(weights[:-1] @ integrand + weights[-1] * endpoint)
@@ -140,27 +134,18 @@ def american_call_price(t: float, spot: float, p: MarketParams,
     call(spot, strike; r, delta) equals put(strike, spot; delta, r): the
     symmetric put boundary is solved internally with ``cfg`` and priced at
     the original strike.  Without dividends the call is never exercised
-    early, so the European value is returned directly.
+    early, so the symmetric European put is returned directly.
     """
     if spot <= 0.0:
         raise ValueError(f"spot must be > 0, got {spot}")
-    if p.dividend == 0.0:
-        start = time.perf_counter()
-        euro = _european_call(t, spot, p)
-        return PriceResult(value=euro, european_part=euro, premium_part=0.0,
-                           bound_factor=0.0,
-                           wall_time=time.perf_counter() - start)
     start = time.perf_counter()
     symmetric = MarketParams(strike=spot, expiry=p.expiry, rate=p.dividend,
                              dividend=p.rate, volatility=p.volatility)
+    if p.dividend == 0.0:
+        euro = european_put(t, p.strike, symmetric)
+        return PriceResult(value=euro, european_part=euro, premium_part=0.0,
+                           bound_factor=0.0,
+                           wall_time=time.perf_counter() - start)
     curve = solve_boundary(cfg, symmetric)
     result = american_put_price(t, p.strike, curve)
     return replace(result, wall_time=time.perf_counter() - start)
-
-
-def _european_call(t: float, spot: float, p: MarketParams) -> float:
-    if t <= 0.0:
-        return max(spot - p.strike, 0.0)
-    d = d1d2(spot, t, p.strike, p)
-    return (spot * math.exp(-p.dividend * t) * norm_cdf(d.d1)
-            - p.strike * math.exp(-p.rate * t) * norm_cdf(d.d2))

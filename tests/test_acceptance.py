@@ -142,7 +142,7 @@ def test_criterion_07_product_weight_identities():
         for i in range(1, n + 1):
             order = min(d, i)
             basis = fh_basis(grid[: i + 1], order)
-            w = product_weights(i, basis).weights
+            w = product_weights(basis)
             worst_sum = max(worst_sum,
                             abs(w.sum() - 2.0 * math.sqrt(grid[i])))
             for degree in range(order + 1):

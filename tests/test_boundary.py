@@ -75,6 +75,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
         dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
+        dict(n=16, d=2, newton_tol=math.inf), dict(n=16, d=2, newton_tol=math.nan),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -176,12 +177,18 @@ class TestSolveBoundary:
             basis = (fh_basis(sub, min(d, i)) if family == "fh"
                      else berrut_basis(sub))
             scaled = math.sqrt(h) * boundary._product_row(i, d, family)
-            np.testing.assert_allclose(scaled, boundary.product_weights(i, basis).weights,
+            np.testing.assert_allclose(scaled, boundary.product_weights(basis),
                                        rtol=0.0, atol=1e-13)
-            direct = boundary.brq_weights(fh_basis(sub, min(d, i)),
-                                          (0.0, sub[-1])).weights
+            direct = boundary.brq_weights(fh_basis(sub, min(d, i)))
             np.testing.assert_allclose(h * boundary._brq_row(i, d), direct,
                                        rtol=0.0, atol=1e-13)
+
+    def test_cached_rows_read_only(self):
+        # cached rows are shared by every solve and every price
+        for i in (1, 5):
+            assert boundary._brq_row(i, 2).flags.writeable is False
+            for family in ("fh", BFH):
+                assert boundary._product_row(i, 2, family).flags.writeable is False
 
 
 class TestHybrid:

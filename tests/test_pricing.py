@@ -147,7 +147,15 @@ class TestAmericanCallPrice:
         d1 = (0.08 + 0.02) / 0.2
         euro = 100.0 * _ncdf(d1) - 100.0 * math.exp(-0.08) * _ncdf(d1 - 0.2)
         assert result.value == pytest.approx(euro, abs=2e-3)
+        # the symmetric European put is the closed-form call
+        assert result.value == pytest.approx(euro, abs=1e-12)
         assert result.premium_part == 0.0
+
+    def test_negative_time_rejected_without_dividends(self):
+        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=0.0,
+                         volatility=0.2)
+        with pytest.raises(ValueError):
+            american_call_price(-0.5, 100.0, p, SolverConfig(n=32, d=2))
 
     def test_symmetric_fixture_matches_put(self, curve_n64_d3):
         # strike = spot and rate = dividend make the symmetry swap an identity
