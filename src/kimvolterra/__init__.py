@@ -50,7 +50,6 @@ from .boundary import (
     initial_boundary,
     perpetual_lower_bound,
     solve_boundary,
-    solve_boundary_hybrid,
     solve_boundary_kim2d,
 )
 from .pricing import (
@@ -97,7 +96,6 @@ __all__ = [
     "initial_boundary",
     "perpetual_lower_bound",
     "solve_boundary",
-    "solve_boundary_hybrid",
     "solve_boundary_kim2d",
     "PriceResult",
     "american_call_price",

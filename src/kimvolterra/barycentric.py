@@ -197,6 +197,4 @@ def lebesgue_constant(basis: BaryBasis, oversample: int) -> float:
         np.linspace(a, b, oversample + 2)[1:-1]
         for a, b in zip(nodes[:-1], nodes[1:])
     ])
-    c = basis.weights[None, :] / (ts[:, None] - nodes[None, :])
-    lam = np.abs(c).sum(axis=1) / np.abs(c.sum(axis=1))
-    return float(np.max(lam))
+    return float(np.abs(basis_matrix(basis, ts)).sum(axis=1).max())

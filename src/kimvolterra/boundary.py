@@ -15,9 +15,9 @@ interpolatory quadrature; every dividend term carries a factor delta, so at
 delta = 0 the second kernel and the smooth part drop out and are not
 evaluated.  A trapezoid discretization of the underlying two-dimensional
 value-matching equation is included as an independent cross-check; both
-discretizations share one row-marching driver.  A hybrid mode solves
-Newton steps on a coarse grid only, filling interior nodes by linear
-interpolation.
+discretizations share one row-marching driver.  A hybrid mode
+(``hybrid_m``) solves Newton steps on the n-interval grid only and fills
+interior nodes by linear interpolation.
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
 row on the unit nodes 0..i, which depends on neither n nor T, so each row
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +49,6 @@ __all__ = [
     "initial_boundary",
     "perpetual_lower_bound",
     "solve_boundary",
-    "solve_boundary_hybrid",
     "solve_boundary_kim2d",
     "eval_boundary",
     "collocation_residuals",
@@ -62,6 +61,9 @@ BFH = "bfh"
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_MAX_ITER = 50
 _FD_REL_STEP = 1e-6
+# |dF/db| falls to about 0.17 on the Table-3 markets at n = 32, so a row
+# tolerance of 1e-6 K already moves nodes by about 1.2e-4 (K = 100)
+_MAX_NEWTON_TOL = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -78,10 +80,10 @@ class SolverError(RuntimeError):
 class SolverConfig:
     """Discretization and iteration controls for a boundary solve.
 
-    ``n`` counts grid subintervals for the plain schemes (nodes t_i = i T / n,
-    i = 0..n).  In hybrid mode ``n`` counts the coarse Newton nodes
-    including both endpoints, so the stored node total is
-    N = n + (n - 1)(hybrid_m - 2); ``hybrid_m = 2`` adds no interior points.
+    ``n`` counts the Newton grid subintervals (nodes t_i = i T / n,
+    i = 0..n).  With ``hybrid_m = m`` the solved curve is filled by linear
+    interpolation to n (m - 1) stored subintervals, i.e. m - 2 interior
+    points per Newton interval; ``hybrid_m = 2`` adds none.
 
     ``family`` selects the kernel-interpolation basis: "fh" uses the
     Floater-Hormann weights of order ``d`` throughout, "bfh" uses Berrut
@@ -105,13 +107,16 @@ class SolverConfig:
             raise ValueError(f"family must be '{FH}' or '{BFH}', got {self.family!r}")
         if self.hybrid_m is not None and self.hybrid_m < 2:
             raise ValueError(f"hybrid_m must be >= 2, got {self.hybrid_m}")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if not 0.0 < self.newton_tol <= _MAX_NEWTON_TOL:
+            raise ValueError(
+                f"newton_tol must lie in (0, {_MAX_NEWTON_TOL:g}], got {self.newton_tol}: "
+                "a looser row tolerance newton_tol * K can accept each row's "
+                "initial guess and return a flat curve")
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Per-row Newton iteration counts and final residuals, plus wall time."""
+    """Per-Newton-row iteration counts and final residuals, plus wall time."""
 
     iterations: np.ndarray
     residuals: np.ndarray
@@ -329,6 +334,9 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
         if not 0.9 * lower <= b <= 1.1 * b0:
             warnings.append(
                 f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
+    if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
+        fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
+        grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
                             warnings=tuple(warnings),
                             wall_time=time.perf_counter() - start)
@@ -341,36 +349,12 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 
     B_0 takes its analytic expiry limit and each later B_i solves its
     scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular), with the initial guess B_{i-1}.  The returned
-    curve carries a Floater-Hormann basis of order d for evaluation
-    between nodes.  ``hybrid_m`` is ignored here; see
-    :func:`solve_boundary_hybrid`.
+    is lower triangular), with the initial guess B_{i-1}.  ``cfg.hybrid_m``
+    fills the curve by linear interpolation (see :class:`SolverConfig`);
+    the returned curve carries a Floater-Hormann basis of order d on its
+    stored nodes for evaluation between them.
     """
     return _march("product", cfg.n, cfg, p)
-
-
-def solve_boundary_hybrid(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
-    """Newton solves on a coarse grid, linear interpolation in between.
-
-    ``cfg.n`` counts the coarse grid nodes (both endpoints included), so
-    Newton runs on n nodes and the stored fine grid has
-    N = n + (n - 1)(m - 2) equidistant nodes for m = ``cfg.hybrid_m``.
-    The fine values feed every subsequent quadrature exactly like a plain
-    solve of the same size; m = 2 reproduces the coarse solve unchanged.
-    """
-    if cfg.hybrid_m is None:
-        raise ValueError("hybrid_m must be set for a hybrid solve")
-    start = time.perf_counter()
-    coarse = solve_boundary(replace(cfg, n=cfg.n - 1, hybrid_m=None), p)
-    if cfg.hybrid_m == 2:
-        return coarse
-    total = cfg.n + (cfg.n - 1) * (cfg.hybrid_m - 2)
-    fine_grid = np.linspace(0.0, p.expiry, total)
-    fine_values = np.interp(fine_grid, coarse.grid, coarse.values)
-    diag = replace(coarse.diagnostics, wall_time=time.perf_counter() - start)
-    return BoundaryCurve(grid=fine_grid, values=fine_values,
-                         basis=fh_basis(fine_grid, cfg.d), params=p, config=cfg,
-                         diagnostics=diag)
 
 
 def solve_boundary_kim2d(n: int, p: MarketParams) -> BoundaryCurve:
@@ -397,10 +381,7 @@ def eval_boundary(curve: BoundaryCurve, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < -tol) or np.any(t_arr > horizon + tol):
         raise ValueError(f"t must lie in [0, {horizon}], got {t!r}")
-    clipped = np.clip(t_arr, 0.0, horizon)
-    if t_arr.ndim == 0:
-        return eval_interpolant(curve.basis, curve.values, float(clipped))
-    return eval_interpolant(curve.basis, curve.values, clipped)
+    return eval_interpolant(curve.basis, curve.values, np.clip(t_arr, 0.0, horizon))
 
 
 def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:

@@ -35,7 +35,6 @@ from .boundary import (
     eval_boundary,
     initial_boundary,
     solve_boundary,
-    solve_boundary_hybrid,
 )
 from .market import ConfigurationError, MarketParams, binomial_american_put
 from .pricing import american_put_price
@@ -92,11 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="continuous dividend yield (boundary sweeps "
                              "four yields when omitted; other commands default to 0.08)")
     shared.add_argument("--vol", type=float, default=0.2)
-    shared.add_argument("--n", type=int, default=None, help="grid subintervals")
+    shared.add_argument("--n", type=int, default=None, help="Newton grid subintervals")
     shared.add_argument("--d", type=int, default=None, help="rational blending order")
     shared.add_argument("--family", choices=(FH, BFH), default=FH)
     shared.add_argument("--m", type=int, default=None,
-                        help="hybrid fill count (m - 2 interior points per interval)")
+                        help="hybrid fill: m - 2 interpolated points per Newton "
+                             "interval, n (m - 1) stored intervals")
     shared.add_argument("--spots", type=_parse_spots, default=None,
                         help="comma-separated spot prices")
     shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
@@ -135,17 +135,11 @@ def _config_from_args(args, default_n: int, default_d: int) -> SolverConfig:
                         hybrid_m=args.m)
 
 
-def _solve(cfg: SolverConfig, params: MarketParams):
-    if cfg.hybrid_m is not None:
-        return solve_boundary_hybrid(cfg, params)
-    return solve_boundary(cfg, params)
-
-
 def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Fixed five-spot benchmark: binomial reference vs the n=32, d=2 scheme."""
     params = TABLE3_PARAMS
     cfg = SolverConfig(n=32, d=2, family=args.family)
-    curve = _solve(cfg, params)
+    curve = solve_boundary(cfg, params)
     header = ["S", "bin", "price", "abs_error"]
     rows = []
     passed = True
@@ -168,12 +162,12 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
     header = ["dividend", "t", "boundary"]
     rows = []
     passed = True
+    cfg = _config_from_args(args, default_n=64, default_d=3)
     for dividend in dividends:
         params = MarketParams(strike=args.strike, expiry=args.expiry,
                               rate=args.rate, dividend=dividend,
                               volatility=args.vol)
-        cfg = _config_from_args(args, default_n=64, default_d=3)
-        curve = _solve(cfg, params)
+        curve = solve_boundary(cfg, params)
         limit = initial_boundary(params)
         node_monotone = bool(np.all(np.diff(curve.values)
                                     <= 1e-9 * params.strike))
@@ -185,9 +179,7 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
             rows.append([f"{dividend:.4f}", f"{t:.6f}", f"{b:.6f}"])
     spec = {"command": "boundary", "dividends": [float(d) for d in dividends],
             "strike": args.strike, "expiry": args.expiry, "rate": args.rate,
-            "vol": args.vol, "family": args.family,
-            "n": args.n if args.n is not None else 64,
-            "d": args.d if args.d is not None else 3, "m": args.m,
+            "vol": args.vol, "family": args.family, "n": cfg.n, "d": cfg.d, "m": args.m,
             "eval_points": 200}
     return header, rows, passed, spec
 
@@ -197,7 +189,7 @@ def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
     params = _market_from_args(args)
     cfg = _config_from_args(args, default_n=32, default_d=2)
     spots = args.spots if args.spots is not None else [100.0]
-    curve = _solve(cfg, params)
+    curve = solve_boundary(cfg, params)
     header = ["S", "value", "european", "premium", "bound_factor"]
     rows = []
     for spot in spots:
@@ -269,16 +261,12 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     for n in args.n_list:
         for label, family, m in methods:
             try:
-                if m is None:
-                    cfg = SolverConfig(n=n, d=d, family=family)
-                    clear_weight_cache()
-                    curve = solve_boundary(cfg, params)
-                else:
-                    # coarse node count giving roughly the same stored total
-                    coarse = max(d + 2, round((n + m - 1) / (m - 1)))
-                    cfg = SolverConfig(n=coarse, d=d, family=family, hybrid_m=m)
-                    clear_weight_cache()
-                    curve = solve_boundary_hybrid(cfg, params)
+                # Newton intervals giving roughly n stored intervals after the fill
+                newton_n = (n if m is None
+                            else max(d + 2, round((n + m - 1) / (m - 1))) - 1)
+                cfg = SolverConfig(n=newton_n, d=d, family=family, hybrid_m=m)
+                clear_weight_cache()
+                curve = solve_boundary(cfg, params)
                 result = american_put_price(params.expiry, spot, curve)
                 wall = curve.diagnostics.wall_time + result.wall_time
                 err = abs(result.value - reference)

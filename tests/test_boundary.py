@@ -15,7 +15,6 @@ from kimvolterra import (
     initial_boundary,
     perpetual_lower_bound,
     solve_boundary,
-    solve_boundary_hybrid,
     solve_boundary_kim2d,
 )
 
@@ -76,6 +75,7 @@ class TestSolverConfig:
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
         dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
         dict(n=16, d=2, newton_tol=math.inf), dict(n=16, d=2, newton_tol=math.nan),
+        dict(n=16, d=2, newton_tol=1e-2), dict(n=16, d=2, newton_tol=1.0),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -193,30 +193,29 @@ class TestSolveBoundary:
 
 class TestHybrid:
     def test_node_accounting(self):
-        cfg = SolverConfig(n=4, d=2, hybrid_m=3)
-        curve = solve_boundary_hybrid(cfg, TABLE3_PARAMS)
-        assert curve.grid.size == 7  # n + (n-1)(m-2)
+        cfg = SolverConfig(n=3, d=2, hybrid_m=3)
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
+        assert curve.grid.size == 7  # n (m - 1) + 1
+        assert curve.diagnostics.iterations.size == 4  # one per Newton row
 
     def test_m2_matches_plain_solve(self):
-        hybrid = solve_boundary_hybrid(SolverConfig(n=17, d=2, hybrid_m=2),
-                                       TABLE3_PARAMS)
+        hybrid = solve_boundary(SolverConfig(n=16, d=2, hybrid_m=2), TABLE3_PARAMS)
         plain = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
         assert np.max(np.abs(hybrid.values - plain.values)) <= 1e-14
 
     def test_interior_points_linear(self):
-        cfg = SolverConfig(n=9, d=2, hybrid_m=4)
-        curve = solve_boundary_hybrid(cfg, TABLE3_PARAMS)
+        cfg = SolverConfig(n=8, d=2, hybrid_m=4)
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
         coarse = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
-        assert curve.grid.size == 9 + 8 * 2
+        assert curve.grid.size == 25  # 8 Newton intervals, 2 interior points each
         # coarse nodes appear unchanged; interior nodes sit on chords
         assert np.max(np.abs(curve.values[::3] - coarse.values)) <= 1e-14
         chord = 0.5 * (coarse.values[:-1] + coarse.values[1:])
         mid = 0.5 * (curve.values[1::3] + curve.values[2::3])
         assert np.max(np.abs(mid - chord)) <= 1e-12
-
-    def test_missing_m_rejected(self):
+        # interpolated nodes were never collocated, so there is no certificate
         with pytest.raises(ValueError):
-            solve_boundary_hybrid(SolverConfig(n=8, d=2), TABLE3_PARAMS)
+            collocation_residuals(curve)
 
 
 class TestKim2d:
