@@ -12,12 +12,19 @@ expiry limit instead.
 One equation is discretized.  Its singular part carries two exponential
 kernels and its smooth part (a normal-CDF kernel) is handled by direct
 interpolatory quadrature; every dividend term carries a factor delta, so at
-delta = 0 the second kernel and the smooth part drop out and are not
+delta = 0 the second kernel drops out and the smooth part is not
 evaluated.  A trapezoid discretization of the underlying two-dimensional
 value-matching equation is included as an independent cross-check; both
 discretizations share one row-marching driver.  A hybrid mode
 (``hybrid_m``) solves Newton steps on the n-interval grid only and fills
 interior nodes by linear interpolation.
+
+Each row's residual returns its exact slope dF/db with its value, so a
+Newton step costs one residual eval.  The b-independent terms of a row are
+built once, before its Newton loop.  Two exact Black-Scholes identities,
+both from y e^(-r tau) phi(d2) = x e^(-delta tau) phi(d1), shrink the
+product residual: the two scalar phi terms at t_i cancel, and the two
+exponential kernels merge into one, (r K - delta B_j) e^(-r tau_j) phi(d2_j).
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
 row on the unit nodes 0..i, which depends on neither n nor T, so each row
@@ -60,7 +67,6 @@ BFH = "bfh"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_MAX_ITER = 50
-_FD_REL_STEP = 1e-6
 # |dF/db| falls to about 0.17 on the Table-3 markets at n = 32, so a row
 # tolerance of 1e-6 K already moves nodes by about 1.2e-4 (K = 100)
 _MAX_NEWTON_TOL = 1e-6
@@ -116,10 +122,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Per-Newton-row iteration counts and final residuals, plus wall time."""
+    """Per-Newton-row iteration counts and final residuals, plus wall time.
+
+    ``residual_evals`` counts every row-residual eval of the solve, Newton
+    and bisection alike; each Newton step makes one.
+    """
 
     iterations: np.ndarray
     residuals: np.ndarray
+    residual_evals: int
     warnings: tuple[str, ...]
     wall_time: float
 
@@ -211,49 +222,88 @@ def clear_weight_cache() -> None:
     _brq_row.cache_clear()
 
 
-def _residual(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
-              w: np.ndarray, om: np.ndarray | None, p: MarketParams) -> float:
-    """Row residual of the product-integrated boundary equation.
+def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
+              om: np.ndarray | None, p: MarketParams):
+    """Row i of the product-integrated boundary equation as b -> (F(b), dF/db).
 
-    The dividend terms vanish at delta = 0 and are then skipped, so ``om``
-    (the smooth-term quadrature row) may be None.
+    Every term that does not depend on b is built here, once per row, and
+    d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j leaves b only in ln(b), so an
+    eval costs a few array ops of length i.  The phi identity of the module
+    docstring has already cancelled the scalar phi terms and merged the two
+    kernels.  The dividend terms vanish at delta = 0 and are then skipped, so
+    ``om`` (the smooth-term quadrature row) may be None.
     """
     t_i = grid[i]
-    r, delta, k = p.rate, p.dividend, p.strike
-    pref = 1.0 / (p.volatility * _SQRT_2PI)
-    d1, d2 = d1d2(b, t_i, k, p)
-    f = -b * math.exp(-delta * t_i) * norm_cdf(d1)
-    f += k * math.exp(-(r * t_i + 0.5 * d2 * d2)) * pref / math.sqrt(t_i)
-    f -= b * math.exp(-(delta * t_i + 0.5 * d1 * d1)) * pref / math.sqrt(t_i)
+    r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
+    pref = 1.0 / (vol * _SQRT_2PI)
+    sig_t = vol * math.sqrt(t_i)
+    a1_t = ((r - delta + 0.5 * vol * vol) * t_i - math.log(k)) / sig_t
+    disc_t = math.exp(-delta * t_i)
     tau = t_i - grid[:i]
-    d1j, d2j = _d12_arrays(b, tau, prior, p)
-    kern = r * k * np.exp(-(r * tau + 0.5 * d2j * d2j))
-    coincident = r * k
+    sig_tau = vol * np.sqrt(tau)
+    inv_sig_tau = 1.0 / sig_tau
+    a2 = ((r - delta - 0.5 * vol * vol) * tau - np.log(prior)) * inv_sig_tau
+    neg_rtau = -r * tau
+    kern = pref * w[:i] * (r * k - delta * prior)
+    kern_slope = kern * inv_sig_tau
+    # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
+    coincident = pref * w[i]
     if delta > 0.0:
-        kern -= delta * b * np.exp(-(delta * tau + 0.5 * d1j * d1j))
-        coincident -= delta * b
-        smooth = np.exp(-delta * tau) * ndtr(d1j)
-        # coincident node: d1 -> 0 as the time gap vanishes with equal arguments
-        f -= delta * b * (om[:i] @ smooth + om[i] * 0.5)
-    return f + pref * (w[:i] @ kern + w[i] * coincident)
+        smooth = om[:i] * np.exp(-delta * tau)
+        smooth_slope = om[:i] * prior * inv_sig_tau / _SQRT_2PI
+        half = 0.5 * om[i]
+
+    def row(b: float) -> tuple[float, float]:
+        log_b = math.log(b)
+        d1_t = log_b / sig_t + a1_t
+        cdf_t = norm_cdf(d1_t)
+        d2 = log_b * inv_sig_tau + a2
+        e = np.exp(neg_rtau - 0.5 * d2 * d2)
+        f = -b * disc_t * cdf_t + kern @ e + coincident * (r * k - delta * b)
+        slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
+                 - (kern_slope @ (e * d2)) / b - coincident * delta)
+        if delta > 0.0:
+            s = smooth @ ndtr(d2 + sig_tau) + half
+            f -= delta * b * s
+            slope -= delta * (s + (smooth_slope @ e) / b)
+        return f, slope
+
+    return row
 
 
-def _residual_kim2d(b: float, i: int, grid: np.ndarray, prior: np.ndarray,
-                    h: float, p: MarketParams) -> float:
-    """Row residual of the trapezoid-discretized value-matching equation.
+def _residual_kim2d(i: int, grid: np.ndarray, prior: np.ndarray, h: float,
+                    p: MarketParams):
+    """Row i of the trapezoid-discretized value-matching equation as b -> (F, dF/db).
 
     K - B = European(B) + premium(B): the pricing formula taken at S = B.
+    The put delta is -e^(-delta t) N(-d1), and by the phi identity of the
+    module docstring the premium density has slope
+    -delta e^(-delta tau) N(-d1) - (r K - delta B_j) e^(-r tau) phi(d2) / (b sigma sqrt(tau)).
     """
     t_i = grid[i]
-    f = _premium_integrand(b, t_i - grid[:i], prior, p)
-    # s = t_i endpoint: equal arguments push both CDF factors to 1/2
-    end = 0.5 * (p.rate * p.strike - p.dividend * b)
-    premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
-    return (p.strike - b) - european_put(t_i, b, p) - premium
+    tau = t_i - grid[:i]
+    r, delta, k = p.rate, p.dividend, p.strike
+    disc_d = delta * np.exp(-delta * tau)
+    kern = ((r * k - delta * prior) * np.exp(-r * tau)
+            / (p.volatility * np.sqrt(tau) * _SQRT_2PI))
+
+    def row(b: float) -> tuple[float, float]:
+        f = _premium_integrand(b, tau, prior, p)
+        # s = t_i endpoint: equal arguments push both CDF factors to 1/2
+        end = 0.5 * (r * k - delta * b)
+        premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
+        d1, d2 = _d12_arrays(b, tau, prior, p)
+        df = -disc_d * ndtr(-d1) - kern * np.exp(-0.5 * d2 * d2) / b
+        d1_t, _ = d1d2(b, t_i, k, p)
+        slope = (-1.0 + math.exp(-delta * t_i) * norm_cdf(-d1_t)
+                 - h * (0.5 * df[0] + df[1:].sum() - 0.25 * delta))
+        return (k - b) - european_put(t_i, b, p) - premium, slope
+
+    return row
 
 
 def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, int, float]:
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
     if abs(f_lo) <= tol_abs:
         return lo, 1, abs(f_lo)
     if abs(f_hi) <= tol_abs:
@@ -264,7 +314,7 @@ def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, 
             step=step, residual=min(abs(f_lo), abs(f_hi)))
     for it in range(1, 201):
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
+        f_mid = f(mid)[0]
         if abs(f_mid) <= tol_abs or hi - lo <= 1e-16 * max(1.0, hi):
             if abs(f_mid) > tol_abs:
                 raise SolverError(
@@ -280,15 +330,13 @@ def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, 
 
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
                    step: int) -> tuple[float, int, float]:
-    """Safeguarded scalar Newton: finite-difference slope, bisection fallback."""
+    """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback."""
     margin = 0.5 * (hi - lo)
     b = min(max(x0, lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        fb = f(b)
+        fb, slope = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb)
-        h = _FD_REL_STEP * max(1.0, abs(b))
-        slope = (f(b + h) - f(b - h)) / (2.0 * h)
         nxt = b - fb / slope if slope != 0.0 else float("nan")
         if not math.isfinite(nxt) or nxt < lo - margin or nxt > hi + margin:
             return _bisect(f, lo, hi, tol_abs, step)
@@ -297,17 +345,16 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 
 def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
-    """Grid and row residual F(b, i, prior) of a "product" or "trapezoid" solve."""
+    """Grid and row builder (i, prior) -> (b -> (F, dF/db)) of a "product" or "trapezoid" solve."""
     grid = np.linspace(0.0, p.expiry, n + 1)
     h = p.expiry / n
     if method == "trapezoid":
-        return grid, lambda b, i, prior: _residual_kim2d(b, i, grid, prior, h, p)
+        return grid, lambda i, prior: _residual_kim2d(i, grid, prior, h, p)
     w_rows = [None] + [math.sqrt(h) * _product_row(i, cfg.d, cfg.family)
                        for i in range(1, n + 1)]
     q_rows = ([None] + [h * _brq_row(i, cfg.d) for i in range(1, n + 1)]
               if p.dividend > 0.0 else [None] * (n + 1))
-    return grid, lambda b, i, prior: _residual(b, i, grid, prior, w_rows[i],
-                                               q_rows[i], p)
+    return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], p)
 
 
 def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -316,7 +363,7 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
         raise ValueError("rate = 0 makes early exercise worthless; "
                          "the boundary equation degenerates")
     start = time.perf_counter()
-    grid, resid = _row_residual(method, n, cfg, p)
+    grid, build_row = _row_residual(method, n, cfg, p)
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
     values = np.empty(n + 1)
@@ -324,10 +371,17 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
     warnings: list[str] = []
+    evals = 0
+
+    def counted(x: float) -> tuple[float, float]:
+        nonlocal evals
+        evals += 1
+        return row(x)
+
     for i in range(1, n + 1):
-        b, its, res = _newton_scalar(
-            lambda x, i=i, prior=values[:i]: resid(x, i, prior),
-            values[i - 1], lower, b0, cfg.newton_tol * p.strike, i)
+        row = build_row(i, values[:i])
+        b, its, res = _newton_scalar(counted, values[i - 1], lower, b0,
+                                     cfg.newton_tol * p.strike, i)
         values[i] = b
         iterations[i] = its
         residuals[i] = res
@@ -338,7 +392,7 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            warnings=tuple(warnings),
+                            residual_evals=evals, warnings=tuple(warnings),
                             wall_time=time.perf_counter() - start)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag, method=method)
@@ -395,6 +449,6 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     n = curve.grid.size - 1
-    _, resid = _row_residual(curve.method, n, cfg, curve.params)
-    return np.array([abs(resid(curve.values[i], i, curve.values[:i]))
+    _, build_row = _row_residual(curve.method, n, cfg, curve.params)
+    return np.array([abs(build_row(i, curve.values[:i])(curve.values[i])[0])
                      for i in range(1, n + 1)])

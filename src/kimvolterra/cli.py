@@ -172,7 +172,7 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
         node_monotone = bool(np.all(np.diff(curve.values)
                                     <= 1e-9 * params.strike))
         passed = passed and node_monotone \
-            and abs(curve.values[0] - limit) <= 1e-2
+            and bool(abs(curve.values[0] - limit) <= 1e-2)
         ts = np.linspace(0.0, params.expiry, 200)
         values = eval_boundary(curve, ts)
         for t, b in zip(ts, values):
@@ -248,6 +248,9 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
 
 def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Wall time and absolute error per (method, n); spot fixed at 120."""
+    if args.m is not None and args.m < 2:
+        # the Newton-grid size below divides by m - 1
+        raise ConfigurationError(f"--m must be >= 2, got {args.m}")
     params = _market_from_args(args)
     d = args.d if args.d is not None else 2
     spot = 120.0

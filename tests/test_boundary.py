@@ -19,6 +19,7 @@ from kimvolterra import (
 )
 
 from kimvolterra.barycentric import berrut_basis, fh_basis
+from kimvolterra.market import d1d2, norm_cdf
 
 from conftest import TABLE3_PARAMS
 
@@ -189,6 +190,89 @@ class TestSolveBoundary:
             assert boundary._brq_row(i, 2).flags.writeable is False
             for family in ("fh", BFH):
                 assert boundary._product_row(i, 2, family).flags.writeable is False
+
+
+def _paper_residual(b, i, grid, prior, w, om, p):
+    """Product row residual as the paper writes it: both exponential kernels
+    and the two scalar phi terms at t_i."""
+    t_i = grid[i]
+    r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
+    pref = 1.0 / (vol * math.sqrt(2.0 * math.pi))
+    d1, d2 = d1d2(b, t_i, k, p)
+    f = -b * math.exp(-delta * t_i) * norm_cdf(d1)
+    f += k * math.exp(-r * t_i - 0.5 * d2 * d2) * pref / math.sqrt(t_i)
+    f -= b * math.exp(-delta * t_i - 0.5 * d1 * d1) * pref / math.sqrt(t_i)
+    tau = t_i - grid[:i]
+    sig = vol * np.sqrt(tau)
+    d1j = (np.log(b / prior) + (r - delta + 0.5 * vol * vol) * tau) / sig
+    d2j = d1j - sig
+    kern = (r * k * np.exp(-r * tau - 0.5 * d2j * d2j)
+            - delta * b * np.exp(-delta * tau - 0.5 * d1j * d1j))
+    f += pref * (w[:i] @ kern + w[i] * (r * k - delta * b))
+    if delta > 0.0:
+        smooth = np.exp(-delta * tau) * np.array([norm_cdf(x) for x in d1j])
+        f -= delta * b * (om[:i] @ smooth + 0.5 * om[i])
+    return f
+
+
+class TestRowResidual:
+    """The row residual returns its exact slope alongside its value."""
+
+    @staticmethod
+    def check_slope(row, b):
+        value, slope = row(b)
+        step = 1e-6 * b
+        central = (row(b + step)[0] - row(b - step)[0]) / (2.0 * step)
+        assert abs(slope - central) <= 1e-6 * abs(slope)
+        return value
+
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    def test_product_rows(self, family, dividend):
+        n, d = 16, 2
+        p = params_with(dividend)
+        cfg = SolverConfig(n=n, d=d, family=family)
+        values = solve_boundary(cfg, p).values
+        grid, build_row = boundary._row_residual("product", n, cfg, p)
+        h = p.expiry / n
+        for i in (1, 2, 7, 16):
+            row = build_row(i, values[:i])
+            w = math.sqrt(h) * boundary._product_row(i, d, family)
+            om = h * boundary._brq_row(i, d)
+            for b in (0.9 * values[i], values[i], 1.01 * values[i]):
+                value = self.check_slope(row, b)
+                paper = _paper_residual(b, i, grid, values[:i], w, om, p)
+                assert abs(value - paper) <= 1e-12 * p.strike
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    def test_trapezoid_rows(self, dividend):
+        n = 16
+        p = params_with(dividend)
+        values = solve_boundary_kim2d(n, p).values
+        _, build_row = boundary._row_residual("trapezoid", n, SolverConfig(n=n, d=2), p)
+        for i in (1, 2, 7, 16):
+            row = build_row(i, values[:i])
+            for b in (0.9 * values[i], values[i], 1.01 * values[i]):
+                self.check_slope(row, b)
+
+
+class TestResidualEvals:
+    def test_one_eval_per_newton_step(self, monkeypatch):
+        def no_bisection(*args):
+            raise AssertionError("bisection fallback taken")
+
+        monkeypatch.setattr(boundary, "_bisect", no_bisection)
+        diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
+        assert diag.residual_evals == diag.iterations.sum()
+
+    def test_bisection_evals_counted(self, monkeypatch):
+        # one Newton step per row, then bisection: its two bracket ends and
+        # one eval per bisection iteration (the recorded count)
+        monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
+        diag = curve.diagnostics
+        assert diag.residual_evals == diag.iterations.sum() + 3 * 8
+        assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
 
 class TestHybrid:

@@ -63,6 +63,14 @@ class TestBoundary:
         _, rows = rows_of(data)
         assert len(rows) == 200
 
+    def test_json_output(self, tmp_path):
+        code, data = run(tmp_path, "b.json", ["boundary", "--dividend", "0.08",
+                                              "--n", "16", "--d", "2", "--format", "json"])
+        assert code == 0
+        payload = json.loads(data)
+        assert payload["passed"] is True
+        assert len(payload["rows"]) == 200
+
     def test_deterministic_rerun(self, tmp_path):
         args = ["boundary", "--dividend", "0.08", "--n", "16", "--d", "2"]
         _, first = run(tmp_path, "c.csv", args)
@@ -153,6 +161,11 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             main(["price", "--spots", "abc"])
         assert excinfo.value.code == 2
+
+    def test_workprecision_m_below_2_exits_2(self, capsys):
+        code = main(["workprecision", "--n-list", "8", "--m", "1"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_stdout_when_no_out(self, capsys):
         code = main(["lebesgue"])
