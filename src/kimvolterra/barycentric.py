@@ -125,14 +125,13 @@ def fh_weights(n: int, d: int) -> np.ndarray:
 
     beta_i = (-1)^(i-d) * sum_{j in J_i} C(d, i-j) with
     J_i = {max(0, i-d) <= j <= min(i, n-d)}; d = 0 reduces to Berrut's
-    weights and |beta_0| = |beta_n| = 1.
+    weights and |beta_0| = |beta_n| = 1.  The sums over J_i are the full
+    convolution of n - d + 1 ones with the binomials C(d, .).
     """
     if not 0 <= d <= n:
         raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
-    beta = np.empty(n + 1)
-    for i in range(n + 1):
-        total = sum(math.comb(d, i - j) for j in range(max(0, i - d), min(i, n - d) + 1))
-        beta[i] = total if (i - d) % 2 == 0 else -total
+    beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
+    beta[(d + 1) % 2::2] *= -1.0
     return beta
 
 

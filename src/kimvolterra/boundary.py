@@ -9,27 +9,21 @@ B_i is found by a safeguarded scalar Newton iteration given its
 predecessors.  The i = 0 row is singular and B_0 is assigned its known
 expiry limit instead.
 
-One equation is discretized.  Its singular part carries two exponential
-kernels and its smooth part (a normal-CDF kernel) is handled by direct
-interpolatory quadrature; every dividend term carries a factor delta, so at
-delta = 0 the second kernel drops out and the smooth part is not
-evaluated.  A trapezoid discretization of the underlying two-dimensional
-value-matching equation is included as an independent cross-check; both
-discretizations share one row-marching driver.  A hybrid mode
-(``hybrid_m``) solves Newton steps on the n-interval grid only and fills
-interior nodes by linear interpolation.
+The equation's smooth part (a normal-CDF kernel) takes interpolatory
+quadrature; every dividend term carries a factor delta, so at delta = 0 it
+is skipped.  A trapezoid discretization of the two-dimensional
+value-matching equation is an independent cross-check on the same
+row-marching driver.  A hybrid mode (``hybrid_m``) fills interior nodes by
+linear interpolation.
 
 Each row's residual returns its exact slope dF/db with its value, so a
-Newton step costs one residual eval.  The b-independent terms of a row are
-built once, before its Newton loop.  Two exact Black-Scholes identities,
-both from y e^(-r tau) phi(d2) = x e^(-delta tau) phi(d1), shrink the
-product residual: the two scalar phi terms at t_i cancel, and the two
-exponential kernels merge into one, (r K - delta B_j) e^(-r tau_j) phi(d2_j).
+Newton step costs one residual eval.  The identity y e^(-r tau) phi(d2) =
+x e^(-delta tau) phi(d1) cancels the two scalar phi terms at t_i and merges
+the two exponential kernels into (r K - delta B_j) e^(-r tau_j) phi(d2_j).
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
-row on the unit nodes 0..i, which depends on neither n nor T, so each row
-is built once per process and scaled for every solve and every premium
-integral in pricing.
+row on the unit nodes 0..i, so one cached table of rows 0..n per (n, d,
+alpha), Berrut's basis being order 0, serves every horizon and pricing.
 """
 
 from __future__ import annotations
@@ -42,9 +36,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .barycentric import BaryBasis, berrut_basis, eval_interpolant, fh_basis
+from .barycentric import BaryBasis, eval_interpolant, fh_basis, fh_weights
 from .market import MarketParams, d1d2, european_put, norm_cdf
-from .quadrature import brq_weights, product_weights
+# the benchmark tracer wraps product_weights and brq_weights in this module
+from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "FH",
@@ -133,6 +128,8 @@ class SolveDiagnostics:
     residual_evals: int
     warnings: tuple[str, ...]
     wall_time: float
+    weights_s: float  # part of wall_time spent getting the weight rows
+    weights_cached: bool  # True when no weight table had to be built
 
 
 @dataclass(frozen=True)
@@ -202,24 +199,16 @@ def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _product_row(i: int, d: int, family: str) -> np.ndarray:
-    """Singular product weights of row i on the unit nodes 0..i (read-only)."""
-    sub = np.arange(i + 1.0)
-    basis = fh_basis(sub, min(d, i)) if family == FH else berrut_basis(sub)
-    return product_weights(basis)
-
-
-@lru_cache(maxsize=None)
-def _brq_row(i: int, d: int) -> np.ndarray:
-    """Floater-Hormann quadrature weights of row i on the unit nodes 0..i."""
-    sub = np.arange(i + 1.0)
-    return brq_weights(fh_basis(sub, min(d, i)))
+def _unit_rows(n: int, d: int, alpha: float) -> np.ndarray:
+    """Read-only unit-node weight rows 0..n; row i is on the Floater-Hormann
+    basis of order min(d, i) (d = 0 is Berrut's), zero beyond node i."""
+    betas = [np.pad(fh_weights(i, min(d, i)), (0, n - i)) for i in range(n + 1)]
+    return unit_weight_rows(np.array(betas), alpha)
 
 
 def clear_weight_cache() -> None:
     """Drop the cached unit-spacing weight rows (used by timing studies)."""
-    _product_row.cache_clear()
-    _brq_row.cache_clear()
+    _unit_rows.cache_clear()
 
 
 def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
@@ -350,10 +339,8 @@ def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
     h = p.expiry / n
     if method == "trapezoid":
         return grid, lambda i, prior: _residual_kim2d(i, grid, prior, h, p)
-    w_rows = [None] + [math.sqrt(h) * _product_row(i, cfg.d, cfg.family)
-                       for i in range(1, n + 1)]
-    q_rows = ([None] + [h * _brq_row(i, cfg.d) for i in range(1, n + 1)]
-              if p.dividend > 0.0 else [None] * (n + 1))
+    w_rows = math.sqrt(h) * _unit_rows(n, cfg.d if cfg.family == FH else 0, 0.5)
+    q_rows = h * _unit_rows(n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (n + 1)
     return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], p)
 
 
@@ -362,8 +349,9 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
     if p.rate == 0.0:
         raise ValueError("rate = 0 makes early exercise worthless; "
                          "the boundary equation degenerates")
-    start = time.perf_counter()
+    start, builds = time.perf_counter(), _unit_rows.cache_info().misses
     grid, build_row = _row_residual(method, n, cfg, p)
+    weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
     values = np.empty(n + 1)
@@ -393,7 +381,8 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
                             residual_evals=evals, warnings=tuple(warnings),
-                            wall_time=time.perf_counter() - start)
+                            wall_time=time.perf_counter() - start, weights_s=weights_s,
+                            weights_cached=_unit_rows.cache_info().misses == builds)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag, method=method)
 

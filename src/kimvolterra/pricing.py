@@ -22,11 +22,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boundary import (BoundaryCurve, SolverConfig, _brq_row, _perpetual_exponent,
-                       _premium_integrand, eval_boundary, solve_boundary)
+from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, _premium_integrand,
+                       _unit_rows, eval_boundary, solve_boundary)
 from .market import MarketParams, european_put
-# unused here; kept because the benchmark tracer wraps pricing.brq_weights
-from .quadrature import brq_weights  # noqa: F401
+from .quadrature import brq_weights  # noqa: F401 (the benchmark tracer wraps it here)
 
 __all__ = [
     "PriceResult",
@@ -89,8 +88,8 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     In the exercise region (spot at or below the boundary) the value is
     exactly the payoff K - spot.  Otherwise the premium integral over
     [0, t] is evaluated with Floater-Hormann quadrature weights of the
-    curve's own order on m equidistant subintervals, which are the curve's
-    own when t is the full horizon: the solver's unit-spacing row m times t / m.
+    curve's own order on m equidistant subintervals (the curve's own at
+    t = T): row m of the solver's unit table for the curve's grid, times t / m.
     """
     start = time.perf_counter()
     p = curve.params
@@ -113,7 +112,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
 
     nodes = _premium_grid(curve, t, d)
     m = nodes.size - 1
-    weights = (nodes[-1] / m) * _brq_row(m, d)
+    weights = (nodes[-1] / m) * _unit_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
     # node hits interpolate to exact unit rows, so this is bitwise eval_boundary
     boundary_vals = (curve.values[:-1] if nodes is curve.grid
                      else np.asarray(eval_boundary(curve, nodes[:-1])))

@@ -107,6 +107,17 @@ class TestFloaterHormannWeights:
         with pytest.raises(ValueError):
             fh_weights(3, 4)
 
+    def test_matches_written_out_sums(self):
+        # beta_i = (-1)^(i-d) sum_{j in J_i} C(d, i-j), bit for bit
+        for n in range(301):
+            for d in range(min(n, 8) + 1):
+                expected = [
+                    (1 if (i - d) % 2 == 0 else -1)
+                    * sum(math.comb(d, i - j)
+                          for j in range(max(0, i - d), min(i, n - d) + 1))
+                    for i in range(n + 1)]
+                assert np.array_equal(fh_weights(n, d), np.array(expected, dtype=float))
+
 
 class TestBaryBasis:
     def test_rejects_non_equidistant(self):

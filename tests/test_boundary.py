@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kimvolterra.boundary as boundary
+import kimvolterra.quadrature as quadrature
 from kimvolterra import (
     BFH,
     MarketParams,
@@ -22,6 +23,15 @@ from kimvolterra.barycentric import berrut_basis, fh_basis
 from kimvolterra.market import d1d2, norm_cdf
 
 from conftest import TABLE3_PARAMS
+
+
+def product_rows(n, d, family):
+    """Cached unit product rows 0..n of a solve; Berrut's basis is order 0."""
+    return boundary._unit_rows(n, d if family == "fh" else 0, 0.5)
+
+
+def brq_rows(n, d):
+    return boundary._unit_rows(n, d, 0.0)
 
 
 def params_with(dividend, rate=0.08):
@@ -144,28 +154,49 @@ class TestSolveBoundary:
         assert collocation_residuals(curve).max() <= 1e-10 * 100.0
 
     def test_weight_tables_shared_across_dividends(self, monkeypatch):
-        # the benchmark tracer wraps these two names in this module's namespace
-        calls = {"product_weights": 0, "brq_weights": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(boundary, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(boundary, name, counted)
+        # one table build per weight kind, counted at the blocked builder
+        builds = {"product": 0, "brq": 0}
+        build = boundary.unit_weight_rows
+
+        def counted(betas, alpha):
+            builds["product" if alpha else "brq"] += 1
+            return build(betas, alpha)
+
+        monkeypatch.setattr(boundary, "unit_weight_rows", counted)
         cfg = SolverConfig(n=16, d=2)
         clear_weight_cache()
         solve_boundary(cfg, params_with(0.0))
         solve_boundary(cfg, params_with(0.08))
-        assert calls == {"product_weights": 16, "brq_weights": 16}
+        assert builds == {"product": 1, "brq": 1}
         # rows are horizon-free; pricing reuses the BRQ rows on and off the nodes
         short = MarketParams(strike=100.0, expiry=0.5, rate=0.08, dividend=0.08,
                              volatility=0.2)
         curve = solve_boundary(cfg, short)
         american_put_price(0.5, 110.0, curve)
         american_put_price(0.2, 110.0, curve)
-        assert calls == {"product_weights": 16, "brq_weights": 16}
+        assert builds == {"product": 1, "brq": 1}
         clear_weight_cache()
         solve_boundary(cfg, params_with(0.08))
-        assert calls == {"product_weights": 32, "brq_weights": 32}
+        assert builds == {"product": 2, "brq": 2}
+
+    def test_diagnostics_report_table_builds(self):
+        cfg = SolverConfig(n=16, d=2)
+        clear_weight_cache()
+        cold = solve_boundary(cfg, params_with(0.08)).diagnostics
+        assert cold.weights_cached is False
+        assert 0.0 < cold.weights_s <= cold.wall_time
+        warm = solve_boundary(cfg, params_with(0.08)).diagnostics
+        assert warm.weights_cached is True
+
+    @pytest.mark.parametrize("d,alpha", [(2, 0.5), (0, 0.5), (2, 0.0)],
+                             ids=["fh", "bfh", "fh-alpha0"])
+    def test_rows_converged_in_gauss_points(self, monkeypatch, d, alpha):
+        # 16 points per unit subinterval already give the 32-point rows
+        n = 128
+        rows = boundary._unit_rows(n, d, alpha)
+        monkeypatch.setattr(quadrature, "_POINTS", 32)
+        fine = boundary._unit_rows.__wrapped__(n, d, alpha)
+        np.testing.assert_allclose(rows, fine, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("family", ["fh", BFH])
     @pytest.mark.parametrize("horizon", [0.25, 3.0])
@@ -177,19 +208,19 @@ class TestSolveBoundary:
             sub = grid[: i + 1]
             basis = (fh_basis(sub, min(d, i)) if family == "fh"
                      else berrut_basis(sub))
-            scaled = math.sqrt(h) * boundary._product_row(i, d, family)
+            scaled = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
             np.testing.assert_allclose(scaled, boundary.product_weights(basis),
                                        rtol=0.0, atol=1e-13)
             direct = boundary.brq_weights(fh_basis(sub, min(d, i)))
-            np.testing.assert_allclose(h * boundary._brq_row(i, d), direct,
+            np.testing.assert_allclose(h * brq_rows(n, d)[i, : i + 1], direct,
                                        rtol=0.0, atol=1e-13)
 
     def test_cached_rows_read_only(self):
         # cached rows are shared by every solve and every price
-        for i in (1, 5):
-            assert boundary._brq_row(i, 2).flags.writeable is False
+        for n in (1, 5):
+            assert brq_rows(n, 2).flags.writeable is False
             for family in ("fh", BFH):
-                assert boundary._product_row(i, 2, family).flags.writeable is False
+                assert product_rows(n, 2, family).flags.writeable is False
 
 
 def _paper_residual(b, i, grid, prior, w, om, p):
@@ -237,8 +268,8 @@ class TestRowResidual:
         h = p.expiry / n
         for i in (1, 2, 7, 16):
             row = build_row(i, values[:i])
-            w = math.sqrt(h) * boundary._product_row(i, d, family)
-            om = h * boundary._brq_row(i, d)
+            w = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
+            om = h * brq_rows(n, d)[i, : i + 1]
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
                 value = self.check_slope(row, b)
                 paper = _paper_residual(b, i, grid, values[:i], w, om, p)
