@@ -18,18 +18,11 @@ from .market import (
     norm_cdf,
 )
 from .barycentric import (
-    BERRUT,
     BaryBasis,
-    FLOATER_HORMANN,
-    LAGRANGE,
-    berrut_basis,
-    berrut_weights,
     basis_matrix,
     eval_interpolant,
     fh_basis,
     fh_weights,
-    lagrange_basis,
-    lagrange_weights,
     lebesgue_constant,
 )
 from .quadrature import (
@@ -68,18 +61,11 @@ __all__ = [
     "d1d2",
     "european_put",
     "norm_cdf",
-    "BERRUT",
     "BaryBasis",
-    "FLOATER_HORMANN",
-    "LAGRANGE",
-    "berrut_basis",
-    "berrut_weights",
     "basis_matrix",
     "eval_interpolant",
     "fh_basis",
     "fh_weights",
-    "lagrange_basis",
-    "lagrange_weights",
     "lebesgue_constant",
     "brq_weights",
     "gauss_legendre",

@@ -1,10 +1,10 @@
-"""Barycentric interpolation on equidistant nodes.
+"""Barycentric rational interpolation on equidistant nodes.
 
-Weight families: classical polynomial (Lagrange form), Berrut's rational
-weights (-1)^i, and the Floater-Hormann blend of local degree-d
-polynomials.  Evaluation uses the barycentric quotient, which is invariant
-under rescaling of the weights, and a Lebesgue-constant estimator bounds
-the stability of interpolation and of the derived quadrature rules.
+One weight family: the Floater-Hormann blend of local degree-d
+polynomials, whose order d = 0 member is Berrut's weights (-1)^i.
+Evaluation uses the barycentric quotient, which is invariant under
+rescaling of the weights, and a Lebesgue-constant estimator bounds the
+stability of interpolation and of the derived quadrature rules.
 
 Bases are immutable after construction; all functions are pure.
 """
@@ -17,24 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "LAGRANGE",
-    "BERRUT",
-    "FLOATER_HORMANN",
     "BaryBasis",
-    "lagrange_weights",
-    "berrut_weights",
     "fh_weights",
-    "lagrange_basis",
-    "berrut_basis",
     "fh_basis",
     "basis_matrix",
     "eval_interpolant",
     "lebesgue_constant",
 ]
-
-LAGRANGE = "lagrange"
-BERRUT = "berrut"
-FLOATER_HORMANN = "fh"
 
 # relative tolerances, scaled by the node span
 _EQUIDISTANT_RTOL = 1e-12
@@ -43,17 +32,16 @@ _NODE_HIT_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class BaryBasis:
-    """Equidistant interpolation nodes with barycentric weights.
+    """Equidistant interpolation nodes with Floater-Hormann weights.
 
-    ``degree`` is the Floater-Hormann blending order and is None for the
-    other families.  Node spacing must be uniform to within 1e-12 of the
-    span; Berrut and Floater-Hormann weights must alternate in sign.
+    ``degree`` is the blending order d, with 0 <= d <= n; d = 0 is Berrut's
+    basis.  Node spacing must be uniform to within 1e-12 of the span, and
+    the weights must alternate in sign.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    family: str
-    degree: int | None = None
+    degree: int
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)
@@ -69,16 +57,10 @@ class BaryBasis:
         h = span / (nodes.size - 1)
         if np.max(np.abs(steps - h)) > _EQUIDISTANT_RTOL * span:
             raise ValueError("nodes must be equidistant")
-        if self.family not in (LAGRANGE, BERRUT, FLOATER_HORMANN):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == FLOATER_HORMANN:
-            if self.degree is None or not 0 <= self.degree <= nodes.size - 1:
-                raise ValueError("Floater-Hormann degree must satisfy 0 <= d <= n")
-        elif self.degree is not None:
-            raise ValueError(f"degree is only meaningful for the {FLOATER_HORMANN!r} family")
-        if self.family in (BERRUT, FLOATER_HORMANN):
-            if np.any(weights[:-1] * weights[1:] >= 0.0):
-                raise ValueError("rational weights must alternate in sign")
+        if not 0 <= self.degree <= nodes.size - 1:
+            raise ValueError("Floater-Hormann degree must satisfy 0 <= d <= n")
+        if np.any(weights[:-1] * weights[1:] >= 0.0):
+            raise ValueError("rational weights must alternate in sign")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -92,32 +74,6 @@ class BaryBasis:
     @property
     def span(self) -> float:
         return float(self.nodes[-1] - self.nodes[0])
-
-
-def lagrange_weights(nodes) -> np.ndarray:
-    """Classical barycentric weights 1 / prod_{j != i} (t_i - t_j).
-
-    Computed in log space and rescaled so the largest magnitude is 1; the
-    barycentric quotient is invariant under any common rescaling.
-    """
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least 2 one-dimensional nodes")
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)  # neutral element for the row products
-    if np.any(diff == 0.0):
-        raise ValueError("nodes must be distinct")
-    signs = np.prod(np.sign(diff), axis=1)
-    logmag = np.sum(np.log(np.abs(diff)), axis=1)
-    beta = signs * np.exp(-(logmag - logmag.min()))
-    return beta / np.max(np.abs(beta))
-
-
-def berrut_weights(n: int) -> np.ndarray:
-    """Alternating-sign rational weights (-1)^i for i = 0..n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return (-1.0) ** np.arange(n + 1)
 
 
 def fh_weights(n: int, d: int) -> np.ndarray:
@@ -135,18 +91,9 @@ def fh_weights(n: int, d: int) -> np.ndarray:
     return beta
 
 
-def lagrange_basis(nodes) -> BaryBasis:
-    return BaryBasis(np.asarray(nodes, dtype=float), lagrange_weights(nodes), LAGRANGE)
-
-
-def berrut_basis(nodes) -> BaryBasis:
-    nodes = np.asarray(nodes, dtype=float)
-    return BaryBasis(nodes, berrut_weights(nodes.size - 1), BERRUT)
-
-
 def fh_basis(nodes, d: int) -> BaryBasis:
     nodes = np.asarray(nodes, dtype=float)
-    return BaryBasis(nodes, fh_weights(nodes.size - 1, d), FLOATER_HORMANN, degree=d)
+    return BaryBasis(nodes, fh_weights(nodes.size - 1, d), d)
 
 
 def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:

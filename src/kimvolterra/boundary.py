@@ -87,10 +87,10 @@ class SolverConfig:
     points per Newton interval; ``hybrid_m = 2`` adds none.
 
     ``family`` selects the kernel-interpolation basis: "fh" uses the
-    Floater-Hormann weights of order ``d`` throughout, "bfh" uses Berrut
-    weights inside the singular product weights and Floater-Hormann
-    weights of order ``d`` for the smooth-term quadrature and the final
-    curve.
+    Floater-Hormann weights of order ``d`` throughout, "bfh" uses order-0
+    Floater-Hormann (Berrut) weights inside the singular product weights
+    and Floater-Hormann weights of order ``d`` for the smooth-term
+    quadrature and the final curve.
     """
 
     n: int
@@ -422,7 +422,7 @@ def eval_boundary(curve: BoundaryCurve, t):
     horizon = curve.grid[-1]
     tol = 1e-12 * horizon
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < -tol) or np.any(t_arr > horizon + tol):
+    if not np.all((t_arr >= -tol) & (t_arr <= horizon + tol)):  # NaN fails too
         raise ValueError(f"t must lie in [0, {horizon}], got {t!r}")
     return eval_interpolant(curve.basis, curve.values, np.clip(t_arr, 0.0, horizon))
 

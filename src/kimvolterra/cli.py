@@ -10,7 +10,7 @@ lebesgue        sampled Lebesgue constants against the logarithmic bound
 workprecision   wall time and error per (method, grid size) cell
 
 Exit codes: 0 all embedded tolerances pass, 1 a tolerance failed,
-2 usage/configuration error, 3 solver failure.  Output is CSV (comma,
+2 usage/configuration/output error, 3 solver failure.  Output is CSV (comma,
 header row, LF, UTF-8) or JSON with ``spec``, ``rows`` and ``passed``
 fields.  All outputs are deterministic except the measured wall-time
 column of ``workprecision``.
@@ -325,5 +325,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(args, header, rows, passed, spec)
+    try:
+        _emit(args, header, rows, passed, spec)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if passed else EXIT_TOLERANCE

@@ -5,14 +5,10 @@ import pytest
 
 from kimvolterra import (
     BaryBasis,
-    berrut_basis,
-    berrut_weights,
     basis_matrix,
     eval_interpolant,
     fh_basis,
     fh_weights,
-    lagrange_basis,
-    lagrange_weights,
     lebesgue_constant,
 )
 
@@ -39,52 +35,18 @@ def fh_weights_partial_fraction(nodes, d):
     return beta
 
 
-class TestLagrangeWeights:
-    def test_two_nodes(self):
-        assert normalized(lagrange_weights([0.0, 1.0])) == pytest.approx([1.0, -1.0])
-
-    def test_three_nodes(self):
-        beta = lagrange_weights([0.0, 1.0, 2.0])
-        assert normalized(beta) == pytest.approx([1.0, -2.0, 1.0])
-
-    def test_reproduces_quadratic(self):
-        basis = lagrange_basis(np.array([0.0, 0.5, 1.0]))
-        values = basis.nodes**2
-        ts = np.linspace(0.0, 1.0, 100)
-        approx = eval_interpolant(basis, values, ts)
-        assert np.max(np.abs(approx - ts**2)) <= 1e-13
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            lagrange_weights([0.0, 0.0, 1.0])
-
-    def test_large_grid_stays_finite(self):
-        beta = lagrange_weights(np.linspace(0.0, 1.0, 257))
-        assert np.all(np.isfinite(beta)) and np.max(np.abs(beta)) == 1.0
-
-
 class TestBerrutWeights:
-    def test_n3(self):
-        assert berrut_weights(3).tolist() == [1.0, -1.0, 1.0, -1.0]
-
-    def test_n1(self):
-        assert berrut_weights(1).tolist() == [1.0, -1.0]
-
     def test_reproduces_constants(self):
-        basis = berrut_basis(np.linspace(0.0, 2.0, 8))
+        basis = fh_basis(np.linspace(0.0, 2.0, 8), 0)
         ts = np.linspace(0.0, 2.0, 333)
         approx = eval_interpolant(basis, np.full(8, 3.25), ts)
         assert np.max(np.abs(approx - 3.25)) <= 1e-14
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            berrut_weights(0)
 
 
 class TestFloaterHormannWeights:
     def test_d0_equals_berrut(self):
         for n in (1, 4, 9):
-            assert np.array_equal(fh_weights(n, 0), berrut_weights(n))
+            assert np.array_equal(fh_weights(n, 0), (-1.0) ** np.arange(n + 1))
 
     def test_n4_d1_magnitudes(self):
         beta = fh_weights(4, 1)
@@ -126,11 +88,11 @@ class TestBaryBasis:
 
     def test_rejects_decreasing(self):
         with pytest.raises(ValueError):
-            berrut_basis(np.array([1.0, 0.5, 0.0]))
+            fh_basis(np.array([1.0, 0.5, 0.0]), 0)
 
     def test_rejects_short(self):
         with pytest.raises(ValueError):
-            berrut_basis(np.array([1.0]))
+            fh_basis(np.array([1.0]), 0)
 
     def test_immutable_arrays(self):
         basis = fh_basis(np.linspace(0.0, 1.0, 5), 1)
@@ -139,8 +101,7 @@ class TestBaryBasis:
 
     def test_rejects_non_alternating_rational_weights(self):
         with pytest.raises(ValueError):
-            BaryBasis(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, -1.0]),
-                      "berrut")
+            BaryBasis(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, -1.0]), 0)
 
 
 class TestEvalInterpolant:
@@ -172,8 +133,7 @@ class TestEvalInterpolant:
 
     def test_scale_invariance(self):
         basis = fh_basis(np.linspace(0.0, 1.0, 21), 3)
-        scaled = BaryBasis(basis.nodes, basis.weights * 7.3, basis.family,
-                           basis.degree)
+        scaled = BaryBasis(basis.nodes, basis.weights * 7.3, basis.degree)
         values = np.exp(basis.nodes)
         ts = np.linspace(0.001, 0.999, 400)
         a = eval_interpolant(basis, values, ts)
@@ -183,11 +143,7 @@ class TestEvalInterpolant:
 
 class TestInvariants:
     @pytest.mark.parametrize("make,n", [
-        # polynomial weights on equidistant nodes lose digits like the
-        # Lebesgue constant (~2^n), so the polynomial family is checked at a
-        # size where it is still well conditioned
-        (lambda nodes: lagrange_basis(nodes), 16),
-        (lambda nodes: berrut_basis(nodes), 32),
+        (lambda nodes: fh_basis(nodes, 0), 32),
         (lambda nodes: fh_basis(nodes, 2), 32),
         (lambda nodes: fh_basis(nodes, 3), 32),
     ])
@@ -230,10 +186,24 @@ class TestInvariants:
 
 class TestLebesgueConstant:
     def test_two_nodes_is_one(self):
-        for make in (lambda n: lagrange_basis(n), lambda n: berrut_basis(n),
-                     lambda n: fh_basis(n, 1)):
-            lam = lebesgue_constant(make(np.array([0.0, 1.0])), 50)
+        for d in (0, 1):
+            lam = lebesgue_constant(fh_basis(np.array([0.0, 1.0]), d), 50)
             assert lam == pytest.approx(1.0, abs=1e-12)
+
+    # frozen values; the lebesgue command samples d >= 1 only, so d = 0 (the
+    # Berrut basis of the bfh product rows) is pinned nowhere else
+    FROZEN = {
+        (0, 8): 2.2208338021032445, (0, 64): 3.4639459265654393,
+        (1, 8): 2.118132013378045, (1, 64): 3.4531815558530488,
+        (2, 8): 2.515473492855965, (2, 64): 3.990634125100686,
+        (3, 8): 3.411999301521908, (3, 64): 6.156796250430211,
+    }
+
+    @pytest.mark.parametrize("d,n", sorted(FROZEN))
+    def test_frozen_values(self, d, n):
+        basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
+        assert lebesgue_constant(basis, 30) == pytest.approx(
+            self.FROZEN[d, n], rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
@@ -241,10 +211,6 @@ class TestLebesgueConstant:
         basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
         lam = lebesgue_constant(basis, 30)
         assert lam <= 2.0 ** (d - 1) * (2.0 + math.log(n))
-
-    def test_polynomial_weights_blow_up(self):
-        basis = lagrange_basis(np.linspace(0.0, 1.0, 21))
-        assert lebesgue_constant(basis, 40) > 100.0
 
     def test_grows_from_below_with_sampling(self):
         basis = fh_basis(np.linspace(0.0, 1.0, 17), 2)
@@ -254,4 +220,4 @@ class TestLebesgueConstant:
 
     def test_oversample_floor(self):
         with pytest.raises(ValueError):
-            lebesgue_constant(berrut_basis(np.array([0.0, 1.0])), 9)
+            lebesgue_constant(fh_basis(np.array([0.0, 1.0]), 0), 9)

@@ -19,7 +19,7 @@ from kimvolterra import (
     solve_boundary_kim2d,
 )
 
-from kimvolterra.barycentric import berrut_basis, fh_basis
+from kimvolterra.barycentric import fh_basis
 from kimvolterra.market import d1d2, norm_cdf
 
 from conftest import TABLE3_PARAMS
@@ -206,8 +206,7 @@ class TestSolveBoundary:
         h = horizon / n
         for i in range(1, n + 1):
             sub = grid[: i + 1]
-            basis = (fh_basis(sub, min(d, i)) if family == "fh"
-                     else berrut_basis(sub))
+            basis = fh_basis(sub, min(d, i) if family == "fh" else 0)
             scaled = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
             np.testing.assert_allclose(scaled, boundary.product_weights(basis),
                                        rtol=0.0, atol=1e-13)
@@ -375,6 +374,12 @@ class TestEvalBoundary:
             eval_boundary(curve_n64_d3, -0.1)
         with pytest.raises(ValueError):
             eval_boundary(curve_n64_d3, 3.1)
+
+    def test_nan_rejected(self, curve_n64_d3):
+        with pytest.raises(ValueError):
+            eval_boundary(curve_n64_d3, float("nan"))
+        with pytest.raises(ValueError):
+            eval_boundary(curve_n64_d3, np.array([1.0, np.nan]))
 
     def test_no_spurious_oscillation_between_nodes(self, curve_n64_d3):
         # interior intervals only: the terminal interval carries the tail of

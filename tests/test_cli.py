@@ -167,6 +167,12 @@ class TestErrorHandling:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, target):
+        code = main(["lebesgue", "--out", str(tmp_path / target)])
+        assert code == 2
+        assert "output error" in capsys.readouterr().err
+
     def test_stdout_when_no_out(self, capsys):
         code = main(["lebesgue"])
         assert code == 0

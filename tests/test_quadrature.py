@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from kimvolterra import (
-    berrut_basis,
     brq_weights,
     fh_basis,
     gauss_legendre,
@@ -87,7 +86,7 @@ class TestBrqWeights:
 
     @pytest.mark.parametrize("make,interval", [
         (lambda: fh_basis(np.linspace(0.0, 1.0, 13), 2), (0.0, 1.0)),
-        (lambda: berrut_basis(np.linspace(0.0, 3.0, 9)), (0.0, 3.0)),
+        (lambda: fh_basis(np.linspace(0.0, 3.0, 9), 0), (0.0, 3.0)),
         (lambda: fh_basis(np.linspace(0.5, 2.5, 21), 3), (0.5, 2.5)),
     ])
     def test_weights_sum_to_interval_length(self, make, interval):
