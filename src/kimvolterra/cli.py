@@ -83,39 +83,51 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--strike", type=float, default=100.0)
-    shared.add_argument("--expiry", type=float, default=3.0)
-    shared.add_argument("--rate", type=float, default=0.08)
-    shared.add_argument("--dividend", type=float, default=None,
+    """Each subcommand declares only the options it reads, so any other
+    option is a usage error (exit 2)."""
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="output path (stdout if omitted)")
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=(FH, BFH), default=FH)
+
+    market = argparse.ArgumentParser(add_help=False)
+    market.add_argument("--strike", type=float, default=100.0)
+    market.add_argument("--expiry", type=float, default=3.0)
+    market.add_argument("--rate", type=float, default=0.08)
+    market.add_argument("--dividend", type=float, default=None,
                         help="continuous dividend yield (boundary sweeps "
                              "four yields when omitted; other commands default to 0.08)")
-    shared.add_argument("--vol", type=float, default=0.2)
-    shared.add_argument("--n", type=int, default=None, help="Newton grid subintervals")
-    shared.add_argument("--d", type=int, default=None, help="rational blending order")
-    shared.add_argument("--family", choices=(FH, BFH), default=FH)
-    shared.add_argument("--m", type=int, default=None,
+    market.add_argument("--vol", type=float, default=0.2)
+
+    scheme = argparse.ArgumentParser(add_help=False)
+    scheme.add_argument("--d", type=int, default=None, help="rational blending order")
+    scheme.add_argument("--m", type=int, default=None,
                         help="hybrid fill: m - 2 interpolated points per Newton "
                              "interval, n (m - 1) stored intervals")
-    shared.add_argument("--spots", type=_parse_spots, default=None,
-                        help="comma-separated spot prices")
-    shared.add_argument("--out", default=None, help="output path (stdout if omitted)")
-    shared.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--n", type=int, default=None, help="Newton grid subintervals")
 
     parser = argparse.ArgumentParser(
         prog="kimvolterra",
         description="Early exercise boundaries and American option prices "
                     "by product integration on a barycentric rational basis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table3", parents=[shared],
+    sub.add_parser("table3", parents=[family, output],
                    help="five-spot benchmark against a binomial reference")
-    sub.add_parser("boundary", parents=[shared], help="solved boundary curves")
-    sub.add_parser("price", parents=[shared], help="price given spots")
-    sub.add_parser("convergence", parents=[shared],
+    sub.add_parser("boundary", parents=[market, scheme, grid, family, output],
+                   help="solved boundary curves")
+    price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
+                           help="price given spots")
+    price.add_argument("--spots", type=_parse_spots, default=None,
+                       help="comma-separated spot prices")
+    sub.add_parser("convergence", parents=[output],
                    help="interpolation convergence orders on exp(t)")
-    sub.add_parser("lebesgue", parents=[shared],
+    sub.add_parser("lebesgue", parents=[output],
                    help="Lebesgue constants against the logarithmic bound")
-    wp = sub.add_parser("workprecision", parents=[shared],
+    wp = sub.add_parser("workprecision", parents=[market, scheme, output],
                         help="wall time and error per (method, n) cell")
     wp.add_argument("--n-list", type=_parse_int_list, default=[8, 16, 32, 64],
                     help="ascending comma-separated grid sizes")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, _premium_integrand,
                        _unit_rows, eval_boundary, solve_boundary)
-from .market import MarketParams, european_put
+from .market import MarketParams, _require_spot, european_put
 from .quadrature import brq_weights  # noqa: F401 (the benchmark tracer wraps it here)
 
 __all__ = [
@@ -93,8 +93,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     """
     start = time.perf_counter()
     p = curve.params
-    if spot <= 0.0:
-        raise ValueError(f"spot must be > 0, got {spot}")
+    _require_spot(spot)
     horizon = curve.horizon
     if not 0.0 < t <= horizon * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {horizon}], got {t}")
@@ -135,8 +134,7 @@ def american_call_price(t: float, spot: float, p: MarketParams,
     the original strike.  Without dividends the call is never exercised
     early, so the symmetric European put is returned directly.
     """
-    if spot <= 0.0:
-        raise ValueError(f"spot must be > 0, got {spot}")
+    _require_spot(spot)
     start = time.perf_counter()
     symmetric = MarketParams(strike=spot, expiry=p.expiry, rate=p.dividend,
                              dividend=p.rate, volatility=p.volatility)

@@ -157,6 +157,17 @@ class TestErrorHandling:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["table3", "--spots", "inf"],
+        ["table3", "--n", "64"],
+        ["convergence", "--rate", "0.1"],
+        ["workprecision", "--family", "bfh"],
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
     def test_bad_spots_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["price", "--spots", "abc"])

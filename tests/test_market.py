@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -13,7 +14,7 @@ from kimvolterra import (
     norm_cdf,
 )
 
-from conftest import TABLE3_PARAMS
+from conftest import TABLE3_PARAMS, TABLE3_SPOTS
 
 
 def mp_norm_cdf(x: float) -> float:
@@ -34,6 +35,29 @@ def european_binomial_put(steps: int, spot: float, p: MarketParams) -> float:
     for _ in range(steps):
         values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
     return float(values[0])
+
+
+def reference_american_put(steps: int, spot: float, p: MarketParams) -> float | None:
+    """Full-sweep CRR American put (oracle): every node of every level, a new
+    array per level.  None when the risk-neutral probability is outside (0, 1)."""
+    dt = p.expiry / steps
+    u = math.exp(p.volatility * math.sqrt(dt))
+    d = 1.0 / u
+    q = (math.exp((p.rate - p.dividend) * dt) - d) / (u - d)
+    if not 0.0 < q < 1.0:
+        return None
+    disc = math.exp(-p.rate * dt)
+    qu, qd = disc * q, disc * (1.0 - q)
+    ladder = spot * np.exp(p.volatility * math.sqrt(dt) * np.arange(-steps, steps + 1))
+    values = np.maximum(p.strike - ladder[0::2], 0.0)
+    for i in range(steps - 1, -1, -1):
+        values = qu * values[1:] + qd * values[:-1]
+        level = ladder[steps - i: steps + i + 1: 2]
+        np.maximum(values, p.strike - level, out=values)
+    return float(values[0])
+
+
+NONFINITE_SPOTS = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestMarketParams:
@@ -173,6 +197,11 @@ class TestEuropeanPut:
         with pytest.raises(ValueError):
             european_put(-0.5, 100.0, TABLE3_PARAMS)
 
+    @pytest.mark.parametrize("spot", NONFINITE_SPOTS)
+    def test_nonfinite_spot_rejected(self, spot):
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            european_put(1.0, spot, TABLE3_PARAMS)
+
 
 class TestBinomialAmericanPut:
     def test_one_step_by_hand(self):
@@ -189,6 +218,40 @@ class TestBinomialAmericanPut:
         values, _ = bin_references
         assert values[80.0] == pytest.approx(22.2050, abs=5e-4)
         assert values[100.0] == pytest.approx(11.7037, abs=5e-4)
+
+    def test_benchmark_points_frozen(self, bin_references):
+        # BIN(10000) on the Table-3 market, bit for bit as the full sweep gives
+        values, _ = bin_references
+        frozen = (22.204973911901547, 16.207103085731152, 11.703665434763924,
+                  8.367125440191309, 5.9299404958686175)
+        assert [values[s] for s in TABLE3_SPOTS] == list(frozen)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 400, 2500])
+    def test_matches_full_sweep_reference(self, steps):
+        strike = 100.0
+        for rate, dividend, vol, expiry, moneyness in itertools.product(
+                (0.0, 0.02, 0.3), (0.0, 0.04, 0.5), (0.05, 0.2, 0.8),
+                (0.02, 1.0, 10.0), (0.5, 1.0, 3.0)):
+            p = MarketParams(strike=strike, expiry=expiry, rate=rate,
+                             dividend=dividend, volatility=vol)
+            spot = moneyness * strike
+            reference = reference_american_put(steps, spot, p)
+            if reference is None:
+                with pytest.raises(ConfigurationError):
+                    binomial_american_put(steps, spot, p)
+                continue
+            value = binomial_american_put(steps, spot, p)
+            if reference < 1e-280 * strike:
+                assert abs(value - reference) <= 1e-290 * strike, p
+            else:
+                assert value == reference, p
+
+    def test_tail_cut_reaches_the_root(self):
+        p = MarketParams(strike=100.0, expiry=0.02, rate=0.0, dividend=0.0,
+                         volatility=0.2)
+        reference = reference_american_put(2500, 300.0, p)
+        assert 0.0 < reference < 1e-290 * p.strike
+        assert binomial_american_put(2500, 300.0, p) == 0.0
 
     def test_convergence_as_steps_double(self):
         values = {n: binomial_american_put(n, 100.0, TABLE3_PARAMS)
@@ -212,3 +275,8 @@ class TestBinomialAmericanPut:
             binomial_american_put(0, 100.0, TABLE3_PARAMS)
         with pytest.raises(ValueError):
             binomial_american_put(10, -5.0, TABLE3_PARAMS)
+
+    @pytest.mark.parametrize("spot", NONFINITE_SPOTS)
+    def test_nonfinite_spot_rejected(self, spot):
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            binomial_american_put(10, spot, TABLE3_PARAMS)

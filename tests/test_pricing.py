@@ -131,6 +131,11 @@ class TestAmericanPutPrice:
         with pytest.raises(ValueError):
             american_put_price(3.5, 100.0, curve_n32_d2)
 
+    @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_spot_rejected(self, curve_n32_d2, spot):
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            american_put_price(3.0, spot, curve_n32_d2)
+
     def test_kim2d_curve_prices_within_method_slack(self, bin_references):
         references, _ = bin_references
         curve = solve_boundary_kim2d(32, TABLE3_PARAMS)
@@ -156,6 +161,11 @@ class TestAmericanCallPrice:
                          volatility=0.2)
         with pytest.raises(ValueError):
             american_call_price(-0.5, 100.0, p, SolverConfig(n=32, d=2))
+
+    @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_spot_rejected(self, spot):
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            american_call_price(1.0, spot, TABLE3_PARAMS, SolverConfig(n=16, d=2))
 
     def test_symmetric_fixture_matches_put(self, curve_n64_d3):
         # strike = spot and rate = dividend make the symmetry swap an identity
