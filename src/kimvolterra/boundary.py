@@ -120,12 +120,14 @@ class SolveDiagnostics:
     """Per-Newton-row iteration counts and final residuals, plus wall time.
 
     ``residual_evals`` counts every row-residual eval of the solve, Newton
-    and bisection alike; each Newton step makes one.
+    and bisection alike; each Newton step makes one.  ``bisections`` counts
+    the rows that fell back to bisection.
     """
 
     iterations: np.ndarray
     residuals: np.ndarray
     residual_evals: int
+    bisections: int
     warnings: tuple[str, ...]
     wall_time: float
     weights_s: float  # part of wall_time spent getting the weight rows
@@ -212,7 +214,7 @@ def clear_weight_cache() -> None:
 
 
 def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
-              om: np.ndarray | None, p: MarketParams):
+              om: np.ndarray | None, h: float, p: MarketParams):
     """Row i of the product-integrated boundary equation as b -> (F(b), dF/db).
 
     Every term that does not depend on b is built here, once per row, and
@@ -220,11 +222,13 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
     eval costs a few array ops of length i.  The phi identity of the module
     docstring has already cancelled the scalar phi terms and merged the two
     kernels.  The dividend terms vanish at delta = 0 and are then skipped, so
-    ``om`` (the smooth-term quadrature row) may be None.
+    ``om`` (the smooth-term quadrature row) may be None.  ``w`` and ``om`` are
+    unit-spacing rows: the spacing-h rows sqrt(h) w and h om are never formed,
+    as sqrt(h) is folded into ``pref`` and h into ``delta_h``.
     """
     t_i = grid[i]
     r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
-    pref = 1.0 / (vol * _SQRT_2PI)
+    pref = math.sqrt(h) / (vol * _SQRT_2PI)
     sig_t = vol * math.sqrt(t_i)
     a1_t = ((r - delta + 0.5 * vol * vol) * t_i - math.log(k)) / sig_t
     disc_t = math.exp(-delta * t_i)
@@ -238,6 +242,7 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident = pref * w[i]
     if delta > 0.0:
+        delta_h = delta * h
         smooth = om[:i] * np.exp(-delta * tau)
         smooth_slope = om[:i] * prior * inv_sig_tau / _SQRT_2PI
         half = 0.5 * om[i]
@@ -253,8 +258,8 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
                  - (kern_slope @ (e * d2)) / b - coincident * delta)
         if delta > 0.0:
             s = smooth @ ndtr(d2 + sig_tau) + half
-            f -= delta * b * s
-            slope -= delta * (s + (smooth_slope @ e) / b)
+            f -= delta_h * b * s
+            slope -= delta_h * (s + (smooth_slope @ e) / b)
         return f, slope
 
     return row
@@ -318,19 +323,22 @@ def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, 
 
 
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
-                   step: int) -> tuple[float, int, float]:
-    """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback."""
+                   step: int) -> tuple[float, int, float, bool]:
+    """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback.
+
+    Returns (root, iterations, |F|, whether it fell back to bisection).
+    """
     margin = 0.5 * (hi - lo)
     b = min(max(x0, lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb, slope = f(b)
         if abs(fb) <= tol_abs:
-            return b, it, abs(fb)
+            return b, it, abs(fb), False
         nxt = b - fb / slope if slope != 0.0 else float("nan")
         if not math.isfinite(nxt) or nxt < lo - margin or nxt > hi + margin:
-            return _bisect(f, lo, hi, tol_abs, step)
+            break
         b = nxt
-    return _bisect(f, lo, hi, tol_abs, step)
+    return *_bisect(f, lo, hi, tol_abs, step), True
 
 
 def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
@@ -339,9 +347,9 @@ def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
     h = p.expiry / n
     if method == "trapezoid":
         return grid, lambda i, prior: _residual_kim2d(i, grid, prior, h, p)
-    w_rows = math.sqrt(h) * _unit_rows(n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = h * _unit_rows(n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (n + 1)
-    return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], p)
+    w_rows = _unit_rows(n, cfg.d if cfg.family == FH else 0, 0.5)
+    q_rows = _unit_rows(n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (n + 1)
+    return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], h, p)
 
 
 def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -359,7 +367,7 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
     warnings: list[str] = []
-    evals = 0
+    evals = bisections = 0
 
     def counted(x: float) -> tuple[float, float]:
         nonlocal evals
@@ -368,8 +376,9 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
 
     for i in range(1, n + 1):
         row = build_row(i, values[:i])
-        b, its, res = _newton_scalar(counted, values[i - 1], lower, b0,
-                                     cfg.newton_tol * p.strike, i)
+        b, its, res, bisected = _newton_scalar(counted, values[i - 1], lower, b0,
+                                               cfg.newton_tol * p.strike, i)
+        bisections += bisected
         values[i] = b
         iterations[i] = its
         residuals[i] = res
@@ -380,7 +389,8 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=evals, warnings=tuple(warnings),
+                            residual_evals=evals, bisections=bisections,
+                            warnings=tuple(warnings),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),

@@ -5,18 +5,33 @@ Black-Scholes formulas: calls follow from put-call symmetry in the pricing
 module, and the array d1/d2 and premium integrand along a boundary live in
 the boundary solver.
 
-The binomial tree updates one array in place and stops updating its
-out-of-the-money tail: at each level, the top nodes whose value is below
-``_TAIL_CUTOFF * K`` = 1e-290 K are set to an exact 0 and not touched again.
-Node values are >= 0 and each node is qd v[j] + qu v[j+1] with
-qu + qd = exp(-r dt) <= 1, so a dropped value moves the price by less than
-its own size; the tests hold the price to |change| <= 1e-290 K against a
-full sweep of every node, and to the same bits wherever it is >= 1e-280 K.
-Without the cut, the Table-3 tree at S = 100 holds up to 1,202 subnormal
-values in a level (levels 3,078 to 8,976 of 10,000), on which numpy
-arithmetic runs about 13 times slower: the five Table-3 BIN(10000) trees
-took 1.3-1.5 s with the full sweep and take 0.4-0.55 s with the cut
-(2-core Xeon VM, Python 3.11, numpy 2.4).
+The binomial tree keeps its node values by ladder index k (spot u^k) in
+two arrays, one per parity of k: level i reads the array its children
+wrote and writes the other one, so a node that is not updated keeps its
+entry.  Two kinds of node are not updated.
+
+- The exercised prefix of each level: a node whose two children hold
+  exactly their exercise values keeps its payoff entry, when
+  ``binomial_american_put`` can prove that the maximum would return those
+  bits.  This changes no bit of any value.
+- The out-of-the-money tail: at each level, the top nodes whose value is
+  below ``_TAIL_CUTOFF * K`` = 1e-290 K are set to an exact 0 and not
+  touched again.  Node values are >= 0 and each node is qd v[j] + qu v[j+1]
+  with qu + qd = exp(-r dt) <= 1, so a dropped value moves the price by less
+  than its own size; the tests hold the price to |change| <= 1e-290 K
+  against a full sweep of every node, and to the same bits wherever it is
+  >= 1e-280 K.  Without the cut, the Table-3 tree at S = 100 holds up to
+  1,202 subnormal values in a level (levels 3,078 to 8,976 of 10,000), on
+  which numpy arithmetic runs about 13 times slower.
+
+In the Table-3 BIN(10000) tree at S = 100, updating every node above the
+tail takes 3.40e7 node updates and skipping the prefix as well leaves
+9.5e6 (28%).  The five Table-3 BIN(10000) trees took 1.3-1.5 s with the
+full sweep and about 0.49 s with the tail cut alone, and take about 0.34 s
+with both; BIN(20000) at S = 100 went from about 0.26 s to 0.15 s (medians
+of 9 alternating runs, 2-core Xeon VM, Python 3.11, numpy 2.4).  Most of
+what is left is the fixed cost of the four numpy calls each level makes,
+about 1 microsecond each there.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -25,6 +40,7 @@ mutable state, so concurrent use is safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +57,9 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 # Tree nodes below this fraction of the strike are dropped as exact zeros.
 _TAIL_CUTOFF = 1e-290
+# A node whose children are both exercised keeps its payoff when its exercise
+# gap exceeds this fraction of the strike (proof in binomial_american_put).
+_EXERCISE_MARGIN = 1e-12
 
 
 class ConfigurationError(ValueError):
@@ -139,15 +158,35 @@ def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:
 
     Uses u = exp(sigma sqrt(dt)), d = 1/u, risk-neutral probability
     (exp((r - delta) dt) - d) / (u - d), and backward induction with the
-    early-exercise maximum applied at every node.
+    early-exercise maximum applied at every node.  ``steps`` must be an
+    integer >= 1.  Two kinds of node are not updated (see the module
+    docstring); skipping the first changes no bit.
 
-    Node values never rise with the spot, so those below ``_TAIL_CUTOFF * K``
-    form an out-of-the-money tail at the top of each level.  The tail is set
-    to an exact 0 and never updated again; the module docstring bounds what
-    that does to the price.
+    Exercised prefix.  A node at spot S whose two children hold exactly
+    their exercise values a = K - S/u and b = K - S u keeps its stored payoff
+    K - S when the gap K (1 - e^(-r dt)) - S (1 - e^(-delta dt)) exceeds
+    ``_EXERCISE_MARGIN * K`` = 1e-12 K.  Proof: since q u + (1 - q)/u =
+    e^((r - delta) dt), the continuation qd a + qu b equals
+    K e^(-r dt) - S e^(-delta dt), which lies that gap below K - S.  In
+    floating point the ladder's exponent k sigma sqrt(dt) rounds by up to
+    |ln(S / spot)| ulp of S; as S u <= K (the up child is exercised, and
+    values are >= 0) that is below |ln(K / spot)| + 1 ulp of K, at most about
+    1,500 ulp of K for any two doubles.  The two products and their sum, q,
+    the discount, the payoffs and the computed gap itself add a few tens of
+    ulp of K, as a, b, S <= K.  The margin is about 4,500 ulp of K, so the
+    computed continuation stays below K - S and the maximum returns the
+    payoff's bits.  The gap falls as S rises, so the nodes where it exceeds
+    the margin form a prefix of the ladder; at r = 0 it is <= 0 and nothing
+    is skipped.  A node is skipped only when the entries its children hold
+    and its own entry are their payoffs, so the skip relies on no
+    monotonicity of the computed tree.
+
+    Out-of-the-money tail.  Node values never rise with the spot, so those
+    below ``_TAIL_CUTOFF * K`` form a tail at the top of each level.  The
+    tail is set to an exact 0 and never updated again.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     _require_spot(spot)
     dt = p.expiry / steps
     u = math.exp(p.volatility * math.sqrt(dt))
@@ -162,29 +201,49 @@ def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:
     qu, qd = disc * q, disc * (1.0 - q)
     cutoff = _TAIL_CUTOFF * p.strike
 
-    # payoff K - spot * u^k for k = -steps..steps; level i uses every other
-    # entry from k = -i, node j (j up-moves) at k = 2j - i
-    payoff = p.strike - spot * np.exp(p.volatility * math.sqrt(dt)
-                                      * np.arange(-steps, steps + 1))
-    values = np.maximum(payoff[0::2], 0.0)
-    live = _drop_tail(values, steps + 1, cutoff)
+    # spot u^k for k = -steps..steps; the node j of level i sits at k = 2j - i,
+    # in slot (k + steps) // 2 of the array of parity (k + steps) % 2
+    ladder = spot * np.exp(p.volatility * math.sqrt(dt) * np.arange(-steps, steps + 1))
+    spots = (ladder[0::2], ladder[1::2])
+    pays = (p.strike - spots[0], p.strike - spots[1])
+    values = (np.maximum(pays[0], 0.0), np.maximum(pays[1], 0.0))
+    # gap_safe[par]: the slots below it have a gap above the margin
+    gap_r, gap_d = p.strike * -math.expm1(-p.rate * dt), -math.expm1(-p.dividend * dt)
+    gap_safe = tuple(int(np.count_nonzero(gap_r - s * gap_d > _EXERCISE_MARGIN * p.strike))
+                     for s in spots)
+    # exercised[par]: the slots from the first node of the level last written
+    # to values[par] up to this one hold their payoff and are below gap_safe[par]
+    exercised = [min(int(np.count_nonzero(pay >= 0.0)), g) for pay, g in zip(pays, gap_safe)]
+    live = int(np.count_nonzero(values[0] >= cutoff))  # values never rise with k
+    values[0][live:] = 0.0
     scratch = np.empty(steps)
+    qd0, qu0 = np.array(qd), np.array(qu)  # numpy converts a float operand on every call
     for i in range(steps - 1, -1, -1):
-        # qd v[j] + qu v[j+1] in place; v[live] is 0 or the top node of level i+1
-        live = min(live, i + 1)
-        head, up = values[:live], scratch[:live]
-        np.multiply(values[1:live + 1], qu, out=up)
-        np.multiply(head, qd, out=head)
+        # level i writes parity par; slot m has children kids[m + par - 1] and kids[m + par]
+        par = (steps - i) & 1
+        v, kids, pay = values[par], values[1 - par], pays[par]
+        first = (steps - i) >> 1
+        top = first + (live if live <= i else i + 1)
+        # skip slot m while its up child (whose gap is below m's) and m itself
+        # lie in their exercised runs
+        start = exercised[1 - par] - par
+        if start > exercised[par]:
+            start = exercised[par]
+        start = first if start < first else top if start > top else start
+        head, up = v[start:top], scratch[:top - start]
+        np.multiply(kids[start + par - 1: top + par - 1], qd0, out=head)
+        np.multiply(kids[start + par: top + par], qu0, out=up)
         np.add(head, up, out=head)
-        np.maximum(head, payoff[steps - i: steps - i + 2 * live: 2], out=head)
-        live = _drop_tail(values, live, cutoff)
-    return float(values[0])
+        np.maximum(head, pay[start:top], out=head)
+        while top > first and v[top - 1] < cutoff:
+            top -= 1
+            v[top] = 0.0
+        live = top - first
+        if live <= i:
+            v[top] = 0.0  # the up child of level i - 1's top node
+        stop = gap_safe[par] if gap_safe[par] < top else top
+        while start < stop and v[start] == pay[start]:
+            start += 1
+        exercised[par] = start
+    return float(values[steps & 1][steps >> 1])
 
-
-def _drop_tail(values: np.ndarray, live: int, cutoff: float) -> int:
-    """Zero the top nodes of ``values[:live]`` that lie below ``cutoff``; return
-    the count left."""
-    while live and values[live - 1] < cutoff:
-        live -= 1
-        values[live] = 0.0
-    return live

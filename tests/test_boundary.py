@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,7 +303,24 @@ class TestResidualEvals:
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
         assert diag.residual_evals == diag.iterations.sum() + 3 * 8
+        assert diag.bisections == 8
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
+
+    def test_no_bisection_on_table3(self, curve_n32_d2):
+        assert curve_n32_d2.diagnostics.bisections == 0
+
+
+def test_solve_reads_cached_rows_without_copies():
+    # a solve scales no weight table: each row reads the cached unit rows
+    cfg = SolverConfig(n=256, d=2)
+    solve_boundary(cfg, TABLE3_PARAMS)  # builds and caches the tables
+    tracemalloc.start()
+    try:
+        solve_boundary(cfg, TABLE3_PARAMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 257 * 257 * 8
 
 
 class TestHybrid:

@@ -4,7 +4,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import kimvolterra.market as market
 from kimvolterra import (
     ConfigurationError,
     MarketParams,
@@ -280,3 +283,50 @@ class TestBinomialAmericanPut:
     def test_nonfinite_spot_rejected(self, spot):
         with pytest.raises(ValueError, match="spot must be finite and > 0"):
             binomial_american_put(10, spot, TABLE3_PARAMS)
+
+    @pytest.mark.parametrize("steps", [2.5, 10.0, True])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+            binomial_american_put(steps, 100.0, TABLE3_PARAMS)
+
+    @given(steps=st.integers(1, 600), rate=st.floats(0.0, 0.3),
+           dividend=st.floats(0.0, 0.5), vol=st.floats(0.05, 0.8),
+           expiry=st.floats(0.02, 10.0), moneyness=st.floats(0.2, 5.0))
+    @example(steps=600, rate=0.0, dividend=0.04, vol=0.2, expiry=3.0, moneyness=0.8)
+    @example(steps=600, rate=0.08, dividend=0.08, vol=0.2, expiry=3.0, moneyness=1.0)
+    @example(steps=600, rate=0.02, dividend=0.3, vol=0.3, expiry=1.0, moneyness=0.7)
+    @example(steps=600, rate=0.3, dividend=0.0, vol=0.05, expiry=10.0, moneyness=0.2)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sweep_property(self, steps, rate, dividend, vol, expiry,
+                                         moneyness):
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate,
+                         dividend=dividend, volatility=vol)
+        spot = moneyness * p.strike
+        reference = reference_american_put(steps, spot, p)
+        if reference is None:
+            with pytest.raises(ConfigurationError):
+                binomial_american_put(steps, spot, p)
+            return
+        value = binomial_american_put(steps, spot, p)
+        if reference < 1e-280 * p.strike:  # the documented tail cut
+            assert abs(value - reference) <= 1e-290 * p.strike
+        else:
+            assert value == reference
+
+    def test_exercised_prefix_is_skipped(self, monkeypatch):
+        # updating every live node passes 3.40e7 values through the exercise
+        # maximum in the Table-3 BIN(10000) tree at S = 100
+        counted = 0
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def maximum(self, x, *args, **kwargs):
+                nonlocal counted
+                counted += np.size(x)
+                return np.maximum(x, *args, **kwargs)
+
+        monkeypatch.setattr(market, "np", CountingNumpy())
+        binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
+        assert 0 < counted < 0.4 * 3.40e7
