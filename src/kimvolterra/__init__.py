@@ -27,7 +27,6 @@ from .barycentric import (
 )
 from .quadrature import (
     brq_weights,
-    gauss_legendre,
     product_weights,
 )
 from .boundary import (
@@ -43,7 +42,6 @@ from .boundary import (
     initial_boundary,
     perpetual_lower_bound,
     solve_boundary,
-    solve_boundary_kim2d,
 )
 from .pricing import (
     PriceResult,
@@ -68,7 +66,6 @@ __all__ = [
     "fh_weights",
     "lebesgue_constant",
     "brq_weights",
-    "gauss_legendre",
     "product_weights",
     "BFH",
     "BoundaryCurve",
@@ -82,7 +79,6 @@ __all__ = [
     "initial_boundary",
     "perpetual_lower_bound",
     "solve_boundary",
-    "solve_boundary_kim2d",
     "PriceResult",
     "american_call_price",
     "american_put_price",

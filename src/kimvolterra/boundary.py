@@ -11,10 +11,10 @@ expiry limit instead.
 
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
-is skipped.  A trapezoid discretization of the two-dimensional
-value-matching equation is an independent cross-check on the same
-row-marching driver.  A hybrid mode (``hybrid_m``) fills interior nodes by
-linear interpolation.
+is skipped.  A hybrid mode (``hybrid_m``) fills interior nodes by linear
+interpolation.  One row residual serves the solve and its certificate;
+Kim's (1990) discretization of the value-matching equation, an
+independent cross-check, is kept with the tests.
 
 Each row's residual returns its exact slope dF/db with its value, so a
 Newton step costs one residual eval.  The identity y e^(-r tau) phi(d2) =
@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .barycentric import BaryBasis, eval_interpolant, fh_basis, fh_weights
-from .market import MarketParams, d1d2, european_put, norm_cdf
+from .market import MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
@@ -51,7 +51,6 @@ __all__ = [
     "initial_boundary",
     "perpetual_lower_bound",
     "solve_boundary",
-    "solve_boundary_kim2d",
     "eval_boundary",
     "collocation_residuals",
     "clear_weight_cache",
@@ -136,12 +135,7 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Solved boundary values on a grid, evaluable anywhere on [0, T].
-
-    ``method`` records which discretization produced the values:
-    "product" for the product-integration schemes, "trapezoid" for the
-    two-dimensional cross-check solver.
-    """
+    """Solved boundary values on a grid, evaluable anywhere on [0, T]."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -149,7 +143,6 @@ class BoundaryCurve:
     params: MarketParams
     config: SolverConfig
     diagnostics: SolveDiagnostics
-    method: str = "product"
 
     @property
     def horizon(self) -> float:
@@ -181,13 +174,6 @@ def _perpetual_exponent(p: MarketParams) -> float:
     return (-mu - math.sqrt(mu * mu + 2.0 * p.volatility**2 * p.rate)) / p.volatility**2
 
 
-def _d12_arrays(x: float, tau: np.ndarray, y: np.ndarray,
-                p: MarketParams) -> tuple[np.ndarray, np.ndarray]:
-    sig_sqrt = p.volatility * np.sqrt(tau)
-    d1 = (np.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
-    return d1, d1 - sig_sqrt
-
-
 def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
                        p: MarketParams) -> np.ndarray:
     """Early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau) N(-d1).
@@ -195,7 +181,9 @@ def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
     ``y`` holds the boundary values at the time gaps ``tau`` > 0; the
     pricing integral takes x = spot and the value-matching equation x = B.
     """
-    d1, d2 = _d12_arrays(x, tau, y, p)
+    sig_sqrt = p.volatility * np.sqrt(tau)
+    d1 = (np.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
+    d2 = d1 - sig_sqrt
     return (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
             - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
 
@@ -265,37 +253,6 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
     return row
 
 
-def _residual_kim2d(i: int, grid: np.ndarray, prior: np.ndarray, h: float,
-                    p: MarketParams):
-    """Row i of the trapezoid-discretized value-matching equation as b -> (F, dF/db).
-
-    K - B = European(B) + premium(B): the pricing formula taken at S = B.
-    The put delta is -e^(-delta t) N(-d1), and by the phi identity of the
-    module docstring the premium density has slope
-    -delta e^(-delta tau) N(-d1) - (r K - delta B_j) e^(-r tau) phi(d2) / (b sigma sqrt(tau)).
-    """
-    t_i = grid[i]
-    tau = t_i - grid[:i]
-    r, delta, k = p.rate, p.dividend, p.strike
-    disc_d = delta * np.exp(-delta * tau)
-    kern = ((r * k - delta * prior) * np.exp(-r * tau)
-            / (p.volatility * np.sqrt(tau) * _SQRT_2PI))
-
-    def row(b: float) -> tuple[float, float]:
-        f = _premium_integrand(b, tau, prior, p)
-        # s = t_i endpoint: equal arguments push both CDF factors to 1/2
-        end = 0.5 * (r * k - delta * b)
-        premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
-        d1, d2 = _d12_arrays(b, tau, prior, p)
-        df = -disc_d * ndtr(-d1) - kern * np.exp(-0.5 * d2 * d2) / b
-        d1_t, _ = d1d2(b, t_i, k, p)
-        slope = (-1.0 + math.exp(-delta * t_i) * norm_cdf(-d1_t)
-                 - h * (0.5 * df[0] + df[1:].sum() - 0.25 * delta))
-        return (k - b) - european_put(t_i, b, p) - premium, slope
-
-    return row
-
-
 def _bisect(f, lo: float, hi: float, tol_abs: float, step: int) -> tuple[float, int, float]:
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     if abs(f_lo) <= tol_abs:
@@ -341,24 +298,32 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
     return *_bisect(f, lo, hi, tol_abs, step), True
 
 
-def _row_residual(method: str, n: int, cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior) -> (b -> (F, dF/db)) of a "product" or "trapezoid" solve."""
-    grid = np.linspace(0.0, p.expiry, n + 1)
-    h = p.expiry / n
-    if method == "trapezoid":
-        return grid, lambda i, prior: _residual_kim2d(i, grid, prior, h, p)
-    w_rows = _unit_rows(n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = _unit_rows(n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (n + 1)
+def _row_residual(cfg: SolverConfig, p: MarketParams):
+    """Grid and row builder (i, prior) -> (b -> (F, dF/db)) of a solve on cfg.n intervals."""
+    grid = np.linspace(0.0, p.expiry, cfg.n + 1)
+    h = p.expiry / cfg.n
+    w_rows = _unit_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
+    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (cfg.n + 1)
     return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], h, p)
 
 
-def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
-    """Solve rows 1..n in order by scalar Newton in [perpetual bound, B_0]."""
+def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
+    """Solve the collocated boundary equations row by row on t_i = i T / n.
+
+    B_0 takes its analytic expiry limit and each later B_i solves its
+    scalar collocation equation given B_0..B_{i-1} (the Volterra structure
+    is lower triangular) by Newton in [perpetual bound, B_0], with the
+    initial guess B_{i-1}.  ``cfg.hybrid_m`` fills the curve by linear
+    interpolation (see :class:`SolverConfig`); the returned curve carries a
+    Floater-Hormann basis of order d on its stored nodes for evaluation
+    between them.
+    """
     if p.rate == 0.0:
         raise ValueError("rate = 0 makes early exercise worthless; "
                          "the boundary equation degenerates")
+    n = cfg.n
     start, builds = time.perf_counter(), _unit_rows.cache_info().misses
-    grid, build_row = _row_residual(method, n, cfg, p)
+    grid, build_row = _row_residual(cfg, p)
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
@@ -394,33 +359,7 @@ def _march(method: str, n: int, cfg: SolverConfig, p: MarketParams) -> BoundaryC
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
-                         params=p, config=cfg, diagnostics=diag, method=method)
-
-
-def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
-    """Solve the collocated boundary equations row by row on t_i = i T / n.
-
-    B_0 takes its analytic expiry limit and each later B_i solves its
-    scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular), with the initial guess B_{i-1}.  ``cfg.hybrid_m``
-    fills the curve by linear interpolation (see :class:`SolverConfig`);
-    the returned curve carries a Floater-Hormann basis of order d on its
-    stored nodes for evaluation between them.
-    """
-    return _march("product", cfg.n, cfg, p)
-
-
-def solve_boundary_kim2d(n: int, p: MarketParams) -> BoundaryCurve:
-    """Trapezoid discretization of the two-dimensional value-matching equation.
-
-    Independent cross-check: K - B(t_i) is matched against the European
-    value plus trapezoid sums of the two normal-CDF kernels, Newton per
-    row.  Slower-converging than the product-integration schemes; used
-    only for agreement tests.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    return _march("trapezoid", n, SolverConfig(n=n, d=min(2, n - 1)), p)
+                         params=p, config=cfg, diagnostics=diag)
 
 
 def eval_boundary(curve: BoundaryCurve, t):
@@ -447,7 +386,6 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
-    n = curve.grid.size - 1
-    _, build_row = _row_residual(curve.method, n, cfg, curve.params)
+    _, build_row = _row_residual(cfg, curve.params)
     return np.array([abs(build_row(i, curve.values[:i])(curve.values[i])[0])
-                     for i in range(1, n + 1)])
+                     for i in range(1, cfg.n + 1)])

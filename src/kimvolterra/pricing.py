@@ -2,8 +2,8 @@
 
 The put value splits into its European part plus the early-exercise
 premium, an integral of discounted exercise benefits against the boundary
-over [0, t].  The premium integrand is the boundary solver's own (the
-value-matching cross-check is this formula at S = B), and the integral is
+over [0, t].  The premium integrand comes from the boundary module (the
+value-matching equation is this formula at S = B), and the integral is
 evaluated with the solver's cached quadrature rows of the curve's rational
 basis, scaled to the grid spacing; the integrand's endpoint limit vanishes
 in the continuation region.  Calls are priced through put-call symmetry
@@ -135,6 +135,8 @@ def american_call_price(t: float, spot: float, p: MarketParams,
     early, so the symmetric European put is returned directly.
     """
     _require_spot(spot)
+    if not 0.0 < t <= p.expiry * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in (0, {p.expiry}], got {t}")
     start = time.perf_counter()
     symmetric = MarketParams(strike=spot, expiry=p.expiry, rate=p.dividend,
                              dividend=p.rate, volatility=p.volatility)

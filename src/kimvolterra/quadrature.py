@@ -14,14 +14,11 @@ a node.  Every function is pure and returns bare read-only arrays.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .barycentric import BaryBasis, basis_matrix  # noqa: F401 (the benchmark tracer wraps it)
 
 __all__ = [
-    "gauss_legendre",
     "brq_weights",
     "product_weights",
     "unit_weight_rows",
@@ -29,18 +26,6 @@ __all__ = [
 
 _POINTS = 16  # Gauss-Legendre points per unit subinterval
 _BLOCK = 8  # subintervals per block of the Cauchy table
-
-
-@lru_cache(maxsize=256)
-def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of numpy's m-point Gauss-Legendre rule on [-1, 1];
-    exact to polynomial degree 2m-1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    x, w = np.polynomial.legendre.leggauss(m)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
 
 
 def brq_weights(basis: BaryBasis) -> np.ndarray:
@@ -73,7 +58,7 @@ def unit_weight_rows(betas: np.ndarray, alpha: float) -> np.ndarray:
     lags = (ends[:, None] - np.arange(width)) % width
     b = np.take_along_axis(betas, lags, axis=1)  # B^T, zero for l > e
     power = 1.0 - alpha
-    x, w = gauss_legendre(_POINTS)
+    x, w = np.polynomial.legendre.leggauss(_POINTS)
     m = np.repeat(np.arange(1, width), _POINTS)  # subinterval of each point
     lo, hi = (m - 1.0) ** power, m**power
     v = (0.5 * (hi - lo) * np.resize(x, m.size) + 0.5 * (lo + hi)) ** (1.0 / power)

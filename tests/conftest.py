@@ -1,8 +1,25 @@
+import math
 import time
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
 
-from kimvolterra import MarketParams, SolverConfig, binomial_american_put, solve_boundary
+import kimvolterra.boundary as boundary
+from kimvolterra import (
+    BoundaryCurve,
+    MarketParams,
+    SolveDiagnostics,
+    SolverConfig,
+    binomial_american_put,
+    european_put,
+    fh_basis,
+    initial_boundary,
+    norm_cdf,
+    perpetual_lower_bound,
+    solve_boundary,
+)
+from kimvolterra.market import d1d2
 
 # Benchmark fixture set: 3-year put, r = delta = 8%, sigma = 20%, K = 100.
 TABLE3_PARAMS = MarketParams(strike=100.0, expiry=3.0, rate=0.08,
@@ -48,3 +65,74 @@ def figure1_curves():
                               dividend=dividend, volatility=0.2)
         curves[dividend] = solve_boundary(SolverConfig(n=64, d=3), params)
     return curves
+
+
+def kim2d_row(i, grid, prior, p):
+    """Row i of Kim's (1990) trapezoid-discretized value-matching equation as
+    b -> (F, dF/db): K - B = European(B) + premium(B), the pricing formula at
+    S = B with the premium integral taken by the trapezoid rule.
+
+    The put delta is -e^(-delta t) N(-d1), and y e^(-r tau) phi(d2) =
+    x e^(-delta tau) phi(d1) gives the premium density the slope
+    -delta e^(-delta tau) N(-d1) - (r K - delta B_j) e^(-r tau) phi(d2) / (b sigma sqrt(tau)).
+    """
+    t_i = grid[i]
+    h = p.expiry / (grid.size - 1)
+    tau = t_i - grid[:i]
+    r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
+    sig_sqrt = vol * np.sqrt(tau)
+    disc_d = delta * np.exp(-delta * tau)
+    kern = (r * k - delta * prior) * np.exp(-r * tau) / (sig_sqrt * math.sqrt(2.0 * math.pi))
+
+    def row(b):
+        f = boundary._premium_integrand(b, tau, prior, p)
+        # s = t_i endpoint: equal arguments push both CDF factors to 1/2
+        end = 0.5 * (r * k - delta * b)
+        premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
+        d1 = (np.log(b / prior) + (r - delta + 0.5 * vol**2) * tau) / sig_sqrt
+        d2 = d1 - sig_sqrt
+        df = -disc_d * ndtr(-d1) - kern * np.exp(-0.5 * d2 * d2) / b
+        d1_t, _ = d1d2(b, t_i, k, p)
+        slope = (-1.0 + math.exp(-delta * t_i) * norm_cdf(-d1_t)
+                 - h * (0.5 * df[0] + df[1:].sum() - 0.25 * delta))
+        return (k - b) - european_put(t_i, b, p) - premium, slope
+
+    return row
+
+
+def solve_boundary_kim2d(n, p):
+    """Trapezoid cross-check curve on t_i = i T / n (Kim 1990).
+
+    Rows 1..n are solved in order by the library's safeguarded Newton in
+    [perpetual bound, B_0] from the guess B_{i-1}, as the product solve
+    does.  It converges more slowly than the product-integration schemes and
+    serves only agreement tests; the curve carries an order-2
+    Floater-Hormann basis so that it can be priced.
+    """
+    cfg = SolverConfig(n=n, d=2)
+    start = time.perf_counter()
+    grid = np.linspace(0.0, p.expiry, n + 1)
+    b0, lower = initial_boundary(p), perpetual_lower_bound(p)
+    values = np.empty(n + 1)
+    values[0] = b0
+    iterations = np.zeros(n + 1, dtype=int)
+    residuals = np.zeros(n + 1)
+    evals = bisections = 0
+
+    def counted(b):
+        nonlocal evals
+        evals += 1
+        return row(b)
+
+    for i in range(1, n + 1):
+        row = kim2d_row(i, grid, values[:i], p)
+        values[i], iterations[i], residuals[i], bisected = boundary._newton_scalar(
+            counted, values[i - 1], lower, b0, cfg.newton_tol * p.strike, i)
+        bisections += bisected
+    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
+                            residual_evals=evals, bisections=bisections,
+                            warnings=(), wall_time=time.perf_counter() - start,
+                            weights_s=0.0, weights_cached=True)
+    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),
+                         params=p, config=cfg, diagnostics=diag)
+

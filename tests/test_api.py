@@ -1,0 +1,46 @@
+import kimvolterra
+
+# The exact public surface: adding or removing a name must change this set.
+PUBLIC_NAMES = {
+    "ConfigurationError",
+    "MarketParams",
+    "binomial_american_put",
+    "d1d2",
+    "european_put",
+    "norm_cdf",
+    "BaryBasis",
+    "basis_matrix",
+    "eval_interpolant",
+    "fh_basis",
+    "fh_weights",
+    "lebesgue_constant",
+    "brq_weights",
+    "product_weights",
+    "BFH",
+    "BoundaryCurve",
+    "FH",
+    "SolveDiagnostics",
+    "SolverConfig",
+    "SolverError",
+    "clear_weight_cache",
+    "collocation_residuals",
+    "eval_boundary",
+    "initial_boundary",
+    "perpetual_lower_bound",
+    "solve_boundary",
+    "PriceResult",
+    "american_call_price",
+    "american_put_price",
+    "error_bound_factor",
+    "__version__",
+}
+
+
+def test_public_names_pinned():
+    assert len(kimvolterra.__all__) == len(set(kimvolterra.__all__))
+    assert set(kimvolterra.__all__) == PUBLIC_NAMES
+
+
+def test_public_names_resolve():
+    missing = [name for name in kimvolterra.__all__ if not hasattr(kimvolterra, name)]
+    assert missing == []

@@ -17,13 +17,12 @@ from kimvolterra import (
     initial_boundary,
     perpetual_lower_bound,
     solve_boundary,
-    solve_boundary_kim2d,
 )
 
 from kimvolterra.barycentric import fh_basis
 from kimvolterra.market import d1d2, norm_cdf
 
-from conftest import TABLE3_PARAMS
+from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
 
 def product_rows(n, d, family):
@@ -264,7 +263,7 @@ class TestRowResidual:
         p = params_with(dividend)
         cfg = SolverConfig(n=n, d=d, family=family)
         values = solve_boundary(cfg, p).values
-        grid, build_row = boundary._row_residual("product", n, cfg, p)
+        grid, build_row = boundary._row_residual(cfg, p)
         h = p.expiry / n
         for i in (1, 2, 7, 16):
             row = build_row(i, values[:i])
@@ -279,10 +278,10 @@ class TestRowResidual:
     def test_trapezoid_rows(self, dividend):
         n = 16
         p = params_with(dividend)
-        values = solve_boundary_kim2d(n, p).values
-        _, build_row = boundary._row_residual("trapezoid", n, SolverConfig(n=n, d=2), p)
+        curve = solve_boundary_kim2d(n, p)
+        values = curve.values
         for i in (1, 2, 7, 16):
-            row = build_row(i, values[:i])
+            row = kim2d_row(i, curve.grid, values[:i], p)
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
                 self.check_slope(row, b)
 
@@ -365,12 +364,11 @@ class TestKim2d:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_residual_certificate(self):
-        curve = solve_boundary_kim2d(16, TABLE3_PARAMS)
-        assert collocation_residuals(curve).max() <= 1e-10 * 100.0
-
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            solve_boundary_kim2d(1, TABLE3_PARAMS)
+        values = solve_boundary_kim2d(16, TABLE3_PARAMS).values
+        grid = np.linspace(0.0, 3.0, 17)
+        residuals = [kim2d_row(i, grid, values[:i], TABLE3_PARAMS)(values[i])[0]
+                     for i in range(1, 17)]
+        assert max(map(abs, residuals)) <= 1e-10 * 100.0
 
 
 class TestEvalBoundary:

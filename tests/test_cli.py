@@ -127,7 +127,15 @@ class TestLebesgue:
 
 
 class TestWorkPrecision:
-    def test_small_scan(self, tmp_path):
+    def test_small_scan(self, tmp_path, monkeypatch):
+        curves = []
+        solve = cli.solve_boundary
+
+        def recorded(cfg, params):
+            curves.append(solve(cfg, params))
+            return curves[-1]
+
+        monkeypatch.setattr(cli, "solve_boundary", recorded)
         code, data = run(tmp_path, "w.csv",
                          ["workprecision", "--n-list", "8,32", "--m", "3"])
         assert code == 0
@@ -144,6 +152,11 @@ class TestWorkPrecision:
         plain, hybrid = cells[("fh", "32")], cells[("fh_m3", "32")]
         assert abs(int(plain["total_nodes"]) - int(hybrid["total_nodes"])) <= 1
         assert float(hybrid["wall_time"]) < float(plain["wall_time"])
+        # the same comparison counted in residual evals, free of machine load
+        evals = {(c.config.family, c.config.hybrid_m, c.grid.size): c.diagnostics.residual_evals
+                 for c in curves}
+        assert (evals[("fh", 3, int(hybrid["total_nodes"]))]
+                < evals[("fh", None, int(plain["total_nodes"]))])
 
 
 class TestErrorHandling:

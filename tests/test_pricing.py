@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import kimvolterra.pricing as pricing
 from kimvolterra import (
     MarketParams,
     SolverConfig,
@@ -12,10 +13,10 @@ from kimvolterra import (
     eval_boundary,
     european_put,
     solve_boundary,
-    solve_boundary_kim2d,
 )
 
-from conftest import TABLE3_BIN_COLUMN, TABLE3_METHOD_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS
+from conftest import (TABLE3_BIN_COLUMN, TABLE3_METHOD_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS,
+                      solve_boundary_kim2d)
 
 
 def binomial_american_call(steps, spot, strike, expiry, rate, dividend, vol):
@@ -166,6 +167,19 @@ class TestAmericanCallPrice:
     def test_nonfinite_spot_rejected(self, spot):
         with pytest.raises(ValueError, match="spot must be finite and > 0"):
             american_call_price(1.0, spot, TABLE3_PARAMS, SolverConfig(n=16, d=2))
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.03])
+    @pytest.mark.parametrize("t", [0.0, 5.0, float("nan")])
+    def test_time_outside_horizon_rejected_before_solving(self, monkeypatch, dividend, t):
+        # both paths check t as the put does, before any boundary solve
+        def no_solve(*args):
+            raise AssertionError("boundary solved before t was checked")
+
+        monkeypatch.setattr(pricing, "solve_boundary", no_solve)
+        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=dividend,
+                         volatility=0.2)
+        with pytest.raises(ValueError, match=r"t must lie in \(0, 1.0\]"):
+            american_call_price(t, 100.0, p, SolverConfig(n=16, d=2))
 
     def test_symmetric_fixture_matches_put(self, curve_n64_d3):
         # strike = spot and rate = dividend make the symmetry swap an identity
