@@ -2,8 +2,8 @@
 
 ``d1d2`` (a plain (d1, d2) tuple) and ``european_put`` are the only scalar
 Black-Scholes formulas: calls follow from put-call symmetry in the pricing
-module, and the array d1/d2 and premium integrand along a boundary live in
-the boundary solver.
+module, the array d1/d2 along a boundary lives in the boundary solver and
+the premium integrand in the pricing module.
 
 The binomial tree keeps its node values by ladder index k (spot u^k) in
 two arrays, one per parity of k: level i reads the array its children

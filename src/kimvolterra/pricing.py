@@ -2,7 +2,7 @@
 
 The put value splits into its European part plus the early-exercise
 premium, an integral of discounted exercise benefits against the boundary
-over [0, t].  The premium integrand comes from the boundary module (the
+over [0, t].  The premium integrand is written here once (the
 value-matching equation is this formula at S = B), and the integral is
 evaluated with the solver's cached quadrature rows of the curve's rational
 basis, scaled to the grid spacing; the integrand's endpoint limit vanishes
@@ -21,9 +21,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtr
 
-from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, _premium_integrand,
-                       _unit_rows, eval_boundary, solve_boundary)
+from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, _unit_rows,
+                       eval_boundary, solve_boundary)
 from .market import MarketParams, _require_spot, european_put
 from .quadrature import brq_weights  # noqa: F401 (the benchmark tracer wraps it here)
 
@@ -74,12 +75,18 @@ def _premium_grid(curve: BoundaryCurve, t: float, d: int) -> np.ndarray:
     return np.linspace(0.0, t, segments + 1)
 
 
-def _endpoint_indicator(spot: float, boundary_value: float, strike: float) -> float:
-    """Limit of the CDF factors as the time gap closes: 1 below the boundary,
-    1/2 on it, 0 above."""
-    if abs(spot - boundary_value) <= 1e-9 * strike:
-        return 0.5
-    return 1.0 if spot < boundary_value else 0.0
+def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
+                       p: MarketParams) -> np.ndarray:
+    """Early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau) N(-d1).
+
+    ``y`` holds the boundary values at the time gaps ``tau`` > 0; the
+    pricing integral takes x = spot and the value-matching equation x = B.
+    """
+    sig_sqrt = p.volatility * np.sqrt(tau)
+    d1 = (np.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
+    d2 = d1 - sig_sqrt
+    return (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
+            - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
 
 
 def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
@@ -116,7 +123,8 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     boundary_vals = (curve.values[:-1] if nodes is curve.grid
                      else np.asarray(eval_boundary(curve, nodes[:-1])))
     integrand = _premium_integrand(spot, t - nodes[:-1], boundary_vals, p)
-    endpoint = (_endpoint_indicator(spot, boundary_at_t, p.strike)
+    # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
+    endpoint = ((0.5 if spot - boundary_at_t <= 1e-9 * p.strike else 0.0)
                 * (p.rate * p.strike - p.dividend * spot))
     premium = float(weights[:-1] @ integrand + weights[-1] * endpoint)
     return PriceResult(value=euro + premium, european_part=euro,

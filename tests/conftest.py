@@ -20,6 +20,7 @@ from kimvolterra import (
     solve_boundary,
 )
 from kimvolterra.market import d1d2
+from kimvolterra.pricing import _premium_integrand
 
 # Benchmark fixture set: 3-year put, r = delta = 8%, sigma = 20%, K = 100.
 TABLE3_PARAMS = MarketParams(strike=100.0, expiry=3.0, rate=0.08,
@@ -85,7 +86,7 @@ def kim2d_row(i, grid, prior, p):
     kern = (r * k - delta * prior) * np.exp(-r * tau) / (sig_sqrt * math.sqrt(2.0 * math.pi))
 
     def row(b):
-        f = boundary._premium_integrand(b, tau, prior, p)
+        f = _premium_integrand(b, tau, prior, p)
         # s = t_i endpoint: equal arguments push both CDF factors to 1/2
         end = 0.5 * (r * k - delta * b)
         premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)
@@ -117,20 +118,14 @@ def solve_boundary_kim2d(n, p):
     values[0] = b0
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
-    evals = bisections = 0
-
-    def counted(b):
-        nonlocal evals
-        evals += 1
-        return row(b)
-
+    bisections = 0
     for i in range(1, n + 1):
-        row = kim2d_row(i, grid, values[:i], p)
         values[i], iterations[i], residuals[i], bisected = boundary._newton_scalar(
-            counted, values[i - 1], lower, b0, cfg.newton_tol * p.strike, i)
+            kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
+            cfg.newton_tol * p.strike, i)
         bisections += bisected
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=evals, bisections=bisections,
+                            residual_evals=int(iterations.sum()), bisections=bisections,
                             warnings=(), wall_time=time.perf_counter() - start,
                             weights_s=0.0, weights_cached=True)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),

@@ -103,6 +103,15 @@ class TestBaryBasis:
         with pytest.raises(ValueError):
             BaryBasis(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0, -1.0]), 0)
 
+    def test_rejects_weight_length_mismatch(self):
+        with pytest.raises(ValueError, match="match nodes in length"):
+            BaryBasis(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0]), 0)
+
+    @pytest.mark.parametrize("degree", [-1, 3])
+    def test_rejects_degree_outside_0_to_n(self, degree):
+        with pytest.raises(ValueError, match="0 <= d <= n"):
+            BaryBasis(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0, 1.0]), degree)
+
 
 class TestEvalInterpolant:
     def test_exact_at_nodes(self):

@@ -84,13 +84,16 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
-        dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
-        dict(n=16, d=2, newton_tol=math.inf), dict(n=16, d=2, newton_tol=math.nan),
-        dict(n=16, d=2, newton_tol=1e-2), dict(n=16, d=2, newton_tol=1.0),
+        dict(n=8, d=2, hybrid_m=1),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_newton_tol_is_not_an_argument(self):
+        for tol in (0.0, math.inf, math.nan, 1e-2, 1.0, 1e-10):
+            with pytest.raises(TypeError):
+                SolverConfig(n=16, d=2, newton_tol=tol)
 
 
 class TestSolveBoundary:
@@ -286,27 +289,81 @@ class TestRowResidual:
                 self.check_slope(row, b)
 
 
+def counting_residual(monkeypatch):
+    """Wrap boundary._residual so that every row eval of a solve is counted."""
+    evals = []
+    build = boundary._residual
+
+    def counted(*args):
+        row = build(*args)
+        return lambda b: evals.append(b) or row(b)
+
+    monkeypatch.setattr(boundary, "_residual", counted)
+    return evals
+
+
 class TestResidualEvals:
     def test_one_eval_per_newton_step(self, monkeypatch):
-        def no_bisection(*args):
-            raise AssertionError("bisection fallback taken")
-
-        monkeypatch.setattr(boundary, "_bisect", no_bisection)
+        evals = counting_residual(monkeypatch)
         diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
-        assert diag.residual_evals == diag.iterations.sum()
+        assert diag.bisections == 0
+        assert diag.residual_evals == diag.iterations.sum() == len(evals)
 
     def test_bisection_evals_counted(self, monkeypatch):
         # one Newton step per row, then bisection: its two bracket ends and
-        # one eval per bisection iteration (the recorded count)
+        # one eval per bisection step, all in the row's recorded count
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        evals = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
-        assert diag.residual_evals == diag.iterations.sum() + 3 * 8
+        assert diag.residual_evals == diag.iterations.sum() == len(evals)
         assert diag.bisections == 8
+        assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
     def test_no_bisection_on_table3(self, curve_n32_d2):
         assert curve_n32_d2.diagnostics.bisections == 0
+
+
+class TestNewtonScalar:
+    """The row solver's fallback exits on synthetic rows over the bracket [60, 100]."""
+
+    TOL = 1e-9
+
+    def solve(self, f, x0=100.0):
+        return boundary._newton_scalar(f, x0, 60.0, 100.0, self.TOL, 5)
+
+    def test_escaping_step_falls_back(self):
+        # slope 1e-3 sends the first step far below the bracket
+        b, evals, res, bisected = self.solve(lambda b: (b - 70.0, 1e-3))
+        assert bisected and res <= self.TOL
+        assert b == pytest.approx(70.0, abs=1e-9)
+        assert evals == 5  # one Newton step, two bracket ends, mids 80 and 70
+
+    def test_root_at_bracket_end(self):
+        b, evals, res, bisected = self.solve(lambda b: (b - 60.0, 1e-3))
+        assert (b, evals, res, bisected) == (60.0, 3, 0.0, True)
+
+    def test_no_sign_change(self):
+        with pytest.raises(boundary.SolverError, match="no sign change") as info:
+            self.solve(lambda b: (b - 50.0, 1e-3))
+        assert info.value.step == 5
+        assert info.value.residual == pytest.approx(10.0)
+
+    def test_stalls_at_adjacent_doubles(self):
+        calls = []
+
+        def jump(b):  # changes sign at 70 but is never within tolerance
+            calls.append(b)
+            return (1.0 if b > 70.0 else -1.0), 0.0
+
+        with pytest.raises(boundary.SolverError, match="stalled") as info:
+            self.solve(jump)
+        assert info.value.step == 5 and info.value.residual == 1.0
+        assert len(calls) <= 64
+        # the last bracket is two adjacent doubles around the jump
+        lo, hi = max(c for c in calls if c <= 70.0), min(c for c in calls if c > 70.0)
+        assert math.nextafter(lo, hi) == hi
 
 
 def test_solve_reads_cached_rows_without_copies():

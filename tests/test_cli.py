@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kimvolterra
 import kimvolterra.cli as cli
 from kimvolterra import SolverError
 from kimvolterra.cli import main
@@ -186,6 +191,25 @@ class TestErrorHandling:
             main(["price", "--spots", "abc"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--spots", "0,90"],
+        ["workprecision", "--n-list", "8,2"],
+        ["workprecision", "--n-list", "x"],
+    ])
+    def test_bad_list_exits_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    def test_workprecision_n_below_d_plus_1_fails_its_rows(self, tmp_path):
+        code, data = run(tmp_path, "w.csv", ["workprecision", "--n-list", "2,8"])
+        assert code == 1
+        _, rows = rows_of(data)
+        status = {(r["method"], r["n"]): r["status"] for r in rows}
+        assert status[("fh", "2")].startswith("failed: need n >= d + 1")
+        assert status[("bfh", "2")].startswith("failed: need n >= d + 1")
+        assert status[("fh", "8")] == status[("bfh", "8")] == "ok"
+
     def test_workprecision_m_below_2_exits_2(self, capsys):
         code = main(["workprecision", "--n-list", "8", "--m", "1"])
         assert code == 2
@@ -220,3 +244,13 @@ class TestErrorHandling:
         # coarse Newton grid plus linear fill: accuracy is O(h^2) of the
         # coarse grid, so only a loose sanity band applies here
         assert abs(float(rows[0]["value"]) - 11.7037) <= 2e-2
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(kimvolterra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kimvolterra", "convergence", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True
