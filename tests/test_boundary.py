@@ -84,10 +84,15 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
-        dict(n=8, d=2, hybrid_m=1),
+        dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
+        dict(n=16, d=2, newton_tol=math.inf), dict(n=16, d=2, newton_tol=math.nan),
+        dict(n=16, d=2, newton_tol=1e-2), dict(n=16, d=2, newton_tol=1.0),
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # newton_tol is a class constant, so any value passed for it is
+        # rejected at the call, before the range checks run.
+        expected = TypeError if "newton_tol" in kwargs else ValueError
+        with pytest.raises(expected):
             SolverConfig(**kwargs)
 
     def test_newton_tol_is_not_an_argument(self):
