@@ -6,8 +6,8 @@ equidistant grid t_i = i T / n and interpolating the smooth kernel factor
 with a barycentric rational basis turns the equation into a
 lower-triangular nonlinear system: row i involves only B_0..B_i, so each
 B_i is found by a safeguarded scalar Newton iteration given its
-predecessors.  The i = 0 row is singular and B_0 is assigned its known
-expiry limit instead.
+predecessors, started from B_(i-1) on rows 1 and 2 and from their quadratic
+extrapolation after.  The i = 0 row is singular and B_0 is its expiry limit.
 
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
@@ -127,6 +127,7 @@ class SolveDiagnostics:
     warnings: tuple[str, ...]
     wall_time: float
     weights_s: float  # part of wall_time spent getting the weight rows
+    newton_s: float  # part of wall_time spent in the Newton row loop
     weights_cached: bool  # True when no weight table had to be built
 
 
@@ -184,11 +185,12 @@ def clear_weight_cache() -> None:
     _unit_rows.cache_clear()
 
 
-def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
-              om: np.ndarray | None, h: float, p: MarketParams):
+def _residual(i: int, prior: np.ndarray, log_prior: np.ndarray, lag: np.ndarray,
+              w: np.ndarray, om: np.ndarray | None, h: float, p: MarketParams):
     """Row i of the product-integrated boundary equation as b -> (F(b), dF/db).
 
-    Every term that does not depend on b is built here, once per row, and
+    ``lag`` is row i's view of the lag tables (column 0 also serves t_i); the
+    other terms that do not depend on b are built here, once per row, and
     d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j leaves b only in ln(b), so an
     eval costs a few array ops of length i.  The phi identity of the module
     docstring has already cancelled the scalar phi terms and merged the two
@@ -197,25 +199,19 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
     unit-spacing rows: the spacing-h rows sqrt(h) w and h om are never formed,
     as sqrt(h) is folded into ``pref`` and h into ``delta_h``.
     """
-    t_i = grid[i]
+    sig_tau, inv_sig_tau, drift, a1, disc_r, disc_d = lag
     r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
     pref = math.sqrt(h) / (vol * _SQRT_2PI)
-    sig_t = vol * math.sqrt(t_i)
-    a1_t = ((r - delta + 0.5 * vol * vol) * t_i - math.log(k)) / sig_t
-    disc_t = math.exp(-delta * t_i)
-    tau = t_i - grid[:i]
-    sig_tau = vol * np.sqrt(tau)
-    inv_sig_tau = 1.0 / sig_tau
-    a2 = ((r - delta - 0.5 * vol * vol) * tau - np.log(prior)) * inv_sig_tau
-    neg_rtau = -r * tau
-    kern = pref * w[:i] * (r * k - delta * prior)
+    sig_t, a1_t, disc_t = float(sig_tau[0]), float(a1[0]), float(disc_d[0])
+    a2 = drift - log_prior * inv_sig_tau
+    kern = pref * w[:i] * (r * k - delta * prior) * disc_r
     kern_slope = kern * inv_sig_tau
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident = pref * w[i]
     if delta > 0.0:
         delta_h = delta * h
-        smooth = om[:i] * np.exp(-delta * tau)
-        smooth_slope = om[:i] * prior * inv_sig_tau / _SQRT_2PI
+        smooth = om[:i] * disc_d
+        smooth_slope = om[:i] * prior * inv_sig_tau * disc_r / _SQRT_2PI
         half = 0.5 * om[i]
 
     def row(b: float) -> tuple[float, float]:
@@ -223,7 +219,7 @@ def _residual(i: int, grid: np.ndarray, prior: np.ndarray, w: np.ndarray,
         d1_t = log_b / sig_t + a1_t
         cdf_t = norm_cdf(d1_t)
         d2 = log_b * inv_sig_tau + a2
-        e = np.exp(neg_rtau - 0.5 * d2 * d2)
+        e = np.exp(-0.5 * d2 * d2)
         f = -b * disc_t * cdf_t + kern @ e + coincident * (r * k - delta * b)
         slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
                  - (kern_slope @ (e * d2)) / b - coincident * delta)
@@ -279,12 +275,29 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior) -> (b -> (F, dF/db)) of a solve on cfg.n intervals."""
+    """Grid and row builder (i, prior[, log_prior]) -> (b -> (F, dF/db)) on cfg.n intervals.
+
+    tau_ij = t_(i-j), so row i views the last i columns of the tables over lags n..1.
+    ``log_prior`` defaults to math.log(prior), as in the solve: np.log can differ by an ulp.
+    """
     grid = np.linspace(0.0, p.expiry, cfg.n + 1)
     h = p.expiry / cfg.n
+    r, delta, vol = p.rate, p.dividend, p.volatility
+    tau = grid[:0:-1]
+    sig_tau = vol * np.sqrt(tau)
+    inv_sig_tau = 1.0 / sig_tau
+    lags = np.array((sig_tau, inv_sig_tau, (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau,
+                     ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau,
+                     np.exp(-r * tau), np.exp(-delta * tau)))
     w_rows = _unit_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if p.dividend > 0.0 else [None] * (cfg.n + 1)
-    return grid, lambda i, prior: _residual(i, grid, prior, w_rows[i], q_rows[i], h, p)
+    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else [None] * (cfg.n + 1)
+
+    def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray | None = None):
+        if log_prior is None:
+            log_prior = np.array([math.log(b) for b in prior])
+        return _residual(i, prior, log_prior, lags[:, cfg.n - i:], w_rows[i], q_rows[i], h, p)
+
+    return grid, build_row
 
 
 def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -292,11 +305,11 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 
     B_0 takes its analytic expiry limit and each later B_i solves its
     scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular) by Newton in [perpetual bound, B_0], with the
-    initial guess B_{i-1}.  ``cfg.hybrid_m`` fills the curve by linear
-    interpolation (see :class:`SolverConfig`); the returned curve carries a
-    Floater-Hormann basis of order d on its stored nodes for evaluation
-    between them.
+    is lower triangular) by Newton in [perpetual bound, B_0], from B_{i-1}
+    on rows 1-2, next to the expiry singularity, and 3 (B_{i-1} - B_{i-2}) +
+    B_{i-3} after.  ``cfg.hybrid_m`` fills the curve by linear interpolation
+    (see :class:`SolverConfig`); the returned curve carries a Floater-Hormann
+    basis of order d on its stored nodes for evaluation between them.
     """
     if p.rate == 0.0:
         raise ValueError("rate = 0 makes early exercise worthless; "
@@ -307,20 +320,23 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
-    values = np.empty(n + 1)
-    values[0] = b0
+    values, logs = np.empty(n + 1), np.empty(n + 1)
+    values[0], logs[0] = b0, math.log(b0)
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
     warnings: list[str] = []
     bisections = 0
+    newton_start = time.perf_counter()
     for i in range(1, n + 1):
+        guess = values[i - 1] if i < 3 else 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
         b, iterations[i], residuals[i], bisected = _newton_scalar(
-            build_row(i, values[:i]), values[i - 1], lower, b0, cfg.newton_tol * p.strike, i)
+            build_row(i, values[:i], logs[:i]), guess, lower, b0, cfg.newton_tol * p.strike, i)
         bisections += bisected
-        values[i] = b
+        values[i], logs[i] = b, math.log(b)
         if not 0.9 * lower <= b <= 1.1 * b0:
             warnings.append(
                 f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
+    newton_s = time.perf_counter() - newton_start
     if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
@@ -328,6 +344,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                             residual_evals=int(iterations.sum()), bisections=bisections,
                             warnings=tuple(warnings),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
+                            newton_s=newton_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag)
@@ -358,5 +375,6 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     _, build_row = _row_residual(cfg, curve.params)
-    return np.array([abs(build_row(i, curve.values[:i])(curve.values[i])[0])
+    logs = np.array([math.log(b) for b in curve.values])
+    return np.array([abs(build_row(i, curve.values[:i], logs[:i])(curve.values[i])[0])
                      for i in range(1, cfg.n + 1)])

@@ -11,14 +11,16 @@ workprecision   wall time and error per (method, grid size) cell
 
 Exit codes: 0 all embedded tolerances pass, 1 a tolerance failed,
 2 usage/configuration/output error, 3 solver failure.  Output is CSV (comma,
-header row, LF, UTF-8) or JSON with ``spec``, ``rows`` and ``passed``
-fields.  All outputs are deterministic except the measured wall-time
+header row, LF, UTF-8, quoted as needed) or JSON with ``spec``, ``rows`` and
+``passed`` fields.  All outputs are deterministic except the measured wall-time
 column of ``workprecision``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -311,9 +313,9 @@ _COMMANDS = {
 def _emit(args, header: list[str], rows: list[list[str]], passed: bool,
           spec: dict) -> None:
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+        text = buffer.getvalue()
     else:
         payload = {"spec": spec,
                    "rows": [dict(zip(header, row)) for row in rows],

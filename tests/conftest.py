@@ -105,10 +105,12 @@ def solve_boundary_kim2d(n, p):
     """Trapezoid cross-check curve on t_i = i T / n (Kim 1990).
 
     Rows 1..n are solved in order by the library's safeguarded Newton in
-    [perpetual bound, B_0] from the guess B_{i-1}, as the product solve
-    does.  It converges more slowly than the product-integration schemes and
-    serves only agreement tests; the curve carries an order-2
-    Floater-Hormann basis so that it can be priced.
+    [perpetual bound, B_0] from the guess B_{i-1}; the product solve
+    extrapolates its guess from row 3 on, but this reference keeps the flat
+    start, so its frozen ``kim2d`` values do not move.  It converges more
+    slowly than the product-integration schemes and serves only agreement
+    tests; the curve carries an order-2 Floater-Hormann basis so that it
+    can be priced.
     """
     cfg = SolverConfig(n=n, d=2)
     start = time.perf_counter()
@@ -124,10 +126,11 @@ def solve_boundary_kim2d(n, p):
             kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
             cfg.newton_tol * p.strike, i)
         bisections += bisected
+    wall_time = time.perf_counter() - start
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
                             residual_evals=int(iterations.sum()), bisections=bisections,
-                            warnings=(), wall_time=time.perf_counter() - start,
-                            weights_s=0.0, weights_cached=True)
+                            warnings=(), wall_time=wall_time, weights_s=0.0,
+                            newton_s=wall_time, weights_cached=True)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),
                          params=p, config=cfg, diagnostics=diag)
 

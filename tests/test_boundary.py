@@ -137,6 +137,8 @@ class TestSolveBoundary:
         diag = curve_n32_d2.diagnostics
         assert np.all(diag.iterations[1:] >= 1)
         assert diag.wall_time > 0.0
+        assert diag.newton_s > 0.0
+        assert diag.weights_s + diag.newton_s <= diag.wall_time
         assert diag.warnings == ()
 
     def test_nested_grid_discrepancy_shrinks_without_dividend(self):
@@ -328,6 +330,22 @@ class TestResidualEvals:
 
     def test_no_bisection_on_table3(self, curve_n32_d2):
         assert curve_n32_d2.diagnostics.bisections == 0
+
+    @pytest.mark.parametrize("dividend,flat_start_evals", [(0.08, 554), (0.0, 532)])
+    def test_extrapolated_start_saves_evals(self, dividend, flat_start_evals):
+        # starting each row from B_(i-1) took flat_start_evals on this market
+        diag = solve_boundary(SolverConfig(n=128, d=2), params_with(dividend)).diagnostics
+        assert diag.bisections == 0
+        assert diag.residual_evals <= 0.8 * flat_start_evals
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    def test_certificate_repeats_solve_residuals(self, family, dividend, n):
+        # one residual for solve and certificate: the rows are rebuilt bit for bit
+        curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
+        np.testing.assert_array_equal(collocation_residuals(curve),
+                                      curve.diagnostics.residuals[1:])
 
 
 class TestNewtonScalar:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -19,9 +21,9 @@ def run(tmp_path, name, argv):
 
 
 def rows_of(data: bytes):
-    lines = data.decode("utf-8").split("\n")
-    header = lines[0].split(",")
-    return header, [dict(zip(header, line.split(","))) for line in lines[1:] if line]
+    header, *lines = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    assert all(len(line) == len(header) for line in lines)
+    return header, [dict(zip(header, line)) for line in lines]
 
 
 class TestTable3:
@@ -204,10 +206,12 @@ class TestErrorHandling:
     def test_workprecision_n_below_d_plus_1_fails_its_rows(self, tmp_path):
         code, data = run(tmp_path, "w.csv", ["workprecision", "--n-list", "2,8"])
         assert code == 1
-        _, rows = rows_of(data)
+        header, rows = rows_of(data)
+        assert len(header) == 6
         status = {(r["method"], r["n"]): r["status"] for r in rows}
-        assert status[("fh", "2")].startswith("failed: need n >= d + 1")
-        assert status[("bfh", "2")].startswith("failed: need n >= d + 1")
+        # the quoted status keeps every row at the header's six fields
+        assert status[("fh", "2")] == status[("bfh", "2")] == \
+            "failed: need n >= d + 1, got n=2, d=2"
         assert status[("fh", "8")] == status[("bfh", "8")] == "ok"
 
     def test_workprecision_m_below_2_exits_2(self, capsys):
