@@ -99,20 +99,20 @@ def fh_basis(nodes, d: int) -> BaryBasis:
 def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:
     """Matrix L with L[p, j] = L_j(ts[p]) for the cardinal functions of the basis.
 
-    Points within 1e-14 of the span of a node return the exact unit row.
+    Points within 1e-14 of the span of a node return the exact unit row.  Only
+    the nearest node, found by rounding, can be that close: O(m) for m points.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    diff = ts[:, None] - basis.nodes[None, :]
-    tol = _NODE_HIT_RTOL * basis.span
-    hits = np.abs(diff) <= tol
-    hit_rows = hits.any(axis=1)
+    nodes, n, span = basis.nodes, basis.n, basis.span
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = basis.weights[None, :] / diff
+        c = basis.weights / (ts[:, None] - nodes)
         out = c / c.sum(axis=1, keepdims=True)
-    if hit_rows.any():
-        out[hit_rows] = 0.0
-        rows, cols = np.nonzero(hits)
-        out[rows, cols] = 1.0
+        # NaN and huge points cast to some index; their hit test below fails
+        near = np.clip(np.rint((ts - nodes[0]) * (n / span)).astype(np.intp), 0, n)
+    rows = np.flatnonzero(np.abs(ts - nodes[near]) <= _NODE_HIT_RTOL * span)
+    if rows.size:
+        out[rows] = 0.0
+        out[rows, near[rows]] = 1.0
     return out
 
 
@@ -126,7 +126,7 @@ def eval_interpolant(basis: BaryBasis, values, t):
     if values.shape != basis.nodes.shape:
         raise ValueError(f"expected {basis.nodes.size} values, got {values.size}")
     scalar = np.isscalar(t) or np.ndim(t) == 0
-    result = basis_matrix(basis, t) @ values
+    result = basis_matrix(basis, t).dot(values)
     return float(result[0]) if scalar else result
 
 

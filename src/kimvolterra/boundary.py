@@ -20,6 +20,8 @@ Each row's residual returns its exact slope dF/db with its value, so a
 Newton step costs one residual eval.  The identity y e^(-r tau) phi(d2) =
 x e^(-delta tau) phi(d1) cancels the two scalar phi terms at t_i and merges
 the two exponential kernels into (r K - delta B_j) e^(-r tau_j) phi(d2_j).
+Rows are arrays of length i <= n, timed by numpy's cost per call, so factors
+of tau alone are lag tables and ln B_j, r K - delta B_j running arrays.
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
 row on the unit nodes 0..i, so one cached table of rows 0..n per (n, d,
@@ -29,6 +31,7 @@ alpha), Berrut's basis being order 0, serves every horizon and pricing.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,6 +103,9 @@ class SolverConfig:
     newton_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
+        for name in ("n", "d") + (("hybrid_m",) if self.hybrid_m is not None else ()):
+            if not isinstance(v := getattr(self, name), numbers.Integral) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.d < 0:
             raise ValueError(f"d must be >= 0, got {self.d}")
         if self.n < self.d + 1:
@@ -116,13 +122,14 @@ class SolveDiagnostics:
 
     ``iterations[i]`` counts row i's residual evals: one per Newton step,
     plus, on a row that fell back to bisection, its two bracket ends and
-    one per bisection step.  ``residual_evals`` is their sum and
-    ``bisections`` counts the rows that fell back.
+    one per bisection step.  ``residual_evals`` is their sum, ``newton_steps``
+    the Newton steps alone, and ``bisections`` counts the rows that fell back.
     """
 
     iterations: np.ndarray
     residuals: np.ndarray
     residual_evals: int
+    newton_steps: int
     bisections: int
     warnings: tuple[str, ...]
     wall_time: float
@@ -176,8 +183,10 @@ def _perpetual_exponent(p: MarketParams) -> float:
 def _unit_rows(n: int, d: int, alpha: float) -> np.ndarray:
     """Read-only unit-node weight rows 0..n; row i is on the Floater-Hormann
     basis of order min(d, i) (d = 0 is Berrut's), zero beyond node i."""
-    betas = [np.pad(fh_weights(i, min(d, i)), (0, n - i)) for i in range(n + 1)]
-    return unit_weight_rows(np.array(betas), alpha)
+    betas = np.zeros((n + 1, n + 1))
+    for i in range(n + 1):  # slice writes: padding each row cost about as much as the integrals
+        betas[i, :i + 1] = fh_weights(i, min(d, i))
+    return unit_weight_rows(betas, alpha)
 
 
 def clear_weight_cache() -> None:
@@ -185,34 +194,35 @@ def clear_weight_cache() -> None:
     _unit_rows.cache_clear()
 
 
-def _residual(i: int, prior: np.ndarray, log_prior: np.ndarray, lag: np.ndarray,
-              w: np.ndarray, om: np.ndarray | None, h: float, p: MarketParams):
+def _residual(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray,
+              lag: np.ndarray, w: np.ndarray, om: np.ndarray | None, h: float, p: MarketParams):
     """Row i of the product-integrated boundary equation as b -> (F(b), dF/db).
 
-    ``lag`` is row i's view of the lag tables (column 0 also serves t_i); the
-    other terms that do not depend on b are built here, once per row, and
-    d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j leaves b only in ln(b), so an
-    eval costs a few array ops of length i.  The phi identity of the module
-    docstring has already cancelled the scalar phi terms and merged the two
-    kernels.  The dividend terms vanish at delta = 0 and are then skipped, so
-    ``om`` (the smooth-term quadrature row) may be None.  ``w`` and ``om`` are
-    unit-spacing rows: the spacing-h rows sqrt(h) w and h om are never formed,
-    as sqrt(h) is folded into ``pref`` and h into ``delta_h``.
+    ``lag`` is row i's view of the lag tables (column 0 also serves t_i) and
+    ``rk`` holds r K - delta B_j; the terms free of b are products of their
+    slices, built once per row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
+    leaves b only in ln(b).  So an eval costs a few array ops of length i, with
+    ``ndarray.dot`` (cheaper per call than ``@``, same bits) and Python-float
+    scalars.  The phi identity of the module docstring has already cancelled
+    the scalar phi terms and merged the two kernels.  The dividend terms vanish
+    at delta = 0 and are skipped, so ``om`` (the smooth-term quadrature row)
+    may be None.  ``w`` and ``om`` are unit-spacing rows: sqrt(h) is folded
+    into ``pref`` and the kernel's lag table, h into ``delta_h``.
     """
-    sig_tau, inv_sig_tau, drift, a1, disc_r, disc_d = lag
+    sig_tau, inv_sig_tau, drift, a1, kern_lag, disc_d, slope_lag = lag
     r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
     pref = math.sqrt(h) / (vol * _SQRT_2PI)
     sig_t, a1_t, disc_t = float(sig_tau[0]), float(a1[0]), float(disc_d[0])
     a2 = drift - log_prior * inv_sig_tau
-    kern = pref * w[:i] * (r * k - delta * prior) * disc_r
+    kern = w[:i] * rk * kern_lag
     kern_slope = kern * inv_sig_tau
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
-    coincident = pref * w[i]
+    coincident = pref * float(w[i])
     if delta > 0.0:
         delta_h = delta * h
         smooth = om[:i] * disc_d
-        smooth_slope = om[:i] * prior * inv_sig_tau * disc_r / _SQRT_2PI
-        half = 0.5 * om[i]
+        smooth_slope = om[:i] * prior * slope_lag
+        half = 0.5 * float(om[i])
 
     def row(b: float) -> tuple[float, float]:
         log_b = math.log(b)
@@ -220,13 +230,13 @@ def _residual(i: int, prior: np.ndarray, log_prior: np.ndarray, lag: np.ndarray,
         cdf_t = norm_cdf(d1_t)
         d2 = log_b * inv_sig_tau + a2
         e = np.exp(-0.5 * d2 * d2)
-        f = -b * disc_t * cdf_t + kern @ e + coincident * (r * k - delta * b)
+        f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r * k - delta * b)
         slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
-                 - (kern_slope @ (e * d2)) / b - coincident * delta)
+                 - float(kern_slope.dot(e * d2)) / b - coincident * delta)
         if delta > 0.0:
-            s = smooth @ ndtr(d2 + sig_tau) + half
+            s = float(smooth.dot(ndtr(d2 + sig_tau))) + half
             f -= delta_h * b * s
-            slope -= delta_h * (s + (smooth_slope @ e) / b)
+            slope -= delta_h * (s + float(smooth_slope.dot(e)) / b)
         return f, slope
 
     return row
@@ -239,14 +249,14 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
     A step that is not finite or lands over half the bracket's width outside
     [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting [lo, hi]
     until |F| <= tol_abs or the bracket is two adjacent doubles.  Returns
-    (root, residual evals, |F|, whether it fell back).
+    (root, residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
     """
     margin = 0.5 * (hi - lo)
-    b = min(max(x0, lo), hi)
+    b = min(max(float(x0), lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb, slope = f(b)
         if abs(fb) <= tol_abs:
-            return b, it, abs(fb), False
+            return b, it, abs(fb), it
         nxt = b - fb / slope if slope != 0.0 else float("nan")
         if not math.isfinite(nxt) or nxt < lo - margin or nxt > hi + margin:
             break
@@ -255,7 +265,7 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     for b, fb in ((lo, f_lo), (hi, f_hi)):
         if abs(fb) <= tol_abs:
-            return b, evals, abs(fb), True
+            return b, evals, abs(fb), it
     if f_lo * f_hi > 0.0:
         raise SolverError(
             f"no sign change on [{lo:.6g}, {hi:.6g}] at collocation row {step}",
@@ -264,7 +274,7 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
         evals += 1
         f_mid = f(mid)[0]
         if abs(f_mid) <= tol_abs:
-            return mid, evals, abs(f_mid), True
+            return mid, evals, abs(f_mid), it
         if f_lo * f_mid <= 0.0:
             hi, f_hi = mid, f_mid
         else:
@@ -275,10 +285,11 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior[, log_prior]) -> (b -> (F, dF/db)) on cfg.n intervals.
+    """Grid and row builder (i, prior[, log_prior, rk]) -> (b -> (F, dF/db)) on cfg.n intervals.
 
-    tau_ij = t_(i-j), so row i views the last i columns of the tables over lags n..1.
-    ``log_prior`` defaults to math.log(prior), as in the solve: np.log can differ by an ulp.
+    tau_ij = t_(i-j), so row i views the last i columns of the seven tables over lags n..1.
+    ``log_prior`` defaults to math.log(prior), as in the solve: np.log can differ by an ulp;
+    ``rk`` to r K - delta prior, elementwise the solve's scalar arithmetic.
     """
     grid = np.linspace(0.0, p.expiry, cfg.n + 1)
     h = p.expiry / cfg.n
@@ -286,16 +297,20 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     tau = grid[:0:-1]
     sig_tau = vol * np.sqrt(tau)
     inv_sig_tau = 1.0 / sig_tau
+    disc_r = np.exp(-r * tau)
     lags = np.array((sig_tau, inv_sig_tau, (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau,
                      ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau,
-                     np.exp(-r * tau), np.exp(-delta * tau)))
+                     math.sqrt(h) / (vol * _SQRT_2PI) * disc_r, np.exp(-delta * tau),
+                     disc_r * inv_sig_tau / _SQRT_2PI))
     w_rows = _unit_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
     q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else [None] * (cfg.n + 1)
 
-    def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray | None = None):
+    def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray | None = None,
+                  rk: np.ndarray | None = None):
         if log_prior is None:
             log_prior = np.array([math.log(b) for b in prior])
-        return _residual(i, prior, log_prior, lags[:, cfg.n - i:], w_rows[i], q_rows[i], h, p)
+        rk = r * p.strike - delta * prior if rk is None else rk
+        return _residual(i, prior, log_prior, rk, lags[:, cfg.n - i:], w_rows[i], q_rows[i], h, p)
 
     return grid, build_row
 
@@ -320,19 +335,21 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
-    values, logs = np.empty(n + 1), np.empty(n + 1)
-    values[0], logs[0] = b0, math.log(b0)
+    values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
+    values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
     warnings: list[str] = []
-    bisections = 0
+    bisections = newton_steps = 0
     newton_start = time.perf_counter()
     for i in range(1, n + 1):
         guess = values[i - 1] if i < 3 else 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
-        b, iterations[i], residuals[i], bisected = _newton_scalar(
-            build_row(i, values[:i], logs[:i]), guess, lower, b0, cfg.newton_tol * p.strike, i)
-        bisections += bisected
-        values[i], logs[i] = b, math.log(b)
+        b, iterations[i], residuals[i], steps = _newton_scalar(
+            build_row(i, values[:i], logs[:i], rks[:i]), guess, lower, b0,
+            cfg.newton_tol * p.strike, i)
+        bisections += int(steps < iterations[i])
+        newton_steps += steps
+        values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
         if not 0.9 * lower <= b <= 1.1 * b0:
             warnings.append(
                 f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
@@ -341,8 +358,8 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=int(iterations.sum()), bisections=bisections,
-                            warnings=tuple(warnings),
+                            residual_evals=int(iterations.sum()), newton_steps=newton_steps,
+                            bisections=bisections, warnings=tuple(warnings),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)

@@ -107,7 +107,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     t = min(t, horizon)
     d = curve.basis.degree
 
-    boundary_at_t = float(eval_boundary(curve, t))
+    boundary_at_t = float(curve.values[-1] if t == horizon else eval_boundary(curve, t))
     euro = european_put(t, spot, p)
     if spot <= boundary_at_t:
         value = p.strike - spot
@@ -119,14 +119,14 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     nodes = _premium_grid(curve, t, d)
     m = nodes.size - 1
     weights = (nodes[-1] / m) * _unit_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
-    # node hits interpolate to exact unit rows, so this is bitwise eval_boundary
+    # node hits interpolate to exact unit rows, so these (and B(T)) are bitwise eval_boundary
     boundary_vals = (curve.values[:-1] if nodes is curve.grid
                      else np.asarray(eval_boundary(curve, nodes[:-1])))
     integrand = _premium_integrand(spot, t - nodes[:-1], boundary_vals, p)
     # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
     endpoint = ((0.5 if spot - boundary_at_t <= 1e-9 * p.strike else 0.0)
                 * (p.rate * p.strike - p.dividend * spot))
-    premium = float(weights[:-1] @ integrand + weights[-1] * endpoint)
+    premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
     return PriceResult(value=euro + premium, european_part=euro,
                        premium_part=premium,
                        bound_factor=error_bound_factor(spot, p),

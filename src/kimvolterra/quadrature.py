@@ -14,6 +14,8 @@ a node.  Every function is pure and returns bare read-only arrays.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .barycentric import BaryBasis, basis_matrix  # noqa: F401 (the benchmark tracer wraps it)
@@ -26,6 +28,7 @@ __all__ = [
 
 _POINTS = 16  # Gauss-Legendre points per unit subinterval
 _BLOCK = 8  # subintervals per block of the Cauchy table
+_gauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # an eigensolve per call
 
 
 def brq_weights(basis: BaryBasis) -> np.ndarray:
@@ -58,7 +61,7 @@ def unit_weight_rows(betas: np.ndarray, alpha: float) -> np.ndarray:
     lags = (ends[:, None] - np.arange(width)) % width
     b = np.take_along_axis(betas, lags, axis=1)  # B^T, zero for l > e
     power = 1.0 - alpha
-    x, w = np.polynomial.legendre.leggauss(_POINTS)
+    x, w = _gauss(_POINTS)
     m = np.repeat(np.arange(1, width), _POINTS)  # subinterval of each point
     lo, hi = (m - 1.0) ** power, m**power
     v = (0.5 * (hi - lo) * np.resize(x, m.size) + 0.5 * (lo + hi)) ** (1.0 / power)

@@ -120,15 +120,17 @@ def solve_boundary_kim2d(n, p):
     values[0] = b0
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
-    bisections = 0
+    bisections = newton_steps = 0
     for i in range(1, n + 1):
-        values[i], iterations[i], residuals[i], bisected = boundary._newton_scalar(
+        values[i], iterations[i], residuals[i], steps = boundary._newton_scalar(
             kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
             cfg.newton_tol * p.strike, i)
-        bisections += bisected
+        bisections += int(steps < iterations[i])
+        newton_steps += steps
     wall_time = time.perf_counter() - start
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=int(iterations.sum()), bisections=bisections,
+                            residual_evals=int(iterations.sum()),
+                            newton_steps=newton_steps, bisections=bisections,
                             warnings=(), wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),

@@ -193,6 +193,49 @@ class TestInvariants:
         assert order >= d + 0.5
 
 
+def basis_matrix_reference(basis, ts):
+    """The full m x (n + 1) node-hit test that basis_matrix replaces by rounding."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    diff = ts[:, None] - basis.nodes[None, :]
+    hits = np.abs(diff) <= 1e-14 * basis.span
+    hit_rows = hits.any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = basis.weights[None, :] / diff
+        out = c / c.sum(axis=1, keepdims=True)
+    if hit_rows.any():
+        out[hit_rows] = 0.0
+        rows, cols = np.nonzero(hits)
+        out[rows, cols] = 1.0
+    return out
+
+
+class TestBasisMatrixNodeHits:
+    @pytest.mark.parametrize("d", [0, 2])
+    @pytest.mark.parametrize("n", [8, 129])
+    def test_bitwise_reference(self, n, d):
+        horizon = 2.7
+        basis = fh_basis(np.linspace(0.0, horizon, n + 1), d)
+        near = 0.5e-14 * basis.span  # inside the hit tolerance; 1.5e-14 is outside it
+        groups = {
+            "random": np.random.default_rng(n + d).uniform(0.0, horizon, 500),
+            "nodes": basis.nodes,
+            "ends": np.array([0.0, horizon, -near, horizon + near]),
+            "near": np.concatenate([basis.nodes + near, basis.nodes - near]),
+            "beyond": np.concatenate([basis.nodes + 3.0 * near, basis.nodes - 3.0 * near]),
+        }
+        for name, ts in groups.items():
+            got, want = basis_matrix(basis, ts), basis_matrix_reference(basis, ts)
+            assert got.tobytes() == want.tobytes(), name
+        hits = basis_matrix(basis, groups["near"])
+        assert np.array_equal(hits, np.vstack([np.eye(n + 1)] * 2))
+
+    def test_scalar_and_non_finite_points(self):
+        basis = fh_basis(np.linspace(0.0, 1.0, 9), 2)
+        for ts in (0.375, [np.nan, np.inf, -np.inf, 1e300, 0.125]):
+            got, want = basis_matrix(basis, ts), basis_matrix_reference(basis, ts)
+            np.testing.assert_array_equal(got, want)
+
+
 class TestLebesgueConstant:
     def test_two_nodes_is_one(self):
         for d in (0, 1):

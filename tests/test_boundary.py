@@ -87,6 +87,9 @@ class TestSolverConfig:
         dict(n=8, d=2, hybrid_m=1), dict(n=8, d=2, newton_tol=0.0),
         dict(n=16, d=2, newton_tol=math.inf), dict(n=16, d=2, newton_tol=math.nan),
         dict(n=16, d=2, newton_tol=1e-2), dict(n=16, d=2, newton_tol=1.0),
+        # integer fields: a float or bool would fail inside the solve or be solved
+        dict(n=32.0, d=2), dict(n=32, d=2.0), dict(n=32, d=2, hybrid_m=2.5),
+        dict(n=32, d=2, hybrid_m=3.0), dict(n=True, d=0), dict(n=32, d=True),
     ])
     def test_invalid_rejected(self, kwargs):
         # newton_tol is a class constant, so any value passed for it is
@@ -315,6 +318,7 @@ class TestResidualEvals:
         diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
         assert diag.bisections == 0
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
+        assert diag.newton_steps == diag.residual_evals
 
     def test_bisection_evals_counted(self, monkeypatch):
         # one Newton step per row, then bisection: its two bracket ends and
@@ -325,6 +329,7 @@ class TestResidualEvals:
         diag = curve.diagnostics
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
         assert diag.bisections == 8
+        assert diag.newton_steps == 8  # bracket ends and bisection steps excluded
         assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
@@ -358,14 +363,19 @@ class TestNewtonScalar:
 
     def test_escaping_step_falls_back(self):
         # slope 1e-3 sends the first step far below the bracket
-        b, evals, res, bisected = self.solve(lambda b: (b - 70.0, 1e-3))
-        assert bisected and res <= self.TOL
+        b, evals, res, steps = self.solve(lambda b: (b - 70.0, 1e-3))
+        assert res <= self.TOL
         assert b == pytest.approx(70.0, abs=1e-9)
-        assert evals == 5  # one Newton step, two bracket ends, mids 80 and 70
+        assert (evals, steps) == (5, 1)  # one Newton step, two bracket ends, mids 80 and 70
 
     def test_root_at_bracket_end(self):
-        b, evals, res, bisected = self.solve(lambda b: (b - 60.0, 1e-3))
-        assert (b, evals, res, bisected) == (60.0, 3, 0.0, True)
+        b, evals, res, steps = self.solve(lambda b: (b - 60.0, 1e-3))
+        assert (b, evals, res, steps) == (60.0, 3, 0.0, 1)
+
+    def test_newton_root_counts_every_eval_as_a_step(self):
+        b, evals, res, steps = self.solve(lambda b: (b - 70.0, 1.0), x0=90.0)
+        assert (b, res) == (70.0, 0.0)
+        assert evals == steps == 2  # the step from 90, then the eval that accepts 70
 
     def test_no_sign_change(self):
         with pytest.raises(boundary.SolverError, match="no sign change") as info:

@@ -97,6 +97,23 @@ class TestAmericanPutPrice:
         result = american_put_price(3.0, spot, curve_n32_d2)
         assert result.value == 100.0 - spot
 
+    @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=16, d=3, family="bfh"),
+                                     SolverConfig(n=8, d=2, hybrid_m=3)])
+    def test_horizon_boundary_is_last_node(self, cfg, monkeypatch):
+        # at t = T (or just past it, clamped) the price reads B(T) from the last
+        # node, bit for bit the value eval_boundary(curve, T) returns
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
+        b_t = eval_boundary(curve, 3.0)
+        assert b_t == curve.values[-1]
+        calls = []
+        monkeypatch.setattr(pricing, "eval_boundary",
+                            lambda *args: calls.append(args) or eval_boundary(*args))
+        above = math.nextafter(b_t, math.inf)
+        for t in (3.0, 3.0 * (1.0 + 1e-13)):
+            assert american_put_price(t, b_t, curve).value == 100.0 - b_t
+            assert american_put_price(t, above, curve).value != 100.0 - above
+        assert calls == []
+
     def test_deep_out_of_the_money_no_dividend(self):
         p = MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.0,
                          volatility=0.2)
