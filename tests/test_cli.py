@@ -258,3 +258,25 @@ def test_python_dash_m_entry_point():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+GOLDEN = Path(__file__).parent / "data" / "cli"
+SPOTS = ["--spots", "80,90,100,110,120"]
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("table3.csv", ["table3"]),
+    ("table3_bfh.csv", ["table3", "--family", "bfh"]),
+    ("boundary.csv", ["boundary"]),
+    ("boundary_n256.csv", ["boundary", "--n", "256"]),
+    ("price.csv", ["price", *SPOTS]),
+    ("price_bfh.csv", ["price", *SPOTS, "--family", "bfh"]),
+    ("price_m3.csv", ["price", *SPOTS, "--m", "3"]),
+    ("convergence.csv", ["convergence"]),
+    ("lebesgue.csv", ["lebesgue"]),
+])
+def test_golden_csv(tmp_path, name, argv):
+    # the committed CSV of each deterministic command, byte for byte
+    code, data = run(tmp_path, name, argv)
+    assert code == 0
+    assert data == (GOLDEN / name).read_bytes()
