@@ -12,16 +12,17 @@ extrapolation after.  The i = 0 row is singular and B_0 is its expiry limit.
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
 is skipped.  A hybrid mode (``hybrid_m``) fills interior nodes by linear
-interpolation.  One row residual serves the solve and its certificate;
-Kim's (1990) discretization of the value-matching equation, an
-independent cross-check, is kept with the tests.
+interpolation.  One row builder, called the same way, serves the solve
+and its certificate; Kim's (1990) discretization of the value-matching
+equation, an independent cross-check, is kept with the tests.
 
 Each row's residual returns its exact slope dF/db with its value, so a
 Newton step costs one residual eval.  The identity y e^(-r tau) phi(d2) =
 x e^(-delta tau) phi(d1) cancels the two scalar phi terms at t_i and merges
 the two exponential kernels into (r K - delta B_j) e^(-r tau_j) phi(d2_j).
 Rows are arrays of length i <= n, timed by numpy's cost per call, so factors
-of tau alone are lag tables and ln B_j, r K - delta B_j running arrays.
+of tau alone are lag tables, ln B_j and r K - delta B_j running arrays, and
+constants of h alone are computed once per solve.
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
 row on the unit nodes 0..i, so one cached table of rows 0..n per (n, d,
@@ -194,56 +195,8 @@ def clear_weight_cache() -> None:
     _unit_rows.cache_clear()
 
 
-def _residual(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray,
-              lag: np.ndarray, w: np.ndarray, om: np.ndarray | None, h: float, p: MarketParams):
-    """Row i of the product-integrated boundary equation as b -> (F(b), dF/db).
-
-    ``lag`` is row i's view of the lag tables (column 0 also serves t_i) and
-    ``rk`` holds r K - delta B_j; the terms free of b are products of their
-    slices, built once per row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
-    leaves b only in ln(b).  So an eval costs a few array ops of length i, with
-    ``ndarray.dot`` (cheaper per call than ``@``, same bits) and Python-float
-    scalars.  The phi identity of the module docstring has already cancelled
-    the scalar phi terms and merged the two kernels.  The dividend terms vanish
-    at delta = 0 and are skipped, so ``om`` (the smooth-term quadrature row)
-    may be None.  ``w`` and ``om`` are unit-spacing rows: sqrt(h) is folded
-    into ``pref`` and the kernel's lag table, h into ``delta_h``.
-    """
-    sig_tau, inv_sig_tau, drift, a1, kern_lag, disc_d, slope_lag = lag
-    r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
-    pref = math.sqrt(h) / (vol * _SQRT_2PI)
-    sig_t, a1_t, disc_t = float(sig_tau[0]), float(a1[0]), float(disc_d[0])
-    a2 = drift - log_prior * inv_sig_tau
-    kern = w[:i] * rk * kern_lag
-    kern_slope = kern * inv_sig_tau
-    # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
-    coincident = pref * float(w[i])
-    if delta > 0.0:
-        delta_h = delta * h
-        smooth = om[:i] * disc_d
-        smooth_slope = om[:i] * prior * slope_lag
-        half = 0.5 * float(om[i])
-
-    def row(b: float) -> tuple[float, float]:
-        log_b = math.log(b)
-        d1_t = log_b / sig_t + a1_t
-        cdf_t = norm_cdf(d1_t)
-        d2 = log_b * inv_sig_tau + a2
-        e = np.exp(-0.5 * d2 * d2)
-        f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r * k - delta * b)
-        slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
-                 - float(kern_slope.dot(e * d2)) / b - coincident * delta)
-        if delta > 0.0:
-            s = float(smooth.dot(ndtr(d2 + sig_tau))) + half
-            f -= delta_h * b * s
-            slope -= delta_h * (s + float(smooth_slope.dot(e)) / b)
-        return f, slope
-
-    return row
-
-
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
-                   step: int) -> tuple[float, int, float, bool]:
+                   step: int) -> tuple[float, int, float, int]:
     """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback.
 
     A step that is not finite or lands over half the bracket's width outside
@@ -285,32 +238,64 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior[, log_prior, rk]) -> (b -> (F, dF/db)) on cfg.n intervals.
+    """Grid and row builder (i, prior, log_prior, rk) -> (b -> (F(b), dF/db)) on cfg.n intervals.
 
-    tau_ij = t_(i-j), so row i views the last i columns of the seven tables over lags n..1.
-    ``log_prior`` defaults to math.log(prior), as in the solve: np.log can differ by an ulp;
-    ``rk`` to r K - delta prior, elementwise the solve's scalar arithmetic.
+    Row i of the product-integrated boundary equation takes B_0..B_(i-1) in
+    ``prior``, their math.log values in ``log_prior`` (np.log can differ by an
+    ulp) and r K - delta B_j in ``rk``.  tau_ij = t_(i-j), so row i views the
+    last i columns of the seven tables over lags n..1 (column 0 also serves
+    t_i).  The terms free of b are products of their slices, built once per
+    row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j leaves b only in ln(b).
+    So an eval costs a few array ops of length i, with ``ndarray.dot``
+    (cheaper per call than ``@``, same bits) and Python-float scalars.  The
+    phi identity of the module docstring has already cancelled the scalar phi
+    terms and merged the two kernels; the dividend terms vanish at delta = 0
+    and are skipped.  Weight rows are unit-spacing: sqrt(h) is folded into
+    ``pref`` and the kernel's lag table, h into ``delta_h``, both once per solve.
     """
     grid = np.linspace(0.0, p.expiry, cfg.n + 1)
     h = p.expiry / cfg.n
     r, delta, vol = p.rate, p.dividend, p.volatility
+    pref, delta_h, r_k = math.sqrt(h) / (vol * _SQRT_2PI), delta * h, r * p.strike
     tau = grid[:0:-1]
     sig_tau = vol * np.sqrt(tau)
     inv_sig_tau = 1.0 / sig_tau
     disc_r = np.exp(-r * tau)
     lags = np.array((sig_tau, inv_sig_tau, (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau,
                      ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau,
-                     math.sqrt(h) / (vol * _SQRT_2PI) * disc_r, np.exp(-delta * tau),
-                     disc_r * inv_sig_tau / _SQRT_2PI))
+                     pref * disc_r, np.exp(-delta * tau), disc_r * inv_sig_tau / _SQRT_2PI))
     w_rows = _unit_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else [None] * (cfg.n + 1)
+    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else None
 
-    def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray | None = None,
-                  rk: np.ndarray | None = None):
-        if log_prior is None:
-            log_prior = np.array([math.log(b) for b in prior])
-        rk = r * p.strike - delta * prior if rk is None else rk
-        return _residual(i, prior, log_prior, rk, lags[:, cfg.n - i:], w_rows[i], q_rows[i], h, p)
+    def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray):
+        sig_tau, inv_sig_tau, drift, a1, kern_lag, disc_d, slope_lag = lags[:, cfg.n - i:]
+        sig_t, a1_t, disc_t = float(sig_tau[0]), float(a1[0]), float(disc_d[0])
+        a2 = drift - log_prior * inv_sig_tau
+        kern = w_rows[i, :i] * rk * kern_lag
+        kern_slope = kern * inv_sig_tau
+        # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
+        coincident = pref * float(w_rows[i, i])
+        if delta > 0.0:
+            smooth = q_rows[i, :i] * disc_d
+            smooth_slope = q_rows[i, :i] * prior * slope_lag
+            half = 0.5 * float(q_rows[i, i])
+
+        def row(b: float) -> tuple[float, float]:
+            log_b = math.log(b)
+            d1_t = log_b / sig_t + a1_t
+            cdf_t = norm_cdf(d1_t)
+            d2 = log_b * inv_sig_tau + a2
+            e = np.exp(-0.5 * d2 * d2)
+            f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r_k - delta * b)
+            slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
+                     - float(kern_slope.dot(e * d2)) / b - coincident * delta)
+            if delta > 0.0:
+                s = float(smooth.dot(ndtr(d2 + sig_tau))) + half
+                f -= delta_h * b * s
+                slope -= delta_h * (s + float(smooth_slope.dot(e)) / b)
+            return f, slope
+
+        return row
 
     return grid, build_row
 
@@ -391,7 +376,9 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
-    _, build_row = _row_residual(cfg, curve.params)
-    logs = np.array([math.log(b) for b in curve.values])
-    return np.array([abs(build_row(i, curve.values[:i], logs[:i])(curve.values[i])[0])
+    p, values = curve.params, curve.values
+    _, build_row = _row_residual(cfg, p)
+    logs = np.array([math.log(b) for b in values])
+    rks = p.rate * p.strike - p.dividend * values
+    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
                      for i in range(1, cfg.n + 1)])

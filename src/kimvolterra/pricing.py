@@ -65,12 +65,18 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))
 
 
+def _horizon_time(t: float, horizon: float) -> float:
+    """t checked to lie in (0, T] and snapped to T within 1e-12 T: the one test of t = T."""
+    if not 0.0 < t <= horizon * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in (0, {horizon}], got {t}")
+    return horizon if t >= horizon * (1.0 - 1e-12) else t
+
+
 def _premium_grid(curve: BoundaryCurve, t: float, d: int) -> np.ndarray:
     """Equidistant quadrature nodes on [0, t]; the curve's own grid array at t = T."""
-    horizon = curve.horizon
-    if abs(t - horizon) <= 1e-12 * horizon:
+    if t == curve.horizon:
         return curve.grid
-    spacing = horizon / (curve.grid.size - 1)
+    spacing = curve.horizon / (curve.grid.size - 1)
     segments = max(d + 1, int(math.ceil(t / spacing - 1e-12)))
     return np.linspace(0.0, t, segments + 1)
 
@@ -92,43 +98,36 @@ def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
 def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
     """American put value at time-to-expiry t via the premium representation.
 
-    In the exercise region (spot at or below the boundary) the value is
-    exactly the payoff K - spot.  Otherwise the premium integral over
-    [0, t] is evaluated with Floater-Hormann quadrature weights of the
-    curve's own order on m equidistant subintervals (the curve's own at
-    t = T): row m of the solver's unit table for the curve's grid, times t / m.
+    The premium integral over [0, t] takes Floater-Hormann quadrature
+    weights of the curve's own order on m equidistant subintervals (the
+    curve's own at t = T): row m of the solver's unit table for the curve's
+    grid, times t / m.  The boundary is read once at those m + 1 nodes, from
+    the stored values at t = T and by one ``eval_boundary`` call otherwise;
+    the last node is t, so the read also gives B(t).  In the exercise region
+    (spot at or below B(t)) the value is exactly the payoff K - spot.
     """
     start = time.perf_counter()
     p = curve.params
     _require_spot(spot)
-    horizon = curve.horizon
-    if not 0.0 < t <= horizon * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {horizon}], got {t}")
-    t = min(t, horizon)
+    t = _horizon_time(t, curve.horizon)
     d = curve.basis.degree
-
-    boundary_at_t = float(curve.values[-1] if t == horizon else eval_boundary(curve, t))
-    euro = european_put(t, spot, p)
-    if spot <= boundary_at_t:
-        value = p.strike - spot
-        return PriceResult(value=value, european_part=euro,
-                           premium_part=value - euro,
-                           bound_factor=error_bound_factor(spot, p),
-                           wall_time=time.perf_counter() - start)
-
     nodes = _premium_grid(curve, t, d)
-    m = nodes.size - 1
-    weights = (nodes[-1] / m) * _unit_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
-    # node hits interpolate to exact unit rows, so these (and B(T)) are bitwise eval_boundary
-    boundary_vals = (curve.values[:-1] if nodes is curve.grid
-                     else np.asarray(eval_boundary(curve, nodes[:-1])))
-    integrand = _premium_integrand(spot, t - nodes[:-1], boundary_vals, p)
-    # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
-    endpoint = ((0.5 if spot - boundary_at_t <= 1e-9 * p.strike else 0.0)
-                * (p.rate * p.strike - p.dividend * spot))
-    premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
-    return PriceResult(value=euro + premium, european_part=euro,
-                       premium_part=premium,
+    # node hits interpolate to exact unit rows, so the stored values are bitwise eval_boundary
+    ys = curve.values if nodes is curve.grid else eval_boundary(curve, nodes)
+    euro = european_put(t, spot, p)
+    if spot <= ys[-1]:
+        value = p.strike - spot
+        premium = value - euro
+    else:
+        m = nodes.size - 1
+        weights = (t / m) * _unit_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
+        integrand = _premium_integrand(spot, t - nodes[:-1], ys[:-1], p)
+        # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
+        endpoint = ((0.5 if spot - ys[-1] <= 1e-9 * p.strike else 0.0)
+                    * (p.rate * p.strike - p.dividend * spot))
+        premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
+        value = euro + premium
+    return PriceResult(value=value, european_part=euro, premium_part=premium,
                        bound_factor=error_bound_factor(spot, p),
                        wall_time=time.perf_counter() - start)
 
@@ -143,8 +142,7 @@ def american_call_price(t: float, spot: float, p: MarketParams,
     early, so the symmetric European put is returned directly.
     """
     _require_spot(spot)
-    if not 0.0 < t <= p.expiry * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {p.expiry}], got {t}")
+    t = _horizon_time(t, p.expiry)
     start = time.perf_counter()
     symmetric = MarketParams(strike=spot, expiry=p.expiry, rate=p.dividend,
                              dividend=p.rate, volatility=p.volatility)

@@ -278,8 +278,10 @@ class TestRowResidual:
         values = solve_boundary(cfg, p).values
         grid, build_row = boundary._row_residual(cfg, p)
         h = p.expiry / n
+        logs = np.array([math.log(b) for b in values])
+        rks = p.rate * p.strike - p.dividend * values
         for i in (1, 2, 7, 16):
-            row = build_row(i, values[:i])
+            row = build_row(i, values[:i], logs[:i], rks[:i])
             w = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
             om = h * brq_rows(n, d)[i, : i + 1]
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
@@ -300,15 +302,20 @@ class TestRowResidual:
 
 
 def counting_residual(monkeypatch):
-    """Wrap boundary._residual so that every row eval of a solve is counted."""
+    """Wrap the rows boundary._row_residual builds so that every row eval of a solve is counted."""
     evals = []
-    build = boundary._residual
+    make = boundary._row_residual
 
     def counted(*args):
-        row = build(*args)
-        return lambda b: evals.append(b) or row(b)
+        grid, build_row = make(*args)
 
-    monkeypatch.setattr(boundary, "_residual", counted)
+        def build(*row_args):
+            row = build_row(*row_args)
+            return lambda b: evals.append(b) or row(b)
+
+        return grid, build
+
+    monkeypatch.setattr(boundary, "_row_residual", counted)
     return evals
 
 

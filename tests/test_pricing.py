@@ -100,8 +100,8 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=16, d=3, family="bfh"),
                                      SolverConfig(n=8, d=2, hybrid_m=3)])
     def test_horizon_boundary_is_last_node(self, cfg, monkeypatch):
-        # at t = T (or just past it, clamped) the price reads B(T) from the last
-        # node, bit for bit the value eval_boundary(curve, T) returns
+        # at t = T (or within 1e-12 T of it, snapped) the price reads B(T) from
+        # the last node, bit for bit the value eval_boundary(curve, T) returns
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         b_t = eval_boundary(curve, 3.0)
         assert b_t == curve.values[-1]
@@ -109,10 +109,27 @@ class TestAmericanPutPrice:
         monkeypatch.setattr(pricing, "eval_boundary",
                             lambda *args: calls.append(args) or eval_boundary(*args))
         above = math.nextafter(b_t, math.inf)
-        for t in (3.0, 3.0 * (1.0 + 1e-13)):
+        at_horizon = american_put_price(3.0, above, curve).value
+        for t in (3.0, 3.0 * (1.0 + 1e-13), 3.0 * (1.0 - 1e-13)):
             assert american_put_price(t, b_t, curve).value == 100.0 - b_t
             assert american_put_price(t, above, curve).value != 100.0 - above
+            assert american_put_price(t, above, curve).value == at_horizon
         assert calls == []
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
+    @pytest.mark.parametrize("t", [1.7283, 2.5])
+    def test_off_node_reads_boundary_once(self, cfg, t, monkeypatch):
+        # one eval_boundary call gives the premium nodes and B(t), its last point
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
+        calls = []
+        monkeypatch.setattr(pricing, "eval_boundary",
+                            lambda *args: calls.append(args) or eval_boundary(*args))
+        for spot in (50.0, 100.0):  # exercise and continuation regions
+            calls.clear()
+            american_put_price(t, spot, curve)
+            assert len(calls) == 1
+            assert calls[0][0] is curve
+            assert calls[0][1][-1] == t
 
     def test_deep_out_of_the_money_no_dividend(self):
         p = MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.0,
@@ -197,6 +214,16 @@ class TestAmericanCallPrice:
                          volatility=0.2)
         with pytest.raises(ValueError, match=r"t must lie in \(0, 1.0\]"):
             american_call_price(t, 100.0, p, SolverConfig(n=16, d=2))
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.03])
+    def test_time_near_horizon_snaps(self, dividend):
+        # within 1e-12 T of the horizon the call is priced at t = T, bit for bit
+        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=dividend,
+                         volatility=0.2)
+        cfg = SolverConfig(n=16, d=2)
+        at_horizon = american_call_price(1.0, 110.0, p, cfg).value
+        for t in (1.0 - 1e-13, 1.0 + 1e-13):
+            assert american_call_price(t, 110.0, p, cfg).value == at_horizon
 
     def test_symmetric_fixture_matches_put(self, curve_n64_d3):
         # strike = spot and rate = dividend make the symmetry swap an identity
