@@ -157,8 +157,8 @@ def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
     header = ["S", "bin", "price", "abs_error"]
     rows = []
     passed = True
-    for spot in TABLE3_SPOTS:
-        reference = binomial_american_put(BINOMIAL_STEPS, spot, params)
+    references = binomial_american_put(BINOMIAL_STEPS, TABLE3_SPOTS, params)
+    for spot, reference in zip(TABLE3_SPOTS, references):
         result = american_put_price(params.expiry, spot, curve)
         err = abs(result.value - reference)
         passed = passed and err <= TABLE3_TOLERANCE

@@ -5,33 +5,12 @@ Black-Scholes formulas: calls follow from put-call symmetry in the pricing
 module, the array d1/d2 along a boundary lives in the boundary solver and
 the premium integrand in the pricing module.
 
-The binomial tree keeps its node values by ladder index k (spot u^k) in
-two arrays, one per parity of k: level i reads the array its children
-wrote and writes the other one, so a node that is not updated keeps its
-entry.  Two kinds of node are not updated.
-
-- The exercised prefix of each level: a node whose two children hold
-  exactly their exercise values keeps its payoff entry, when
-  ``binomial_american_put`` can prove that the maximum would return those
-  bits.  This changes no bit of any value.
-- The out-of-the-money tail: at each level, the top nodes whose value is
-  below ``_TAIL_CUTOFF * K`` = 1e-290 K are set to an exact 0 and not
-  touched again.  Node values are >= 0 and each node is qd v[j] + qu v[j+1]
-  with qu + qd = exp(-r dt) <= 1, so a dropped value moves the price by less
-  than its own size; the tests hold the price to |change| <= 1e-290 K
-  against a full sweep of every node, and to the same bits wherever it is
-  >= 1e-280 K.  Without the cut, the Table-3 tree at S = 100 holds up to
-  1,202 subnormal values in a level (levels 3,078 to 8,976 of 10,000), on
-  which numpy arithmetic runs about 13 times slower.
-
-In the Table-3 BIN(10000) tree at S = 100, updating every node above the
-tail takes 3.40e7 node updates and skipping the prefix as well leaves
-9.5e6 (28%).  The five Table-3 BIN(10000) trees took 1.3-1.5 s with the
-full sweep and about 0.49 s with the tail cut alone, and take about 0.34 s
-with both; BIN(20000) at S = 100 went from about 0.26 s to 0.15 s (medians
-of 9 alternating runs, 2-core Xeon VM, Python 3.11, numpy 2.4).  Most of
-what is left is the fixed cost of the four numpy calls each level makes,
-about 1 microsecond each there.
+The binomial tree prices a batch of spots at once; ``binomial_american_put``
+gives its layout and the nodes it skips, which leave 9.5e6 of 3.40e7 node
+updates (28%) in the Table-3 BIN(10000) tree at S = 100.  Its five spots take
+about 0.16 s in one call, 0.28 s in five, and one spot 0.05 s, mostly the fixed
+cost of the four numpy calls a level makes once for all its spots (medians of
+15 alternating runs, 2-core Xeon VM, Python 3.11, numpy 2.4).
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -41,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,14 +133,23 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
             - spot * math.exp(-p.dividend * t) * norm_cdf(-d1))
 
 
-def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:
-    """American put value from a Cox-Ross-Rubinstein tree.
+def binomial_american_put(steps: int, spot: float | Sequence[float],
+                          p: MarketParams) -> float | list[float]:
+    """American put values from one Cox-Ross-Rubinstein tree for all spots.
 
-    Uses u = exp(sigma sqrt(dt)), d = 1/u, risk-neutral probability
-    (exp((r - delta) dt) - d) / (u - d), and backward induction with the
-    early-exercise maximum applied at every node.  ``steps`` must be an
-    integer >= 1.  Two kinds of node are not updated (see the module
-    docstring); skipping the first changes no bit.
+    ``spot`` is a number, which gives a float, or a non-empty 1-D sequence,
+    which gives a list of floats in its order, each with the bits of a call
+    for that spot alone.  Uses u = exp(sigma sqrt(dt)), d = 1/u, risk-neutral
+    probability (exp((r - delta) dt) - d) / (u - d), and backward induction
+    with the early-exercise maximum applied at every node.  ``steps`` must be
+    an integer >= 1.
+
+    Node values are kept by ladder index k (spot u^k) in two flat arrays, one
+    per parity of k, with slot m of spot s at entry m * ns + s; a level reads
+    the array its children wrote and writes the other one, in one block over
+    the union of its spots' windows.  There a spot's nodes below its own
+    window get their payoff bits again, by the prefix proof, and those above
+    it an exact 0, as their children are 0 and their payoff is <= 0.
 
     Exercised prefix.  A node at spot S whose two children hold exactly
     their exercise values a = K - S/u and b = K - S u keeps its stored payoff
@@ -182,12 +171,20 @@ def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:
     monotonicity of the computed tree.
 
     Out-of-the-money tail.  Node values never rise with the spot, so those
-    below ``_TAIL_CUTOFF * K`` form a tail at the top of each level.  The
-    tail is set to an exact 0 and never updated again.
+    below ``_TAIL_CUTOFF * K`` = 1e-290 K form a tail at the top of each
+    level, which is set to an exact 0 and never updated again.  Values are
+    >= 0 and each node is qd v[j] + qu v[j+1] with qu + qd = exp(-r dt) <= 1,
+    so a dropped value moves the price by less than its own size; the tests
+    hold the price to |change| <= 1e-290 K against a full sweep of every
+    node, and to the same bits wherever it is >= 1e-280 K.  Without the cut,
+    the Table-3 tree at S = 100 holds up to 1,202 subnormal values in a level,
+    on which numpy arithmetic runs about 13 times slower.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    _require_spot(spot)
+    batch = np.asarray(spot, dtype=float)
+    if batch.ndim > 1 or batch.size == 0 or not (np.isfinite(batch) & (batch > 0.0)).all():
+        raise ValueError(f"spot must be finite and > 0 (one or a 1-D sequence), got {spot!r}")
     dt = p.expiry / steps
     u = math.exp(p.volatility * math.sqrt(dt))
     d = 1.0 / u
@@ -201,49 +198,67 @@ def binomial_american_put(steps: int, spot: float, p: MarketParams) -> float:
     qu, qd = disc * q, disc * (1.0 - q)
     cutoff = _TAIL_CUTOFF * p.strike
 
-    # spot u^k for k = -steps..steps; the node j of level i sits at k = 2j - i,
-    # in slot (k + steps) // 2 of the array of parity (k + steps) % 2
-    ladder = spot * np.exp(p.volatility * math.sqrt(dt) * np.arange(-steps, steps + 1))
-    spots = (ladder[0::2], ladder[1::2])
-    pays = (p.strike - spots[0], p.strike - spots[1])
-    values = (np.maximum(pays[0], 0.0), np.maximum(pays[1], 0.0))
-    # gap_safe[par]: the slots below it have a gap above the margin
+    def flat(mask):  # per spot s: m * ns + s, with m the number of its slots in mask
+        return (np.count_nonzero(mask.reshape(-1, ns), axis=0) * ns + np.arange(ns)).tolist()
+    ns = batch.size
+    # spot u^k for k = -steps..steps; the node j of level i sits at k = 2j - i, in slot
+    # (k + steps) // 2 of the arrays of parity (k + steps) % 2; slot m of spot s is m * ns + s
+    ladder = np.exp(p.volatility * math.sqrt(dt) * np.arange(-steps, steps + 1))
+    spots = [np.outer(ladder[par::2], batch).reshape(-1) for par in (0, 1)]
+    # gap_safe[par][s]: the slots of spot s below it have a gap above the margin
     gap_r, gap_d = p.strike * -math.expm1(-p.rate * dt), -math.expm1(-p.dividend * dt)
-    gap_safe = tuple(int(np.count_nonzero(gap_r - s * gap_d > _EXERCISE_MARGIN * p.strike))
-                     for s in spots)
-    # exercised[par]: the slots from the first node of the level last written
-    # to values[par] up to this one hold their payoff and are below gap_safe[par]
-    exercised = [min(int(np.count_nonzero(pay >= 0.0)), g) for pay, g in zip(pays, gap_safe)]
-    live = int(np.count_nonzero(values[0] >= cutoff))  # values never rise with k
-    values[0][live:] = 0.0
-    scratch = np.empty(steps)
+    gap_safe = [flat(gap_r - s * gap_d > _EXERCISE_MARGIN * p.strike) for s in spots]
+    pays = [np.subtract(p.strike, s, out=s) for s in spots]  # no spot is used below
+    # exercised[par][s]: the slots of spot s from the first node of the level last
+    # written to values[par] up to this one hold their payoff and are below gap_safe
+    exercised = [[min(e, g) for e, g in zip(flat(pay >= 0.0), safe)]
+                 for pay, safe in zip(pays, gap_safe)]
+    values = [np.maximum(pay, 0.0) for pay in pays]
+    # dead[s]: the slot of spot s above its live nodes (values never rise with k) in the
+    # array last written; those above it hold 0 already, as a positive K - S is >= 2^-54 K
+    dead = flat(values[0] >= cutoff)
+    scratch = np.empty(steps * ns)
     qd0, qu0 = np.array(qd), np.array(qu)  # numpy converts a float operand on every call
+    multiply, add, maximum = np.multiply, np.add, np.maximum
+    ids, tops, starts = range(ns), [0] * ns, [0] * ns
+    levels = [(values[par], values[1 - par], pays[par], exercised[1 - par], exercised[par],
+               gap_safe[par], (1 - par) * ns, par * ns) for par in (0, 1)]
     for i in range(steps - 1, -1, -1):
-        # level i writes parity par; slot m has children kids[m + par - 1] and kids[m + par]
-        par = (steps - i) & 1
-        v, kids, pay = values[par], values[1 - par], pays[par]
-        first = (steps - i) >> 1
-        top = first + (live if live <= i else i + 1)
-        # skip slot m while its up child (whose gap is below m's) and m itself
-        # lie in their exercised runs
-        start = exercised[1 - par] - par
-        if start > exercised[par]:
-            start = exercised[par]
-        start = first if start < first else top if start > top else start
-        head, up = v[start:top], scratch[:top - start]
-        np.multiply(kids[start + par - 1: top + par - 1], qd0, out=head)
-        np.multiply(kids[start + par: top + par], qu0, out=up)
-        np.add(head, up, out=head)
-        np.maximum(head, pay[start:top], out=head)
-        while top > first and v[top - 1] < cutoff:
-            top -= 1
-            v[top] = 0.0
-        live = top - first
-        if live <= i:
-            v[top] = 0.0  # the up child of level i - 1's top node
-        stop = gap_safe[par] if gap_safe[par] < top else top
-        while start < stop and v[start] == pay[start]:
-            start += 1
-        exercised[par] = start
-    return float(values[steps & 1][steps >> 1])
-
+        # level i writes parity par = (steps - i) % 2; slot m reads kids[m + par - 1], kids[m + par]
+        v, kids, pay, ex_kid, ex_own, safe, lift, back = levels[(steps - i) & 1]
+        first = ((steps - i) >> 1) * ns
+        above = first + (i + 1) * ns  # the slot above the level's last node
+        lo, hi = above, 0
+        for s in ids:
+            # the top node's up child is level i + 1's dead slot; skip slot m while its
+            # up child (whose gap is below m's) and m itself are in their exercised runs
+            top = dead[s] + lift if dead[s] + lift < above + s else above + s
+            start = ex_kid[s] - back if ex_kid[s] - back < ex_own[s] else ex_own[s]
+            start = first + s if start < first + s else top if start > top else start
+            tops[s], starts[s] = top, start
+            if start < lo:
+                lo = start
+            if top > hi:
+                hi = top
+        lo, hi = lo - lo % ns, hi - hi % ns
+        down = lo - lift
+        head, up = v[lo:hi], scratch[:hi - lo]
+        multiply(kids[down: down + hi - lo], qd0, head)
+        multiply(kids[down + ns: down + ns + hi - lo], qu0, up)
+        add(head, up, head)
+        maximum(head, pay[lo:hi], out=head)
+        for s in ids:
+            if hi < above:
+                v[hi + s] = 0.0  # the up child of level i - 1's top node
+            top, bottom = tops[s], first + s
+            while top > bottom and v[top - ns] < cutoff:
+                top -= ns
+                v[top] = 0.0
+            dead[s] = top
+            start = starts[s]
+            stop = safe[s] if safe[s] < top else top
+            while start < stop and v[start] == pay[start]:
+                start += ns
+            ex_own[s] = start
+    prices = values[steps & 1][(steps >> 1) * ns:][:ns]
+    return float(prices[0]) if batch.ndim == 0 else prices.tolist()

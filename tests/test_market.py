@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -61,6 +62,33 @@ def reference_american_put(steps: int, spot: float, p: MarketParams) -> float | 
 
 
 NONFINITE_SPOTS = [float("nan"), float("inf"), float("-inf")]
+# BIN(10000) on the Table-3 market, bit for bit as the full sweep gives
+TABLE3_BIN10000 = (22.204973911901547, 16.207103085731152, 11.703665434763924,
+                   8.367125440191309, 5.9299404958686175)
+
+
+def bits(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+class CountingNumpy:
+    """Stand-in for ``market.np`` counting np.multiply calls and the values
+    passed through np.maximum."""
+
+    def __init__(self):
+        self.multiply_calls = 0
+        self.maximum_values = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.multiply_calls += 1
+        return np.multiply(*args, **kwargs)
+
+    def maximum(self, x, *args, **kwargs):
+        self.maximum_values += np.size(x)
+        return np.maximum(x, *args, **kwargs)
 
 
 class TestMarketParams:
@@ -223,11 +251,9 @@ class TestBinomialAmericanPut:
         assert values[100.0] == pytest.approx(11.7037, abs=5e-4)
 
     def test_benchmark_points_frozen(self, bin_references):
-        # BIN(10000) on the Table-3 market, bit for bit as the full sweep gives
+        # the fixture prices the five spots in one call
         values, _ = bin_references
-        frozen = (22.204973911901547, 16.207103085731152, 11.703665434763924,
-                  8.367125440191309, 5.9299404958686175)
-        assert [values[s] for s in TABLE3_SPOTS] == list(frozen)
+        assert [values[s] for s in TABLE3_SPOTS] == list(TABLE3_BIN10000)
 
     @pytest.mark.parametrize("steps", [1, 2, 7, 400, 2500])
     def test_matches_full_sweep_reference(self, steps):
@@ -255,6 +281,10 @@ class TestBinomialAmericanPut:
         reference = reference_american_put(2500, 300.0, p)
         assert 0.0 < reference < 1e-290 * p.strike
         assert binomial_american_put(2500, 300.0, p) == 0.0
+        spots = [100.0, 300.0, 90.0, 300.0]
+        batch = binomial_american_put(2500, spots, p)
+        assert bits(batch) == bits(binomial_american_put(2500, s, p) for s in spots)
+        assert batch[1] == batch[3] == 0.0
 
     def test_convergence_as_steps_double(self):
         values = {n: binomial_american_put(n, 100.0, TABLE3_PARAMS)
@@ -283,6 +313,30 @@ class TestBinomialAmericanPut:
     def test_nonfinite_spot_rejected(self, spot):
         with pytest.raises(ValueError, match="spot must be finite and > 0"):
             binomial_american_put(10, spot, TABLE3_PARAMS)
+
+    @pytest.mark.parametrize("bad", [*NONFINITE_SPOTS, 0.0, -5.0])
+    def test_bad_spot_in_a_batch_rejected(self, bad):
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            binomial_american_put(10, [100.0, bad, 90.0], TABLE3_PARAMS)
+        # checked before the tree: this market has no valid one-step tree
+        p = MarketParams(strike=100.0, expiry=3.0, rate=0.5, dividend=0.0,
+                         volatility=0.05)
+        with pytest.raises(ValueError, match="spot must be finite and > 0"):
+            binomial_american_put(1, (bad, 100.0), p)
+
+    @pytest.mark.parametrize("spots", [[], np.empty(0), [[100.0, 90.0]],
+                                       np.full((2, 1), 100.0)])
+    def test_empty_or_2d_spots_rejected(self, spots):
+        with pytest.raises(ValueError):
+            binomial_american_put(10, spots, TABLE3_PARAMS)
+
+    def test_return_types(self):
+        for spot in (100.0, 100, np.float64(100.0), np.array(100.0)):
+            assert type(binomial_american_put(10, spot, TABLE3_PARAMS)) is float
+        for spots in ([100.0], (90.0, 100, 90.0), np.array([120.0, 80.0])):
+            values = binomial_american_put(10, spots, TABLE3_PARAMS)
+            assert type(values) is list and len(values) == len(spots)
+            assert all(type(v) is float for v in values)
 
     @pytest.mark.parametrize("steps", [2.5, 10.0, True])
     def test_non_integer_steps_rejected(self, steps):
@@ -313,20 +367,51 @@ class TestBinomialAmericanPut:
         else:
             assert value == reference
 
+    @given(steps=st.integers(1, 600), rate=st.floats(0.0, 0.3),
+           dividend=st.floats(0.0, 0.5), vol=st.floats(0.05, 0.8),
+           expiry=st.floats(0.02, 10.0),
+           moneyness=st.lists(st.floats(0.2, 5.0), min_size=1, max_size=6),
+           duplicate=st.booleans(), deep=st.booleans(), order=st.randoms())
+    @example(steps=600, rate=0.08, dividend=0.08, vol=0.2, expiry=3.0,
+             moneyness=[1.2, 0.8, 1.0, 0.9, 1.1], duplicate=True, deep=True,
+             order=random.Random(0))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_per_spot_calls_property(self, steps, rate, dividend, vol,
+                                                   expiry, moneyness, duplicate, deep,
+                                                   order):
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate,
+                         dividend=dividend, volatility=vol)
+        spots = [m * p.strike for m in moneyness]
+        if duplicate:
+            spots.append(order.choice(spots))
+        if deep:  # every node of this spot lies in the tail, the root included
+            spots.append(1e40 * p.strike)
+        order.shuffle(spots)
+        try:
+            singles = [binomial_american_put(steps, s, p) for s in spots]
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError):
+                binomial_american_put(steps, spots, p)
+            return
+        assert bits(binomial_american_put(steps, spots, p)) == bits(singles)
+        if deep:
+            assert singles[spots.index(1e40 * p.strike)] == 0.0
+
     def test_exercised_prefix_is_skipped(self, monkeypatch):
         # updating every live node passes 3.40e7 values through the exercise
         # maximum in the Table-3 BIN(10000) tree at S = 100
-        counted = 0
-
-        class CountingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def maximum(self, x, *args, **kwargs):
-                nonlocal counted
-                counted += np.size(x)
-                return np.maximum(x, *args, **kwargs)
-
-        monkeypatch.setattr(market, "np", CountingNumpy())
+        counting = CountingNumpy()
+        monkeypatch.setattr(market, "np", counting)
         binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
-        assert 0 < counted < 0.4 * 3.40e7
+        assert 0 < counting.maximum_values < 0.4 * 3.40e7
+
+    def test_batch_makes_each_numpy_call_once_per_level(self, monkeypatch):
+        one, five = CountingNumpy(), CountingNumpy()
+        monkeypatch.setattr(market, "np", one)
+        value = binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
+        monkeypatch.setattr(market, "np", five)
+        values = binomial_american_put(10_000, TABLE3_SPOTS, TABLE3_PARAMS)
+        assert (value, tuple(values)) == (TABLE3_BIN10000[2], TABLE3_BIN10000)
+        # not one tree per spot, and the exercised prefix is still skipped
+        assert five.multiply_calls == one.multiply_calls > 0
+        assert 0 < five.maximum_values < 0.4 * 5 * 3.40e7
