@@ -6,8 +6,12 @@ equidistant grid t_i = i T / n and interpolating the smooth kernel factor
 with a barycentric rational basis turns the equation into a
 lower-triangular nonlinear system: row i involves only B_0..B_i, so each
 B_i is found by a safeguarded scalar Newton iteration given its
-predecessors, started from B_(i-1) on rows 1 and 2 and from their quadratic
-extrapolation after.  The i = 0 row is singular and B_0 is its expiry limit.
+predecessors.  The i = 0 row is singular and B_0 is its expiry limit.
+Newton starts rows 1 and 2 from B_(i-1) and rows 3..10 from the quadratic
+extrapolation in t.  From row 11 on it starts from the quartic in u = sqrt(t)
+through the same-parity nodes B_(i-10), B_(i-8), ..., B_(i-2): the nodes
+carry a period-2 mode of the product rows that a fit across both parities
+amplifies, and near expiry the boundary moves as sqrt(t |ln t|).
 
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
@@ -66,6 +70,7 @@ BFH = "bfh"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_MAX_ITER = 50
+_SQRT_START = 11  # first row started from the same-parity extrapolation in sqrt(t)
 
 
 class SolverError(RuntimeError):
@@ -125,6 +130,12 @@ class SolveDiagnostics:
     plus, on a row that fell back to bisection, its two bracket ends and
     one per bisection step.  ``residual_evals`` is their sum, ``newton_steps``
     the Newton steps alone, and ``bisections`` counts the rows that fell back.
+
+    ``flags`` lists the solved rows to look at, in row order, as
+    ``(row, kind, value)``: "bisection", the row fell back to bisection
+    (value: its residual evals); "non_monotone", B_i rose above B_(i-1) by
+    more than 1e-9 K (value: the rise); "outside_bounds", B_i lies below the
+    perpetual bound or above B_0 (value: B_i).  A clean solve has none.
     """
 
     iterations: np.ndarray
@@ -132,7 +143,7 @@ class SolveDiagnostics:
     residual_evals: int
     newton_steps: int
     bisections: int
-    warnings: tuple[str, ...]
+    flags: tuple[tuple[int, str, float], ...]
     wall_time: float
     weights_s: float  # part of wall_time spent getting the weight rows
     newton_s: float  # part of wall_time spent in the Newton row loop
@@ -195,23 +206,41 @@ def clear_weight_cache() -> None:
     _unit_rows.cache_clear()
 
 
+def _start_weights(n: int) -> np.ndarray:
+    """Row i's weights on B_(i-10), B_(i-8), ..., B_(i-2) that extrapolate
+    them to t_i by the quartic in u = sqrt(t) through them, for rows
+    _SQRT_START..n (zero rows before).  On t_j = j h the nodes are sqrt(j h),
+    so h cancels and the barycentric weights of nodes sqrt(j) serve."""
+    rows = np.arange(_SQRT_START, n + 1)
+    u = np.sqrt(rows[:, None] - np.arange(10, 0, -2.0))
+    gaps = u[:, :, None] - u[:, None, :]
+    gaps[:, range(5), range(5)] = 1.0
+    c = 1.0 / (gaps.prod(axis=2) * (np.sqrt(rows)[:, None] - u))
+    weights = np.zeros((n + 1, 5))
+    weights[_SQRT_START:] = c / c.sum(axis=1, keepdims=True)
+    return weights
+
+
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
                    step: int) -> tuple[float, int, float, int]:
     """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback.
 
-    A step that is not finite or lands over half the bracket's width outside
-    [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting [lo, hi]
-    until |F| <= tol_abs or the bracket is two adjacent doubles.  Returns
-    (root, residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
+    Iterates live in the window [lo - margin, hi + margin], margin half the
+    bracket's width, since a root may lie outside [lo, hi]; the start x0 is
+    clamped into it, floored at lo / 2 where it reaches below 0.  A step that
+    is not finite, not above 0 (where a row's ln b fails) or outside the
+    window, or _NEWTON_MAX_ITER steps, fall back to bisecting [lo, hi] until
+    |F| <= tol_abs or the bracket is two adjacent doubles.  Returns (root,
+    residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
     """
     margin = 0.5 * (hi - lo)
-    b = min(max(float(x0), lo), hi)
+    b = min(max(float(x0), lo - margin, 0.5 * lo), hi + margin)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb, slope = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb), it
         nxt = b - fb / slope if slope != 0.0 else float("nan")
-        if not math.isfinite(nxt) or nxt < lo - margin or nxt > hi + margin:
+        if not math.isfinite(nxt) or nxt <= 0.0 or nxt < lo - margin or nxt > hi + margin:
             break
         b = nxt
     evals = it + 2
@@ -305,10 +334,15 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 
     B_0 takes its analytic expiry limit and each later B_i solves its
     scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular) by Newton in [perpetual bound, B_0], from B_{i-1}
-    on rows 1-2, next to the expiry singularity, and 3 (B_{i-1} - B_{i-2}) +
-    B_{i-3} after.  ``cfg.hybrid_m`` fills the curve by linear interpolation
-    (see :class:`SolverConfig`); the returned curve carries a Floater-Hormann
+    is lower triangular) by Newton on the bracket [perpetual bound, B_0].  A
+    root may lie up to half the bracket's width outside it (the discrete
+    nodes of delta > r markets can dip below the perpetual bound), and
+    ``diagnostics.flags`` names every such row.  Newton starts from B_{i-1}
+    on rows 1-2, next to the expiry singularity, from 3 (B_{i-1} - B_{i-2}) +
+    B_{i-3} on rows 3-10, and from row 11 on from the quartic in u = sqrt(t)
+    through B_{i-10}, B_{i-8}, ..., B_{i-2}, evaluated at sqrt(t_i).
+    ``cfg.hybrid_m`` fills the curve by linear interpolation (see
+    :class:`SolverConfig`); the returned curve carries a Floater-Hormann
     basis of order d on its stored nodes for evaluation between them.
     """
     if p.rate == 0.0:
@@ -324,27 +358,36 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
-    warnings: list[str] = []
+    flags: list[tuple[int, str, float]] = []
     bisections = newton_steps = 0
     newton_start = time.perf_counter()
+    start_w = _start_weights(n)
     for i in range(1, n + 1):
-        guess = values[i - 1] if i < 3 else 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
+        if i >= _SQRT_START:
+            guess = float(start_w[i].dot(values[i - 10:i - 1:2]))
+        elif i >= 3:
+            guess = 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
+        else:
+            guess = values[i - 1]
         b, iterations[i], residuals[i], steps = _newton_scalar(
             build_row(i, values[:i], logs[:i], rks[:i]), guess, lower, b0,
             cfg.newton_tol * p.strike, i)
-        bisections += int(steps < iterations[i])
+        if steps < iterations[i]:
+            bisections += 1
+            flags.append((i, "bisection", float(iterations[i])))
+        if b - values[i - 1] > 1e-9 * p.strike:
+            flags.append((i, "non_monotone", float(b - values[i - 1])))
+        if not lower <= b <= b0:
+            flags.append((i, "outside_bounds", b))
         newton_steps += steps
         values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
-        if not 0.9 * lower <= b <= 1.1 * b0:
-            warnings.append(
-                f"row {i}: boundary {b:.6g} outside [{0.9 * lower:.6g}, {1.1 * b0:.6g}]")
     newton_s = time.perf_counter() - newton_start
     if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
                             residual_evals=int(iterations.sum()), newton_steps=newton_steps,
-                            bisections=bisections, warnings=tuple(warnings),
+                            bisections=bisections, flags=tuple(flags),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)

@@ -12,8 +12,9 @@ workprecision   wall time and error per (method, grid size) cell
 Exit codes: 0 all embedded tolerances pass, 1 a tolerance failed,
 2 usage/configuration/output error, 3 solver failure.  Output is CSV (comma,
 header row, LF, UTF-8, quoted as needed) or JSON with ``spec``, ``rows`` and
-``passed`` fields.  All outputs are deterministic except the measured wall-time
-column of ``workprecision``.
+``passed`` fields; with ``--diagnostics``, ``table3``, ``boundary`` and
+``price`` add each solve's counts and flags to the JSON ``spec``.  All outputs
+are deterministic except the measured wall-time column of ``workprecision``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ TABLE3_PARAMS = MarketParams(strike=100.0, expiry=3.0, rate=0.08,
 TABLE3_TOLERANCE = 1e-3
 FIGURE1_DIVIDENDS = (0.0, 0.04, 0.08, 0.12)
 BINOMIAL_STEPS = 10_000
+DIAGNOSTIC_FIELDS = ("residual_evals", "newton_steps", "bisections", "weights_cached", "flags")
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -91,6 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, help="output path (stdout if omitted)")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
 
+    diagnostics = argparse.ArgumentParser(add_help=False)
+    diagnostics.add_argument("--diagnostics", action="store_true",
+                             help="add each solve's counts and flags to the JSON spec")
+
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", choices=(FH, BFH), default=FH)
 
@@ -117,11 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Early exercise boundaries and American option prices "
                     "by product integration on a barycentric rational basis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table3", parents=[family, output],
+    sub.add_parser("table3", parents=[family, diagnostics, output],
                    help="five-spot benchmark against a binomial reference")
-    sub.add_parser("boundary", parents=[market, scheme, grid, family, output],
+    sub.add_parser("boundary", parents=[market, scheme, grid, family, diagnostics, output],
                    help="solved boundary curves")
-    price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
+    price = sub.add_parser("price", parents=[market, scheme, grid, family, diagnostics, output],
                            help="price given spots")
     price.add_argument("--spots", type=_parse_spots, default=None,
                        help="comma-separated spot prices")
@@ -149,6 +155,14 @@ def _config_from_args(args, default_n: int, default_d: int) -> SolverConfig:
                         hybrid_m=args.m)
 
 
+def _add_diagnostics(args, spec: dict, curves) -> dict:
+    """With --diagnostics, list each solve's counts and flags in the spec."""
+    if args.diagnostics:
+        spec["diagnostics"] = [{name: getattr(c.diagnostics, name) for name in DIAGNOSTIC_FIELDS}
+                               for c in curves]
+    return spec
+
+
 def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Fixed five-spot benchmark: binomial reference vs the n=32, d=2 scheme."""
     params = TABLE3_PARAMS
@@ -167,7 +181,7 @@ def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
     spec = {"command": "table3", "family": args.family, "n": 32, "d": 2,
             "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS,
             "tolerance": TABLE3_TOLERANCE}
-    return header, rows, passed, spec
+    return header, rows, passed, _add_diagnostics(args, spec, [curve])
 
 
 def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
@@ -177,14 +191,15 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
     rows = []
     passed = True
     cfg = _config_from_args(args, default_n=64, default_d=3)
+    curves = []
     for dividend in dividends:
         params = MarketParams(strike=args.strike, expiry=args.expiry,
                               rate=args.rate, dividend=dividend,
                               volatility=args.vol)
         curve = solve_boundary(cfg, params)
+        curves.append(curve)
         limit = initial_boundary(params)
-        node_monotone = bool(np.all(np.diff(curve.values)
-                                    <= 1e-9 * params.strike))
+        node_monotone = all(kind != "non_monotone" for _, kind, _ in curve.diagnostics.flags)
         passed = passed and node_monotone \
             and bool(abs(curve.values[0] - limit) <= 1e-2)
         ts = np.linspace(0.0, params.expiry, 200)
@@ -195,7 +210,7 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
             "strike": args.strike, "expiry": args.expiry, "rate": args.rate,
             "vol": args.vol, "family": args.family, "n": cfg.n, "d": cfg.d, "m": args.m,
             "eval_points": 200}
-    return header, rows, passed, spec
+    return header, rows, passed, _add_diagnostics(args, spec, curves)
 
 
 def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
@@ -216,7 +231,7 @@ def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
             "rate": params.rate, "dividend": params.dividend, "vol": params.volatility,
             "family": cfg.family, "n": cfg.n, "d": cfg.d, "m": args.m,
             "spots": [float(s) for s in spots]}
-    return header, rows, True, spec
+    return header, rows, True, _add_diagnostics(args, spec, [curve])
 
 
 def cmd_convergence(args) -> tuple[list[str], list[list[str]], bool, dict]:

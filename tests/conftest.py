@@ -131,7 +131,7 @@ def solve_boundary_kim2d(n, p):
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
                             residual_evals=int(iterations.sum()),
                             newton_steps=newton_steps, bisections=bisections,
-                            warnings=(), wall_time=wall_time, weights_s=0.0,
+                            flags=(), wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
     return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),
                          params=p, config=cfg, diagnostics=diag)

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kimvolterra.boundary as boundary
 import kimvolterra.quadrature as quadrature
@@ -142,7 +144,7 @@ class TestSolveBoundary:
         assert diag.wall_time > 0.0
         assert diag.newton_s > 0.0
         assert diag.weights_s + diag.newton_s <= diag.wall_time
-        assert diag.warnings == ()
+        assert diag.flags == ()
 
     def test_nested_grid_discrepancy_shrinks_without_dividend(self):
         p = params_with(0.0)
@@ -350,6 +352,21 @@ class TestResidualEvals:
         assert diag.bisections == 0
         assert diag.residual_evals <= 0.8 * flat_start_evals
 
+    @pytest.mark.parametrize("dividend,quadratic_start_evals", [(0.08, 409), (0.0, 413)])
+    def test_sqrt_start_saves_evals(self, dividend, quadratic_start_evals):
+        # the quadratic extrapolation in t from row 3 on took quadratic_start_evals
+        diag = solve_boundary(SolverConfig(n=128, d=2), params_with(dividend)).diagnostics
+        assert diag.bisections == 0
+        assert diag.residual_evals <= 0.8 * quadratic_start_evals
+
+    def test_sqrt_start_below_the_perpetual_bound(self):
+        # nodes sit below the bracket here; clamped into [lo, hi], every row
+        # restarted from the bracket end and the solve took 512 evals
+        p = MarketParams(strike=100.0, expiry=10.0, rate=0.08, dividend=0.5, volatility=0.2)
+        diag = solve_boundary(SolverConfig(n=128, d=2), p).diagnostics
+        assert diag.bisections == 0
+        assert diag.residual_evals <= 0.6 * 512
+
     @pytest.mark.parametrize("n", [32, 128])
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
@@ -358,6 +375,81 @@ class TestResidualEvals:
         curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
         np.testing.assert_array_equal(collocation_residuals(curve),
                                       curve.diagnostics.residuals[1:])
+
+
+class TestNewtonStart:
+    """Rows from _SQRT_START on start from a quartic in u = sqrt(t) through B_(i-10), ..., B_(i-2)."""
+
+    @pytest.mark.parametrize("n", [11, 32, 128, 256])
+    def test_weights_reproduce_quartics_in_sqrt_t(self, n):
+        weights = boundary._start_weights(n)
+        rows = np.arange(boundary._SQRT_START, n + 1)
+        assert not weights[:boundary._SQRT_START].any()
+        # h cancels: a quartic in sqrt(j h) is a quartic in sqrt(j)
+        u_nodes = np.sqrt(rows[:, None] - np.arange(10, 0, -2))
+        u_rows = np.sqrt(rows)
+        rng = np.random.default_rng(n)
+        for coeffs in [*np.eye(5), *rng.uniform(0.1, 1.0, (4, 5))]:
+            got = (weights[rows] * np.polyval(coeffs, u_nodes)).sum(axis=1)
+            exact = np.polyval(coeffs, u_rows)
+            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+    def test_rows_before_sqrt_start_keep_the_quadratic_start(self, monkeypatch):
+        starts = []
+        newton = boundary._newton_scalar
+
+        def recorded(f, x0, *args):
+            starts.append(x0)
+            return newton(f, x0, *args)
+
+        monkeypatch.setattr(boundary, "_newton_scalar", recorded)
+        values = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).values
+        assert starts[:2] == [values[0], values[1]]
+        for i in range(3, boundary._SQRT_START):
+            assert starts[i - 1] == 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
+        weights = boundary._start_weights(16)
+        for i in range(boundary._SQRT_START, 17):
+            assert starts[i - 1] == float(weights[i].dot(values[i - 10:i - 1:2]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rate=st.floats(0.005, 0.3), dividend=st.floats(0.0, 0.5),
+           vol=st.floats(0.05, 0.8), expiry=st.floats(0.02, 10.0),
+           n=st.sampled_from([16, 32, 64]))
+    def test_every_solve_converges_or_raises_property(self, rate, dividend, vol, expiry, n):
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
+                         volatility=vol)
+        try:
+            curve = solve_boundary(SolverConfig(n=n, d=2), p)
+        except boundary.SolverError:
+            return
+        diag = curve.diagnostics
+        assert collocation_residuals(curve).max() <= 1e-12 * p.strike
+        assert diag.residual_evals == diag.iterations.sum()
+
+
+class TestFlags:
+    def test_table3_has_none(self, curve_n32_d2):
+        assert curve_n32_d2.diagnostics.flags == ()
+        curve = solve_boundary(SolverConfig(n=128, d=2), TABLE3_PARAMS)
+        assert curve.diagnostics.flags == ()
+
+    def test_market_below_the_perpetual_bound_is_flagged(self):
+        p = MarketParams(strike=100.0, expiry=10.0, rate=0.08, dividend=0.5, volatility=0.2)
+        curve = solve_boundary(SolverConfig(n=128, d=2), p)
+        flags = curve.diagnostics.flags
+        values, lower = curve.values, perpetual_lower_bound(p)
+        below = [(i, "outside_bounds", values[i]) for i in range(1, 129) if values[i] < lower]
+        assert below and [f for f in flags if f[1] == "outside_bounds"] == below
+        rises = [(i, "non_monotone", values[i] - values[i - 1]) for i in range(1, 129)
+                 if values[i] - values[i - 1] > 1e-9 * 100.0]
+        assert rises and [f for f in flags if f[1] == "non_monotone"] == rises
+        assert [f[0] for f in flags] == sorted(f[0] for f in flags)
+
+    def test_bisection_rows_flagged(self, monkeypatch):
+        monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        diag = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS).diagnostics
+        assert diag.flags == tuple((i, "bisection", float(diag.iterations[i]))
+                                   for i in range(1, 9))
 
 
 class TestNewtonScalar:
@@ -389,6 +481,29 @@ class TestNewtonScalar:
             self.solve(lambda b: (b - 50.0, 1e-3))
         assert info.value.step == 5
         assert info.value.residual == pytest.approx(10.0)
+
+    def test_step_to_non_positive_falls_back(self):
+        # over [20, 100] the window runs from -20, and the step from 50 lands
+        # at -10, where a row's ln(b) is undefined: it escapes to bisection
+        def row(b):
+            if b <= 0.0:
+                raise ValueError("math domain error")
+            return b - 30.0, 1.0 / 3.0
+
+        b, evals, res, steps = boundary._newton_scalar(row, 50.0, 20.0, 100.0, self.TOL, 5)
+        assert b == pytest.approx(30.0, abs=1e-9) and res <= self.TOL
+        assert steps == 1 and evals > 3
+
+    @pytest.mark.parametrize("x0,lo,first", [
+        (55.0, 60.0, 55.0),  # inside the window [40, 120]: kept, not moved to lo
+        (30.0, 60.0, 40.0),  # below it: clamped to its end
+        (-5.0, 20.0, 10.0),  # the window [-20, 140] reaches below 0: floored at lo / 2
+    ])
+    def test_start_clamped_into_the_step_window(self, x0, lo, first):
+        calls = []
+        boundary._newton_scalar(lambda b: calls.append(b) or (b - 50.0, 1.0),
+                                x0, lo, 100.0, self.TOL, 5)
+        assert calls[0] == first
 
     def test_stalls_at_adjacent_doubles(self):
         calls = []

@@ -10,7 +10,7 @@ import pytest
 
 import kimvolterra
 import kimvolterra.cli as cli
-from kimvolterra import SolverError
+from kimvolterra import MarketParams, SolverConfig, SolverError, clear_weight_cache, solve_boundary
 from kimvolterra.cli import main
 
 
@@ -107,6 +107,54 @@ class TestPrice:
         _, first = run(tmp_path, "p1.csv", ["price", "--spots", "85,105"])
         _, second = run(tmp_path, "p2.csv", ["price", "--spots", "85,105"])
         assert first == second
+
+
+class TestDiagnostics:
+    MARKETS = {
+        "table3": (["table3"], [0.08], SolverConfig(n=32, d=2)),
+        "boundary": (["boundary", "--n", "16", "--d", "2", "--dividend", "0.5"], [0.5],
+                     SolverConfig(n=16, d=2)),
+        "boundary_sweep": (["boundary", "--n", "16", "--d", "2"], [0.0, 0.04, 0.08, 0.12],
+                           SolverConfig(n=16, d=2)),
+        "price": (["price", "--spots", "90,110", "--family", "bfh"], [0.08],
+                  SolverConfig(n=32, d=2, family="bfh")),
+    }
+
+    @pytest.mark.parametrize("case", list(MARKETS))
+    def test_counts_match_direct_solves(self, tmp_path, case):
+        argv, dividends, cfg = self.MARKETS[case]
+        clear_weight_cache()
+        code, data = run(tmp_path, "d.json", argv + ["--diagnostics", "--format", "json"])
+        assert code in (0, 1)
+        clear_weight_cache()
+        expected = []
+        for dividend in dividends:
+            diag = solve_boundary(cfg, MarketParams(strike=100.0, expiry=3.0, rate=0.08,
+                                                    dividend=dividend, volatility=0.2)).diagnostics
+            expected.append({"residual_evals": diag.residual_evals,
+                             "newton_steps": diag.newton_steps,
+                             "bisections": diag.bisections,
+                             "weights_cached": diag.weights_cached,
+                             "flags": [list(flag) for flag in diag.flags]})
+        assert json.loads(data)["spec"]["diagnostics"] == expected
+
+    @pytest.mark.parametrize("case", list(MARKETS))
+    def test_only_json_asked_for_it_changes(self, tmp_path, case):
+        argv = self.MARKETS[case][0]
+        _, plain = run(tmp_path, "a.json", argv + ["--format", "json"])
+        assert "diagnostics" not in json.loads(plain)["spec"]
+        _, csv_plain = run(tmp_path, "a.csv", argv)
+        _, csv_diag = run(tmp_path, "b.csv", argv + ["--diagnostics"])
+        assert csv_diag == csv_plain
+
+    def test_flags_reach_the_json(self, tmp_path):
+        # the boundary command's monotonicity gate reads the same flags
+        argv = self.MARKETS["boundary"][0]
+        code, data = run(tmp_path, "d.json", argv + ["--diagnostics", "--format", "json"])
+        payload = json.loads(data)
+        kinds = {kind for _, kind, _ in payload["spec"]["diagnostics"][0]["flags"]}
+        assert {"non_monotone", "outside_bounds"} <= kinds
+        assert (code, payload["passed"]) == (1, False)
 
 
 class TestConvergence:
