@@ -7,11 +7,11 @@ with a barycentric rational basis turns the equation into a
 lower-triangular nonlinear system: row i involves only B_0..B_i, so each
 B_i is found by a safeguarded scalar Newton iteration given its
 predecessors.  The i = 0 row is singular and B_0 is its expiry limit.
-Newton starts rows 1 and 2 from B_(i-1) and rows 3..10 from the quadratic
-extrapolation in t.  From row 11 on it starts from the quartic in u = sqrt(t)
-through the same-parity nodes B_(i-10), B_(i-8), ..., B_(i-2): the nodes
-carry a period-2 mode of the product rows that a fit across both parities
-amplifies, and near expiry the boundary moves as sqrt(t |ln t|).
+Newton starts rows 1..4 from B_(i-1).  From row 5 on it starts from the
+polynomial in u = sqrt(t) through the same-parity nodes B_(i-2k), ...,
+B_(i-2), k = min(5, (i - 1) // 2), so never through the singular B_0: the
+nodes carry a period-2 mode of the product rows that a fit across both
+parities amplifies, and near expiry the boundary moves as sqrt(t |ln t|).
 
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
@@ -70,7 +70,7 @@ BFH = "bfh"
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NEWTON_MAX_ITER = 50
-_SQRT_START = 11  # first row started from the same-parity extrapolation in sqrt(t)
+_SQRT_START = 5  # first row with two same-parity predecessors after B_0
 
 
 class SolverError(RuntimeError):
@@ -207,18 +207,21 @@ def clear_weight_cache() -> None:
 
 
 def _start_weights(n: int) -> np.ndarray:
-    """Row i's weights on B_(i-10), B_(i-8), ..., B_(i-2) that extrapolate
-    them to t_i by the quartic in u = sqrt(t) through them, for rows
-    _SQRT_START..n (zero rows before).  On t_j = j h the nodes are sqrt(j h),
-    so h cancels and the barycentric weights of nodes sqrt(j) serve."""
-    rows = np.arange(_SQRT_START, n + 1)
-    u = np.sqrt(rows[:, None] - np.arange(10, 0, -2.0))
+    """Start weights of rows _SQRT_START..n, row i at index i - _SQRT_START.
+
+    Row i extrapolates B_(i-2k), ..., B_(i-2), k = min(5, (i - 1) // 2), to
+    t_i by the polynomial of degree k - 1 in u = sqrt(t) through them; its
+    weights fill the last k of 5 columns.  On t_j = j h the nodes are
+    sqrt(j h), so h cancels and the barycentric weights of nodes sqrt(j) serve."""
+    rows = np.arange(_SQRT_START, n + 1)[:, None]
+    nodes = rows - np.arange(10, 0, -2)
+    used = nodes >= 1
+    u = np.sqrt(np.maximum(nodes, 1))
     gaps = u[:, :, None] - u[:, None, :]
+    gaps[~(used[:, :, None] & used[:, None, :])] = 1.0
     gaps[:, range(5), range(5)] = 1.0
-    c = 1.0 / (gaps.prod(axis=2) * (np.sqrt(rows)[:, None] - u))
-    weights = np.zeros((n + 1, 5))
-    weights[_SQRT_START:] = c / c.sum(axis=1, keepdims=True)
-    return weights
+    c = used / (gaps.prod(axis=2) * (np.sqrt(rows) - u))
+    return c / c.sum(axis=1, keepdims=True)
 
 
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
@@ -226,21 +229,23 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
     """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback.
 
     Iterates live in the window [lo - margin, hi + margin], margin half the
-    bracket's width, since a root may lie outside [lo, hi]; the start x0 is
-    clamped into it, floored at lo / 2 where it reaches below 0.  A step that
-    is not finite, not above 0 (where a row's ln b fails) or outside the
-    window, or _NEWTON_MAX_ITER steps, fall back to bisecting [lo, hi] until
-    |F| <= tol_abs or the bracket is two adjacent doubles.  Returns (root,
-    residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
+    bracket's width, since a root may lie outside [lo, hi]; where the window
+    would reach 0 or below (a row's ln b fails there) it starts at lo / 2.
+    The start x0 is clamped into the window.  A step that is not finite or
+    leaves the window, or _NEWTON_MAX_ITER steps, fall back to bisecting
+    [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.
+    Returns (root, residual evals, |F|, Newton steps); fewer steps than evals
+    means a fallback.
     """
     margin = 0.5 * (hi - lo)
-    b = min(max(float(x0), lo - margin, 0.5 * lo), hi + margin)
+    floor, ceil = (lo - margin if lo > margin else 0.5 * lo), hi + margin
+    b = min(max(float(x0), floor), ceil)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb, slope = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb), it
         nxt = b - fb / slope if slope != 0.0 else float("nan")
-        if not math.isfinite(nxt) or nxt <= 0.0 or nxt < lo - margin or nxt > hi + margin:
+        if not floor <= nxt <= ceil:
             break
         b = nxt
     evals = it + 2
@@ -338,9 +343,9 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     root may lie up to half the bracket's width outside it (the discrete
     nodes of delta > r markets can dip below the perpetual bound), and
     ``diagnostics.flags`` names every such row.  Newton starts from B_{i-1}
-    on rows 1-2, next to the expiry singularity, from 3 (B_{i-1} - B_{i-2}) +
-    B_{i-3} on rows 3-10, and from row 11 on from the quartic in u = sqrt(t)
-    through B_{i-10}, B_{i-8}, ..., B_{i-2}, evaluated at sqrt(t_i).
+    on rows 1-4, next to the expiry singularity, and from row 5 on from the
+    polynomial in u = sqrt(t) through B_{i-2k}, ..., B_{i-2}, k = min(5,
+    (i - 1) // 2), evaluated at sqrt(t_i).
     ``cfg.hybrid_m`` fills the curve by linear interpolation (see
     :class:`SolverConfig`); the returned curve carries a Floater-Hormann
     basis of order d on its stored nodes for evaluation between them.
@@ -364,9 +369,8 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     start_w = _start_weights(n)
     for i in range(1, n + 1):
         if i >= _SQRT_START:
-            guess = float(start_w[i].dot(values[i - 10:i - 1:2]))
-        elif i >= 3:
-            guess = 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
+            k = min(5, (i - 1) // 2)
+            guess = float(start_w[i - _SQRT_START, 5 - k:].dot(values[i - 2 * k:i - 1:2]))
         else:
             guess = values[i - 1]
         b, iterations[i], residuals[i], steps = _newton_scalar(

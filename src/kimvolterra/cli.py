@@ -12,9 +12,9 @@ workprecision   wall time and error per (method, grid size) cell
 Exit codes: 0 all embedded tolerances pass, 1 a tolerance failed,
 2 usage/configuration/output error, 3 solver failure.  Output is CSV (comma,
 header row, LF, UTF-8, quoted as needed) or JSON with ``spec``, ``rows`` and
-``passed`` fields; with ``--diagnostics``, ``table3``, ``boundary`` and
-``price`` add each solve's counts and flags to the JSON ``spec``.  All outputs
-are deterministic except the measured wall-time column of ``workprecision``.
+``passed`` fields; the JSON ``spec`` of ``table3``, ``boundary`` and ``price``
+lists each solve's counts and flags.  All outputs are deterministic except
+the measured wall-time column of ``workprecision``.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None, help="output path (stdout if omitted)")
     output.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    diagnostics = argparse.ArgumentParser(add_help=False)
-    diagnostics.add_argument("--diagnostics", action="store_true",
-                             help="add each solve's counts and flags to the JSON spec")
-
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--family", choices=(FH, BFH), default=FH)
 
@@ -123,11 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Early exercise boundaries and American option prices "
                     "by product integration on a barycentric rational basis.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table3", parents=[family, diagnostics, output],
+    sub.add_parser("table3", parents=[family, output],
                    help="five-spot benchmark against a binomial reference")
-    sub.add_parser("boundary", parents=[market, scheme, grid, family, diagnostics, output],
+    sub.add_parser("boundary", parents=[market, scheme, grid, family, output],
                    help="solved boundary curves")
-    price = sub.add_parser("price", parents=[market, scheme, grid, family, diagnostics, output],
+    price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
                            help="price given spots")
     price.add_argument("--spots", type=_parse_spots, default=None,
                        help="comma-separated spot prices")
@@ -155,12 +151,9 @@ def _config_from_args(args, default_n: int, default_d: int) -> SolverConfig:
                         hybrid_m=args.m)
 
 
-def _add_diagnostics(args, spec: dict, curves) -> dict:
-    """With --diagnostics, list each solve's counts and flags in the spec."""
-    if args.diagnostics:
-        spec["diagnostics"] = [{name: getattr(c.diagnostics, name) for name in DIAGNOSTIC_FIELDS}
-                               for c in curves]
-    return spec
+def _diagnostics(curves) -> list[dict]:
+    """Each solve's counts and flags, for the JSON spec."""
+    return [{name: getattr(c.diagnostics, name) for name in DIAGNOSTIC_FIELDS} for c in curves]
 
 
 def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
@@ -180,8 +173,8 @@ def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
                      _fmt_price(result.value), _fmt_err(err)])
     spec = {"command": "table3", "family": args.family, "n": 32, "d": 2,
             "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS,
-            "tolerance": TABLE3_TOLERANCE}
-    return header, rows, passed, _add_diagnostics(args, spec, [curve])
+            "tolerance": TABLE3_TOLERANCE, "diagnostics": _diagnostics([curve])}
+    return header, rows, passed, spec
 
 
 def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
@@ -199,7 +192,8 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
         curve = solve_boundary(cfg, params)
         curves.append(curve)
         limit = initial_boundary(params)
-        node_monotone = all(kind != "non_monotone" for _, kind, _ in curve.diagnostics.flags)
+        node_monotone = bool(np.all(np.diff(curve.values)
+                                    <= 1e-9 * params.strike))
         passed = passed and node_monotone \
             and bool(abs(curve.values[0] - limit) <= 1e-2)
         ts = np.linspace(0.0, params.expiry, 200)
@@ -209,8 +203,8 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
     spec = {"command": "boundary", "dividends": [float(d) for d in dividends],
             "strike": args.strike, "expiry": args.expiry, "rate": args.rate,
             "vol": args.vol, "family": args.family, "n": cfg.n, "d": cfg.d, "m": args.m,
-            "eval_points": 200}
-    return header, rows, passed, _add_diagnostics(args, spec, curves)
+            "eval_points": 200, "diagnostics": _diagnostics(curves)}
+    return header, rows, passed, spec
 
 
 def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
@@ -230,8 +224,8 @@ def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
     spec = {"command": "price", "strike": params.strike, "expiry": params.expiry,
             "rate": params.rate, "dividend": params.dividend, "vol": params.volatility,
             "family": cfg.family, "n": cfg.n, "d": cfg.d, "m": args.m,
-            "spots": [float(s) for s in spots]}
-    return header, rows, True, _add_diagnostics(args, spec, [curve])
+            "spots": [float(s) for s in spots], "diagnostics": _diagnostics([curve])}
+    return header, rows, True, spec
 
 
 def cmd_convergence(args) -> tuple[list[str], list[list[str]], bool, dict]:

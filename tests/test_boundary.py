@@ -354,7 +354,8 @@ class TestResidualEvals:
 
     @pytest.mark.parametrize("dividend,quadratic_start_evals", [(0.08, 409), (0.0, 413)])
     def test_sqrt_start_saves_evals(self, dividend, quadratic_start_evals):
-        # the quadratic extrapolation in t from row 3 on took quadratic_start_evals
+        # the quadratic extrapolation 3 (B_(i-1) - B_(i-2)) + B_(i-3) from
+        # row 3 on took quadratic_start_evals
         diag = solve_boundary(SolverConfig(n=128, d=2), params_with(dividend)).diagnostics
         assert diag.bisections == 0
         assert diag.residual_evals <= 0.8 * quadratic_start_evals
@@ -378,23 +379,25 @@ class TestResidualEvals:
 
 
 class TestNewtonStart:
-    """Rows from _SQRT_START on start from a quartic in u = sqrt(t) through B_(i-10), ..., B_(i-2)."""
+    """Rows from _SQRT_START on start from a polynomial in u = sqrt(t) through
+    the k = min(5, (i - 1) // 2) same-parity nodes B_(i-2k), ..., B_(i-2)."""
 
-    @pytest.mark.parametrize("n", [11, 32, 128, 256])
-    def test_weights_reproduce_quartics_in_sqrt_t(self, n):
+    @pytest.mark.parametrize("n", [5, 11, 32, 128, 256])
+    def test_weights_reproduce_polynomials_in_sqrt_t(self, n):
         weights = boundary._start_weights(n)
-        rows = np.arange(boundary._SQRT_START, n + 1)
-        assert not weights[:boundary._SQRT_START].any()
-        # h cancels: a quartic in sqrt(j h) is a quartic in sqrt(j)
-        u_nodes = np.sqrt(rows[:, None] - np.arange(10, 0, -2))
-        u_rows = np.sqrt(rows)
+        assert weights.shape == (n + 1 - boundary._SQRT_START, 5)
         rng = np.random.default_rng(n)
-        for coeffs in [*np.eye(5), *rng.uniform(0.1, 1.0, (4, 5))]:
-            got = (weights[rows] * np.polyval(coeffs, u_nodes)).sum(axis=1)
-            exact = np.polyval(coeffs, u_rows)
-            np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+        for i, row in enumerate(weights, start=boundary._SQRT_START):
+            k = min(5, (i - 1) // 2)
+            assert not row[:5 - k].any()
+            # h cancels: a polynomial in sqrt(j h) is one in sqrt(j)
+            u_nodes = np.sqrt(np.arange(i - 2 * k, i - 1, 2))
+            for coeffs in [*np.eye(k), *rng.uniform(0.1, 1.0, (4, k))]:
+                got = row[5 - k:].dot(np.polyval(coeffs, u_nodes))
+                exact = np.polyval(coeffs, math.sqrt(i))
+                assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
-    def test_rows_before_sqrt_start_keep_the_quadratic_start(self, monkeypatch):
+    def test_start_of_each_row(self, monkeypatch):
         starts = []
         newton = boundary._newton_scalar
 
@@ -404,12 +407,13 @@ class TestNewtonStart:
 
         monkeypatch.setattr(boundary, "_newton_scalar", recorded)
         values = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).values
-        assert starts[:2] == [values[0], values[1]]
-        for i in range(3, boundary._SQRT_START):
-            assert starts[i - 1] == 3.0 * (values[i - 1] - values[i - 2]) + values[i - 3]
+        for i in range(1, boundary._SQRT_START):
+            assert starts[i - 1] == values[i - 1]
         weights = boundary._start_weights(16)
         for i in range(boundary._SQRT_START, 17):
-            assert starts[i - 1] == float(weights[i].dot(values[i - 10:i - 1:2]))
+            k = min(5, (i - 1) // 2)
+            row = weights[i - boundary._SQRT_START, 5 - k:]
+            assert starts[i - 1] == float(row.dot(values[i - 2 * k:i - 1:2]))
 
     @settings(max_examples=60, deadline=None)
     @given(rate=st.floats(0.005, 0.3), dividend=st.floats(0.0, 0.5),
@@ -482,13 +486,15 @@ class TestNewtonScalar:
         assert info.value.step == 5
         assert info.value.residual == pytest.approx(10.0)
 
-    def test_step_to_non_positive_falls_back(self):
-        # over [20, 100] the window runs from -20, and the step from 50 lands
-        # at -10, where a row's ln(b) is undefined: it escapes to bisection
+    @pytest.mark.parametrize("slope,landing", [(1.0 / 3.0, -10.0), (20.0 / 45.0, 5.0)])
+    def test_step_below_the_floor_falls_back(self, slope, landing):
+        # over [20, 100] the window would run from -20, where a row's ln(b)
+        # is undefined, so it starts at lo / 2 = 10: the step from 50 to
+        # `landing` escapes to bisection
         def row(b):
             if b <= 0.0:
                 raise ValueError("math domain error")
-            return b - 30.0, 1.0 / 3.0
+            return b - 30.0, slope
 
         b, evals, res, steps = boundary._newton_scalar(row, 50.0, 20.0, 100.0, self.TOL, 5)
         assert b == pytest.approx(30.0, abs=1e-9) and res <= self.TOL
@@ -497,6 +503,7 @@ class TestNewtonScalar:
     @pytest.mark.parametrize("x0,lo,first", [
         (55.0, 60.0, 55.0),  # inside the window [40, 120]: kept, not moved to lo
         (30.0, 60.0, 40.0),  # below it: clamped to its end
+        (15.0, 40.0, 15.0),  # the window [10, 130] stays above 0: kept, not moved to lo / 2
         (-5.0, 20.0, 10.0),  # the window [-20, 140] reaches below 0: floored at lo / 2
     ])
     def test_start_clamped_into_the_step_window(self, x0, lo, first):

@@ -124,7 +124,7 @@ class TestDiagnostics:
     def test_counts_match_direct_solves(self, tmp_path, case):
         argv, dividends, cfg = self.MARKETS[case]
         clear_weight_cache()
-        code, data = run(tmp_path, "d.json", argv + ["--diagnostics", "--format", "json"])
+        code, data = run(tmp_path, "d.json", argv + ["--format", "json"])
         assert code in (0, 1)
         clear_weight_cache()
         expected = []
@@ -138,19 +138,10 @@ class TestDiagnostics:
                              "flags": [list(flag) for flag in diag.flags]})
         assert json.loads(data)["spec"]["diagnostics"] == expected
 
-    @pytest.mark.parametrize("case", list(MARKETS))
-    def test_only_json_asked_for_it_changes(self, tmp_path, case):
-        argv = self.MARKETS[case][0]
-        _, plain = run(tmp_path, "a.json", argv + ["--format", "json"])
-        assert "diagnostics" not in json.loads(plain)["spec"]
-        _, csv_plain = run(tmp_path, "a.csv", argv)
-        _, csv_diag = run(tmp_path, "b.csv", argv + ["--diagnostics"])
-        assert csv_diag == csv_plain
-
     def test_flags_reach_the_json(self, tmp_path):
-        # the boundary command's monotonicity gate reads the same flags
+        # the same rises fail the boundary command's monotonicity gate
         argv = self.MARKETS["boundary"][0]
-        code, data = run(tmp_path, "d.json", argv + ["--diagnostics", "--format", "json"])
+        code, data = run(tmp_path, "d.json", argv + ["--format", "json"])
         payload = json.loads(data)
         kinds = {kind for _, kind, _ in payload["spec"]["diagnostics"][0]["flags"]}
         assert {"non_monotone", "outside_bounds"} <= kinds
