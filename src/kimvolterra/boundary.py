@@ -226,26 +226,21 @@ def _start_weights(n: int) -> np.ndarray:
 
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
                    step: int) -> tuple[float, int, float, int]:
-    """Safeguarded scalar Newton on f(b) = (F, dF/db), bisection fallback.
+    """Safeguarded scalar Newton on f(b) = (F, dF/db) in [lo, hi], bisection fallback.
 
-    Iterates live in the window [lo - margin, hi + margin], margin half the
-    bracket's width, since a root may lie outside [lo, hi]; where the window
-    would reach 0 or below (a row's ln b fails there) it starts at lo / 2.
-    The start x0 is clamped into the window.  A step that is not finite or
-    leaves the window, or _NEWTON_MAX_ITER steps, fall back to bisecting
-    [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.
+    The start x0 is clamped into [lo, hi].  A step that is not finite or
+    leaves [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting the
+    same [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.
     Returns (root, residual evals, |F|, Newton steps); fewer steps than evals
     means a fallback.
     """
-    margin = 0.5 * (hi - lo)
-    floor, ceil = (lo - margin if lo > margin else 0.5 * lo), hi + margin
-    b = min(max(float(x0), floor), ceil)
+    b = min(max(float(x0), lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb, slope = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb), it
         nxt = b - fb / slope if slope != 0.0 else float("nan")
-        if not floor <= nxt <= ceil:
+        if not lo <= nxt <= hi:
             break
         b = nxt
     evals = it + 2
@@ -339,10 +334,10 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 
     B_0 takes its analytic expiry limit and each later B_i solves its
     scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular) by Newton on the bracket [perpetual bound, B_0].  A
-    root may lie up to half the bracket's width outside it (the discrete
-    nodes of delta > r markets can dip below the perpetual bound), and
-    ``diagnostics.flags`` names every such row.  Newton starts from B_{i-1}
+    is lower triangular) by Newton in [lower / 2, B_0 + (B_0 - lower) / 2],
+    lower the perpetual bound: the discrete nodes of delta > r markets can
+    dip below it, and ``diagnostics.flags`` names every node outside
+    [lower, B_0].  Newton starts from B_{i-1}
     on rows 1-4, next to the expiry singularity, and from row 5 on from the
     polynomial in u = sqrt(t) through B_{i-2k}, ..., B_{i-2}, k = min(5,
     (i - 1) // 2), evaluated at sqrt(t_i).
@@ -359,6 +354,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
+    lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
     iterations = np.zeros(n + 1, dtype=int)
@@ -374,7 +370,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
         else:
             guess = values[i - 1]
         b, iterations[i], residuals[i], steps = _newton_scalar(
-            build_row(i, values[:i], logs[:i], rks[:i]), guess, lower, b0,
+            build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
             cfg.newton_tol * p.strike, i)
         if steps < iterations[i]:
             bisections += 1

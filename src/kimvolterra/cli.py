@@ -192,8 +192,7 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
         curve = solve_boundary(cfg, params)
         curves.append(curve)
         limit = initial_boundary(params)
-        node_monotone = bool(np.all(np.diff(curve.values)
-                                    <= 1e-9 * params.strike))
+        node_monotone = all(kind != "non_monotone" for _, kind, _ in curve.diagnostics.flags)
         passed = passed and node_monotone \
             and bool(abs(curve.values[0] - limit) <= 1e-2)
         ts = np.linspace(0.0, params.expiry, 200)

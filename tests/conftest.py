@@ -106,11 +106,11 @@ def solve_boundary_kim2d(n, p):
 
     Rows 1..n are solved in order by the library's safeguarded Newton in
     [perpetual bound, B_0] from the guess B_{i-1}; the product solve
-    extrapolates its guess from row 3 on, but this reference keeps the flat
-    start, so its frozen ``kim2d`` values do not move.  It converges more
-    slowly than the product-integration schemes and serves only agreement
-    tests; the curve carries an order-2 Floater-Hormann basis so that it
-    can be priced.
+    extrapolates its guess in sqrt(t) from row 5 on, but this reference keeps
+    the flat start, so its frozen ``kim2d`` values do not move.  It converges
+    more slowly than the product-integration schemes and serves only
+    agreement tests; the curve carries an order-2 Floater-Hormann basis so
+    that it can be priced.
     """
     cfg = SolverConfig(n=n, d=2)
     start = time.perf_counter()

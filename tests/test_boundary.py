@@ -342,6 +342,16 @@ class TestResidualEvals:
         assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
+    def test_bisection_finds_the_newton_roots(self, monkeypatch):
+        # nodes dip below the perpetual bound here; bisection searches the
+        # interval the Newton steps live in, so it finds their roots
+        p = MarketParams(strike=100.0, expiry=10.0, rate=0.08, dividend=0.5, volatility=0.2)
+        newton = solve_boundary(SolverConfig(n=32, d=2), p).values
+        monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        curve = solve_boundary(SolverConfig(n=32, d=2), p)
+        assert curve.diagnostics.bisections == 32
+        np.testing.assert_allclose(curve.values, newton, rtol=0.0, atol=1e-7)
+
     def test_no_bisection_on_table3(self, curve_n32_d2):
         assert curve_n32_d2.diagnostics.bisections == 0
 
@@ -361,8 +371,9 @@ class TestResidualEvals:
         assert diag.residual_evals <= 0.8 * quadratic_start_evals
 
     def test_sqrt_start_below_the_perpetual_bound(self):
-        # nodes sit below the bracket here; clamped into [lo, hi], every row
-        # restarted from the bracket end and the solve took 512 evals
+        # nodes sit below the perpetual bound here; with starts clamped into
+        # [perpetual bound, B_0], every row restarted from the bound and the
+        # solve took 512 evals
         p = MarketParams(strike=100.0, expiry=10.0, rate=0.08, dividend=0.5, volatility=0.2)
         diag = solve_boundary(SolverConfig(n=128, d=2), p).diagnostics
         assert diag.bisections == 0
@@ -449,6 +460,17 @@ class TestFlags:
         assert rises and [f for f in flags if f[1] == "non_monotone"] == rises
         assert [f[0] for f in flags] == sorted(f[0] for f in flags)
 
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("rate", [0.02, 0.05, 0.08])
+    def test_row_1_below_the_perpetual_bound_solves(self, rate, n):
+        # B_0 = (r / delta) K lies only 1-1.2% above the perpetual bound, and
+        # row 1's root about 1.5% below it
+        p = MarketParams(strike=100.0, expiry=10.0, rate=rate, dividend=0.5, volatility=0.1)
+        curve = solve_boundary(SolverConfig(n=n, d=2), p)
+        assert collocation_residuals(curve).max() <= 1e-12 * p.strike
+        assert (1, "outside_bounds", curve.values[1]) in curve.diagnostics.flags
+        assert curve.values[1] < perpetual_lower_bound(p)
+
     def test_bisection_rows_flagged(self, monkeypatch):
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
         diag = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS).diagnostics
@@ -457,7 +479,7 @@ class TestFlags:
 
 
 class TestNewtonScalar:
-    """The row solver's fallback exits on synthetic rows over the bracket [60, 100]."""
+    """The row solver's fallback exits on synthetic rows over the interval [60, 100]."""
 
     TOL = 1e-9
 
@@ -488,9 +510,8 @@ class TestNewtonScalar:
 
     @pytest.mark.parametrize("slope,landing", [(1.0 / 3.0, -10.0), (20.0 / 45.0, 5.0)])
     def test_step_below_the_floor_falls_back(self, slope, landing):
-        # over [20, 100] the window would run from -20, where a row's ln(b)
-        # is undefined, so it starts at lo / 2 = 10: the step from 50 to
-        # `landing` escapes to bisection
+        # steps are accepted only inside [20, 100], whose floor keeps a row's
+        # ln(b) defined: the step from 50 to `landing` escapes to bisection
         def row(b):
             if b <= 0.0:
                 raise ValueError("math domain error")
@@ -500,16 +521,15 @@ class TestNewtonScalar:
         assert b == pytest.approx(30.0, abs=1e-9) and res <= self.TOL
         assert steps == 1 and evals > 3
 
-    @pytest.mark.parametrize("x0,lo,first", [
-        (55.0, 60.0, 55.0),  # inside the window [40, 120]: kept, not moved to lo
-        (30.0, 60.0, 40.0),  # below it: clamped to its end
-        (15.0, 40.0, 15.0),  # the window [10, 130] stays above 0: kept, not moved to lo / 2
-        (-5.0, 20.0, 10.0),  # the window [-20, 140] reaches below 0: floored at lo / 2
+    @pytest.mark.parametrize("x0,first", [
+        (70.0, 70.0),  # inside [60, 100]: kept
+        (30.0, 60.0),  # below it: clamped to lo
+        (-5.0, 60.0),  # below 0, where a row's ln(b) fails: clamped to lo
+        (130.0, 100.0),  # above it: clamped to hi
     ])
-    def test_start_clamped_into_the_step_window(self, x0, lo, first):
+    def test_start_clamped_into_the_interval(self, x0, first):
         calls = []
-        boundary._newton_scalar(lambda b: calls.append(b) or (b - 50.0, 1.0),
-                                x0, lo, 100.0, self.TOL, 5)
+        self.solve(lambda b: calls.append(b) or (b - 80.0, 1.0), x0)
         assert calls[0] == first
 
     def test_stalls_at_adjacent_doubles(self):

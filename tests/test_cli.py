@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,21 @@ class TestDiagnostics:
         kinds = {kind for _, kind, _ in payload["spec"]["diagnostics"][0]["flags"]}
         assert {"non_monotone", "outside_bounds"} <= kinds
         assert (code, payload["passed"]) == (1, False)
+
+    def test_hybrid_gate_reads_the_node_flags(self, tmp_path, monkeypatch):
+        # --m 3 splits a node rise in two in the stored values, so a check on
+        # them passed a 1.5e-9 K rise; the gate reads the solve's flags instead
+        argv = ["boundary", "--dividend", "0.08", "--n", "16", "--d", "2", "--m", "3"]
+        assert run(tmp_path, "plain.csv", argv)[0] == 0
+        solve = cli.solve_boundary
+
+        def flagged(cfg, params):
+            curve = solve(cfg, params)
+            diag = replace(curve.diagnostics, flags=((5, "non_monotone", 1.5e-7),))
+            return replace(curve, diagnostics=diag)
+
+        monkeypatch.setattr(cli, "solve_boundary", flagged)
+        assert run(tmp_path, "flagged.csv", argv)[0] == 1
 
 
 class TestConvergence:
