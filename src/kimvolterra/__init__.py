@@ -9,79 +9,14 @@ representation with the matching interpolatory quadrature, validated
 against a CRR binomial oracle.
 """
 
-from .market import (
-    ConfigurationError,
-    MarketParams,
-    binomial_american_put,
-    d1d2,
-    european_put,
-    norm_cdf,
-)
-from .barycentric import (
-    BaryBasis,
-    basis_matrix,
-    eval_interpolant,
-    fh_basis,
-    fh_weights,
-    lebesgue_constant,
-)
-from .quadrature import (
-    brq_weights,
-    product_weights,
-)
-from .boundary import (
-    BFH,
-    BoundaryCurve,
-    FH,
-    SolveDiagnostics,
-    SolverConfig,
-    SolverError,
-    clear_weight_cache,
-    collocation_residuals,
-    eval_boundary,
-    initial_boundary,
-    perpetual_lower_bound,
-    solve_boundary,
-)
-from .pricing import (
-    PriceResult,
-    american_call_price,
-    american_put_price,
-    error_bound_factor,
-)
+from . import barycentric, boundary, market, pricing
+from .market import *
+from .barycentric import *
+from .quadrature import brq_weights, product_weights
+from .boundary import *
+from .pricing import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigurationError",
-    "MarketParams",
-    "binomial_american_put",
-    "d1d2",
-    "european_put",
-    "norm_cdf",
-    "BaryBasis",
-    "basis_matrix",
-    "eval_interpolant",
-    "fh_basis",
-    "fh_weights",
-    "lebesgue_constant",
-    "brq_weights",
-    "product_weights",
-    "BFH",
-    "BoundaryCurve",
-    "FH",
-    "SolveDiagnostics",
-    "SolverConfig",
-    "SolverError",
-    "clear_weight_cache",
-    "collocation_residuals",
-    "eval_boundary",
-    "initial_boundary",
-    "perpetual_lower_bound",
-    "solve_boundary",
-    "PriceResult",
-    "american_call_price",
-    "american_put_price",
-    "error_bound_factor",
-    "__version__",
-]
+__all__ = [*market.__all__, *barycentric.__all__, "brq_weights", "product_weights",
+           *boundary.__all__, *pricing.__all__, "__version__"]

@@ -12,14 +12,13 @@ Bases are immutable after construction; all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "BaryBasis",
     "fh_weights",
-    "fh_basis",
     "basis_matrix",
     "eval_interpolant",
     "lebesgue_constant",
@@ -32,24 +31,21 @@ _NODE_HIT_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class BaryBasis:
-    """Equidistant interpolation nodes with Floater-Hormann weights.
+    """Equidistant interpolation nodes with the Floater-Hormann weights of order d.
 
     ``degree`` is the blending order d, with 0 <= d <= n; d = 0 is Berrut's
-    basis.  Node spacing must be uniform to within 1e-12 of the span, and
-    the weights must alternate in sign.
+    basis.  Node spacing must be uniform to within 1e-12 of the span.  The
+    read-only ``weights`` are ``fh_weights(n, degree)``, set on construction.
     """
 
     nodes: np.ndarray
-    weights: np.ndarray
     degree: int
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least 2 one-dimensional nodes")
-        if weights.shape != nodes.shape:
-            raise ValueError("weights must match nodes in length")
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ValueError("nodes must be strictly increasing")
@@ -57,10 +53,7 @@ class BaryBasis:
         h = span / (nodes.size - 1)
         if np.max(np.abs(steps - h)) > _EQUIDISTANT_RTOL * span:
             raise ValueError("nodes must be equidistant")
-        if not 0 <= self.degree <= nodes.size - 1:
-            raise ValueError("Floater-Hormann degree must satisfy 0 <= d <= n")
-        if np.any(weights[:-1] * weights[1:] >= 0.0):
-            raise ValueError("rational weights must alternate in sign")
+        weights = fh_weights(nodes.size - 1, self.degree)
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -89,11 +82,6 @@ def fh_weights(n: int, d: int) -> np.ndarray:
     beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
     beta[(d + 1) % 2::2] *= -1.0
     return beta
-
-
-def fh_basis(nodes, d: int) -> BaryBasis:
-    nodes = np.asarray(nodes, dtype=float)
-    return BaryBasis(nodes, fh_weights(nodes.size - 1, d), d)
 
 
 def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:

@@ -6,12 +6,8 @@ equidistant grid t_i = i T / n and interpolating the smooth kernel factor
 with a barycentric rational basis turns the equation into a
 lower-triangular nonlinear system: row i involves only B_0..B_i, so each
 B_i is found by a safeguarded scalar Newton iteration given its
-predecessors.  The i = 0 row is singular and B_0 is its expiry limit.
-Newton starts rows 1..4 from B_(i-1).  From row 5 on it starts from the
-polynomial in u = sqrt(t) through the same-parity nodes B_(i-2k), ...,
-B_(i-2), k = min(5, (i - 1) // 2), so never through the singular B_0: the
-nodes carry a period-2 mode of the product rows that a fit across both
-parities amplifies, and near expiry the boundary moves as sqrt(t |ln t|).
+predecessors.  The i = 0 row is singular and B_0 is its expiry limit;
+``_start_weights`` states where Newton starts each later row.
 
 The equation's smooth part (a normal-CDF kernel) takes interpolatory
 quadrature; every dividend term carries a factor delta, so at delta = 0 it
@@ -45,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import ndtr
 
-from .barycentric import BaryBasis, eval_interpolant, fh_basis, fh_weights
+from .barycentric import BaryBasis, eval_interpolant, fh_weights
 from .market import MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
@@ -209,10 +205,14 @@ def clear_weight_cache() -> None:
 def _start_weights(n: int) -> np.ndarray:
     """Start weights of rows _SQRT_START..n, row i at index i - _SQRT_START.
 
-    Row i extrapolates B_(i-2k), ..., B_(i-2), k = min(5, (i - 1) // 2), to
-    t_i by the polynomial of degree k - 1 in u = sqrt(t) through them; its
-    weights fill the last k of 5 columns.  On t_j = j h the nodes are
-    sqrt(j h), so h cancels and the barycentric weights of nodes sqrt(j) serve."""
+    Newton starts rows 1..4 from B_(i-1), next to the expiry singularity.
+    Row i >= 5 extrapolates B_(i-2k), ..., B_(i-2), k = min(5, (i - 1) // 2),
+    to t_i by the polynomial of degree k - 1 in u = sqrt(t) through them; its
+    weights fill the last k of 5 columns.  The fit never goes through the
+    singular B_0 nor across parities: the nodes carry a period-2 mode of the
+    product rows that such a fit amplifies, and near expiry the boundary
+    moves as sqrt(t |ln t|).  On t_j = j h the nodes are sqrt(j h), so h
+    cancels and the barycentric weights of nodes sqrt(j) serve."""
     rows = np.arange(_SQRT_START, n + 1)[:, None]
     nodes = rows - np.arange(10, 0, -2)
     used = nodes >= 1
@@ -337,10 +337,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     is lower triangular) by Newton in [lower / 2, B_0 + (B_0 - lower) / 2],
     lower the perpetual bound: the discrete nodes of delta > r markets can
     dip below it, and ``diagnostics.flags`` names every node outside
-    [lower, B_0].  Newton starts from B_{i-1}
-    on rows 1-4, next to the expiry singularity, and from row 5 on from the
-    polynomial in u = sqrt(t) through B_{i-2k}, ..., B_{i-2}, k = min(5,
-    (i - 1) // 2), evaluated at sqrt(t_i).
+    [lower, B_0].  Each row's Newton start is as in :func:`_start_weights`.
     ``cfg.hybrid_m`` fills the curve by linear interpolation (see
     :class:`SolverConfig`); the returned curve carries a Floater-Hormann
     basis of order d on its stored nodes for evaluation between them.
@@ -391,7 +388,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
                             weights_cached=_unit_rows.cache_info().misses == builds)
-    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, cfg.d),
+    return BoundaryCurve(grid=grid, values=values, basis=BaryBasis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag)
 
 

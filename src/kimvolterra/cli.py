@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .barycentric import basis_matrix, fh_basis, lebesgue_constant
+from .barycentric import BaryBasis, basis_matrix, lebesgue_constant
 from .boundary import (
     BFH,
     FH,
@@ -237,7 +237,7 @@ def cmd_convergence(args) -> tuple[list[str], list[list[str]], bool, dict]:
     for d in (1, 2, 3):
         errors = {}
         for n in sizes:
-            basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
+            basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), d)
             approx = basis_matrix(basis, samples) @ np.exp(basis.nodes)
             errors[n] = float(np.max(np.abs(approx - np.exp(samples))))
         for prev, n in zip((None,) + sizes[:-1], sizes):
@@ -257,7 +257,7 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
     passed = True
     for d in (1, 2, 3):
         for n in (8, 16, 32, 64, 128, 256):
-            basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
+            basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), d)
             lam = lebesgue_constant(basis, oversample=30)
             bound = 2.0 ** (d - 1) * (2.0 + math.log(n))
             ok = lam <= bound

@@ -7,13 +7,13 @@ from scipy.special import ndtr
 
 import kimvolterra.boundary as boundary
 from kimvolterra import (
+    BaryBasis,
     BoundaryCurve,
     MarketParams,
     SolveDiagnostics,
     SolverConfig,
     binomial_american_put,
     european_put,
-    fh_basis,
     initial_boundary,
     norm_cdf,
     perpetual_lower_bound,
@@ -133,6 +133,6 @@ def solve_boundary_kim2d(n, p):
                             newton_steps=newton_steps, bisections=bisections,
                             flags=(), wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
-    return BoundaryCurve(grid=grid, values=values, basis=fh_basis(grid, 2),
+    return BoundaryCurve(grid=grid, values=values, basis=BaryBasis(grid, 2),
                          params=p, config=cfg, diagnostics=diag)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from kimvolterra import (
+    BaryBasis,
     MarketParams,
     SolverConfig,
     american_put_price,
@@ -19,7 +20,6 @@ from kimvolterra import (
     clear_weight_cache,
     collocation_residuals,
     eval_boundary,
-    fh_basis,
     lebesgue_constant,
     perpetual_lower_bound,
     product_weights,
@@ -101,7 +101,7 @@ def test_criterion_05_interpolation_order():
     for d in (1, 2, 3):
         errors = {}
         for n in (32, 256):
-            basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
+            basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), d)
             approx = basis_matrix(basis, samples) @ np.exp(basis.nodes)
             errors[n] = np.max(np.abs(approx - np.exp(samples)))
         orders[d] = math.log(errors[32] / errors[256]) / math.log(8.0)
@@ -120,7 +120,7 @@ def test_criterion_06_lebesgue_bound():
     worst_margin = -math.inf
     for d in (1, 2, 3):
         for n in (8, 16, 32, 64, 128, 256):
-            basis = fh_basis(np.linspace(0.0, 1.0, n + 1), d)
+            basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), d)
             lam = lebesgue_constant(basis, 30)
             bound = 2.0 ** (d - 1) * (2.0 + math.log(n))
             worst_margin = max(worst_margin, lam - bound)
@@ -140,7 +140,7 @@ def test_criterion_07_product_weight_identities():
         grid = np.linspace(0.0, 1.0, n + 1)
         for i in range(1, n + 1):
             order = min(d, i)
-            basis = fh_basis(grid[: i + 1], order)
+            basis = BaryBasis(grid[: i + 1], order)
             w = product_weights(basis)
             worst_sum = max(worst_sum,
                             abs(w.sum() - 2.0 * math.sqrt(grid[i])))

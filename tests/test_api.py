@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "BaryBasis",
     "basis_matrix",
     "eval_interpolant",
-    "fh_basis",
     "fh_weights",
     "lebesgue_constant",
     "brq_weights",

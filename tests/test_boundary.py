@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kimvolterra.boundary as boundary
@@ -21,7 +21,7 @@ from kimvolterra import (
     solve_boundary,
 )
 
-from kimvolterra.barycentric import fh_basis
+from kimvolterra.barycentric import BaryBasis
 from kimvolterra.market import d1d2, norm_cdf
 
 from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
@@ -221,11 +221,11 @@ class TestSolveBoundary:
         h = horizon / n
         for i in range(1, n + 1):
             sub = grid[: i + 1]
-            basis = fh_basis(sub, min(d, i) if family == "fh" else 0)
+            basis = BaryBasis(sub, min(d, i) if family == "fh" else 0)
             scaled = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
             np.testing.assert_allclose(scaled, boundary.product_weights(basis),
                                        rtol=0.0, atol=1e-13)
-            direct = boundary.brq_weights(fh_basis(sub, min(d, i)))
+            direct = boundary.brq_weights(BaryBasis(sub, min(d, i)))
             np.testing.assert_allclose(h * brq_rows(n, d)[i, : i + 1], direct,
                                        rtol=0.0, atol=1e-13)
 
@@ -430,16 +430,41 @@ class TestNewtonStart:
     @given(rate=st.floats(0.005, 0.3), dividend=st.floats(0.0, 0.5),
            vol=st.floats(0.05, 0.8), expiry=st.floats(0.02, 10.0),
            n=st.sampled_from([16, 32, 64]))
+    @example(rate=0.3, dividend=0.0, vol=0.05, expiry=10.0, n=64)
     def test_every_solve_converges_or_raises_property(self, rate, dividend, vol, expiry, n):
         p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
                          volatility=vol)
         try:
             curve = solve_boundary(SolverConfig(n=n, d=2), p)
         except boundary.SolverError:
+            # the known corner: a perpetual bound within 3% of the strike, on
+            # any n and row (a curve that climbs past the search interval)
+            assert perpetual_lower_bound(p) > 0.97 * p.strike
             return
         diag = curve.diagnostics
         assert collocation_residuals(curve).max() <= 1e-12 * p.strike
         assert diag.residual_evals == diag.iterations.sum()
+
+
+class TestLowVolCorner:
+    """delta < r with sigma this low: row 1's root lies above the strike on
+    coarse grids, and finer grids give a rising, flagged curve."""
+
+    P = MarketParams(strike=100.0, expiry=7.06, rate=0.216, dividend=0.008, volatility=0.052)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_coarse_grids_raise_at_row_1(self, n):
+        with pytest.raises(boundary.SolverError) as info:
+            solve_boundary(SolverConfig(n=n, d=2), self.P)
+        assert info.value.step == 1
+
+    def test_rise_is_flagged(self):
+        curve = solve_boundary(SolverConfig(n=64, d=2), self.P)
+        assert collocation_residuals(curve).max() <= 1e-12 * self.P.strike
+        rises = {row: value for row, kind, value in curve.diagnostics.flags
+                 if kind == "non_monotone"}
+        for row in (4, 5, 6):
+            assert 0.005 < rises[row] < 0.01
 
 
 class TestFlags:

@@ -6,11 +6,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from kimvolterra import (
+    BaryBasis,
     brq_weights,
-    fh_basis,
     lebesgue_constant,
+    fh_weights,
     product_weights,
 )
+from kimvolterra.quadrature import unit_weight_rows
 
 
 def abel_monomial_integral(degree: int, upper: float) -> float:
@@ -68,13 +70,13 @@ class TestGaussLegendre:
 
 class TestBrqWeights:
     def test_two_nodes_trapezoid(self):
-        basis = fh_basis(np.array([0.0, 1.0]), 1)
+        basis = BaryBasis(np.array([0.0, 1.0]), 1)
         assert brq_weights(basis) == pytest.approx([0.5, 0.5], abs=1e-14)
 
     @pytest.mark.parametrize("make,interval", [
-        (lambda: fh_basis(np.linspace(0.0, 1.0, 13), 2), (0.0, 1.0)),
-        (lambda: fh_basis(np.linspace(0.0, 3.0, 9), 0), (0.0, 3.0)),
-        (lambda: fh_basis(np.linspace(0.5, 2.5, 21), 3), (0.5, 2.5)),
+        (lambda: BaryBasis(np.linspace(0.0, 1.0, 13), 2), (0.0, 1.0)),
+        (lambda: BaryBasis(np.linspace(0.0, 3.0, 9), 0), (0.0, 3.0)),
+        (lambda: BaryBasis(np.linspace(0.5, 2.5, 21), 3), (0.5, 2.5)),
     ])
     def test_weights_sum_to_interval_length(self, make, interval):
         assert brq_weights(make()).sum() == pytest.approx(interval[1] - interval[0],
@@ -82,13 +84,13 @@ class TestBrqWeights:
 
     def test_exp_error_order(self):
         n = 20
-        basis = fh_basis(np.linspace(0.0, 1.0, n + 1), 3)
+        basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), 3)
         err = abs(brq_weights(basis) @ np.exp(basis.nodes) - (math.e - 1.0))
         assert err <= 1.0 * (1.0 / n) ** 4
 
     def test_stability_sum_bounded_by_lebesgue(self):
         for d in (1, 2, 3):
-            basis = fh_basis(np.linspace(0.0, 1.0, 33), d)
+            basis = BaryBasis(np.linspace(0.0, 1.0, 33), d)
             lam = lebesgue_constant(basis, 40)
             assert np.abs(brq_weights(basis)).sum() <= 1.0 * lam + 1e-8
 
@@ -96,7 +98,7 @@ class TestBrqWeights:
 class TestProductWeights:
     def test_linear_closed_form(self):
         h = 0.25
-        basis = fh_basis(np.array([0.0, h]), 1)
+        basis = BaryBasis(np.array([0.0, h]), 1)
         w = product_weights(basis)
         assert w == pytest.approx([(2.0 / 3.0) * math.sqrt(h),
                                    (4.0 / 3.0) * math.sqrt(h)], abs=1e-14)
@@ -105,12 +107,12 @@ class TestProductWeights:
     def test_rows_sum_to_kernel_mass(self, n):
         grid = np.linspace(0.0, 1.0, n + 1)
         for i in range(1, n + 1):
-            basis = fh_basis(grid[: i + 1], min(2, i))
+            basis = BaryBasis(grid[: i + 1], min(2, i))
             w = product_weights(basis)
             assert w.sum() == pytest.approx(2.0 * math.sqrt(grid[i]), abs=1e-10)
 
     def test_full_row_reproduces_linear_integrand(self):
-        basis = fh_basis(np.linspace(0.0, 1.0, 9), 2)
+        basis = BaryBasis(np.linspace(0.0, 1.0, 9), 2)
         w = product_weights(basis)
         assert w @ basis.nodes == pytest.approx(4.0 / 3.0, abs=1e-3)
 
@@ -122,7 +124,7 @@ class TestProductWeights:
         grid = np.linspace(0.0, 1.0, n + 1)
         for i in range(1, n + 1):
             order = min(d, i)
-            basis = fh_basis(grid[: i + 1], order)
+            basis = BaryBasis(grid[: i + 1], order)
             w = product_weights(basis)
             for degree in range(order + 1):
                 approx = w @ grid[: i + 1] ** degree
@@ -138,7 +140,7 @@ class TestProductWeights:
     ])
     def test_substitution_matches_adaptive_reference(self, i, alpha):
         grid = np.linspace(0.0, 1.0, 17)
-        basis = fh_basis(grid[: i + 1], min(3, i))
+        basis = BaryBasis(grid[: i + 1], min(3, i))
         w = product_weights(basis, alpha)
         kernel = dict(weight="alg", wvar=(0.0, -alpha)) if alpha else {}
         for j in range(i + 1):
@@ -149,6 +151,21 @@ class TestProductWeights:
             np.testing.assert_array_equal(w, brq_weights(basis))
 
     def test_alpha_range(self):
-        basis = fh_basis(np.array([0.0, 1.0]), 1)
+        basis = BaryBasis(np.array([0.0, 1.0]), 1)
         with pytest.raises(ValueError):
             product_weights(basis, alpha=1.0)
+
+
+class TestUnitWeightRows:
+    def test_scale_invariance(self):
+        # the barycentric quotient ignores a common factor of the weights,
+        # so raw, unnormalized weights give the same rows
+        n = 20
+        for d in (0, 3):
+            betas = np.zeros((n + 1, n + 1))
+            for i in range(n + 1):
+                betas[i, :i + 1] = fh_weights(i, min(d, i))
+            for alpha in (0.0, 0.5):
+                rows = unit_weight_rows(betas, alpha)
+                scaled = unit_weight_rows(7.3 * betas, alpha)
+                assert np.max(np.abs(scaled - rows)) <= 1e-14
