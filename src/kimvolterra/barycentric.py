@@ -29,13 +29,14 @@ _EQUIDISTANT_RTOL = 1e-12
 _NODE_HIT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BaryBasis:
     """Equidistant interpolation nodes with the Floater-Hormann weights of order d.
 
     ``degree`` is the blending order d, with 0 <= d <= n; d = 0 is Berrut's
     basis.  Node spacing must be uniform to within 1e-12 of the span.  The
-    read-only ``weights`` are ``fh_weights(n, degree)``, set on construction.
+    read-only ``weights`` are ``fh_weights(n, degree)``, set on construction,
+    so two bases are equal, and hash alike, when their degrees and nodes are.
     """
 
     nodes: np.ndarray
@@ -58,6 +59,13 @@ class BaryBasis:
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, BaryBasis) and self.degree == other.degree
+                and np.array_equal(self.nodes, other.nodes))
+
+    def __hash__(self) -> int:
+        return hash((self.degree, (self.nodes + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
 
     @property
     def n(self) -> int:

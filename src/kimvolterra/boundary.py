@@ -146,9 +146,9 @@ class SolveDiagnostics:
     weights_cached: bool  # True when no weight table had to be built
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """Solved boundary values on a grid, evaluable anywhere on [0, T]."""
+    """Solved boundary values on a grid, evaluable anywhere on [0, T]; equal only to itself."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -198,12 +198,14 @@ def _unit_rows(n: int, d: int, alpha: float) -> np.ndarray:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit-spacing weight rows (used by timing studies)."""
+    """Drop the cached unit-spacing weight rows and start weights (used by timing studies)."""
     _unit_rows.cache_clear()
+    _start_weights.cache_clear()
 
 
+@lru_cache(maxsize=None)
 def _start_weights(n: int) -> np.ndarray:
-    """Start weights of rows _SQRT_START..n, row i at index i - _SQRT_START.
+    """Read-only start weights of rows _SQRT_START..n, row i at index i - _SQRT_START.
 
     Newton starts rows 1..4 from B_(i-1), next to the expiry singularity.
     Row i >= 5 extrapolates B_(i-2k), ..., B_(i-2), k = min(5, (i - 1) // 2),
@@ -221,7 +223,9 @@ def _start_weights(n: int) -> np.ndarray:
     gaps[~(used[:, :, None] & used[:, None, :])] = 1.0
     gaps[:, range(5), range(5)] = 1.0
     c = used / (gaps.prod(axis=2) * (np.sqrt(rows) - u))
-    return c / c.sum(axis=1, keepdims=True)
+    c /= c.sum(axis=1, keepdims=True)
+    c.setflags(write=False)
+    return c
 
 
 def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,

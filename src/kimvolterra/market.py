@@ -6,11 +6,11 @@ module, the array d1/d2 along a boundary lives in the boundary solver and
 the premium integrand in the pricing module.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
-gives its layout and the nodes it skips, which leave 9.5e6 of 3.40e7 node
-updates (28%) in the Table-3 BIN(10000) tree at S = 100.  Its five spots take
-about 0.16 s in one call, 0.28 s in five, and one spot 0.05 s, mostly the fixed
-cost of the four numpy calls a level makes once for all its spots (medians of
-15 alternating runs, 2-core Xeon VM, Python 3.11, numpy 2.4).
+gives its layout, the nodes it skips, which leave 9.5e6 of 3.40e7 node updates
+(28%) in the Table-3 BIN(10000) tree at S = 100, and its one pass per level over
+the spots.  Its five spots take about 0.12 s in one call, 0.29 s in five, and one
+spot 0.06 s, mostly the fixed cost of a level's numpy calls and of that pass
+(medians of 15 alternating runs, 2-core Intel Xeon VM, Python 3.11, numpy 2.4).
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -149,7 +149,14 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     the array its children wrote and writes the other one, in one block over
     the union of its spots' windows.  There a spot's nodes below its own
     window get their payoff bits again, by the prefix proof, and those above
-    it an exact 0, as their children are 0 and their payoff is <= 0.
+    it an exact 0, as their children are 0 and their payoff is <= 0.  The
+    exercise maximum stops at the first slot from which every spot's payoff
+    K - S is < 0 (it falls as the slot rises): there the continuation
+    qd a + qu b, with qd, qu > 0 and values >= 0, is >= 0 > K - S, so the
+    maximum would return its bits.  Then one pass over the spots trims each
+    one's tail, scans its exercised run and sets its window for the next
+    level; it reads and writes single entries through memoryviews, as Python
+    floats, since a numpy scalar costs about twice as much.
 
     Exercised prefix.  A node at spot S whose two children hold exactly
     their exercise values a = K - S/u and b = K - S u keeps its stored payoff
@@ -209,56 +216,64 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     gap_r, gap_d = p.strike * -math.expm1(-p.rate * dt), -math.expm1(-p.dividend * dt)
     gap_safe = [flat(gap_r - s * gap_d > _EXERCISE_MARGIN * p.strike) for s in spots]
     pays = [np.subtract(p.strike, s, out=s) for s in spots]  # no spot is used below
+    paying = [flat(pay >= 0.0) for pay in pays]
+    itm = [max(m) - max(m) % ns for m in paying]  # the first slot where every K - S < 0
     # exercised[par][s]: the slots of spot s from the first node of the level last
     # written to values[par] up to this one hold their payoff and are below gap_safe
-    exercised = [[min(e, g) for e, g in zip(flat(pay >= 0.0), safe)]
-                 for pay, safe in zip(pays, gap_safe)]
+    exercised = [[min(e, g) for e, g in zip(m, safe)] for m, safe in zip(paying, gap_safe)]
     values = [np.maximum(pay, 0.0) for pay in pays]
-    # dead[s]: the slot of spot s above its live nodes (values never rise with k) in the
-    # array last written; those above it hold 0 already, as a positive K - S is >= 2^-54 K
-    dead = flat(values[0] >= cutoff)
+    cells, payoffs = [memoryview(v) for v in values], [memoryview(pay) for pay in pays]
     scratch = np.empty(steps * ns)
     qd0, qu0 = np.array(qd), np.array(qu)  # numpy converts a float operand on every call
     multiply, add, maximum = np.multiply, np.add, np.maximum
-    ids, tops, starts = range(ns), [0] * ns, [0] * ns
-    levels = [(values[par], values[1 - par], pays[par], exercised[1 - par], exercised[par],
-               gap_safe[par], (1 - par) * ns, par * ns) for par in (0, 1)]
+    ids, zeros = range(ns), memoryview(np.zeros(ns))
+    levels = [(values[par], values[1 - par], pays[par], cells[par], payoffs[par],
+               exercised[1 - par], exercised[par], gap_safe[par], itm[par],
+               (1 - par) * ns, par * ns) for par in (0, 1)]
+    # level steps - 1's windows, as the pass below sets them; the expiry level is dead from
+    # its first value < cutoff, as values never rise with k and a positive K - S is >= 2^-54 K
+    first, above = 0, steps * ns
+    tops = [min(dead, above + s) for s, dead in zip(ids, flat(values[0] >= cutoff))]
+    starts = [max(s, min(e - ns, own, top)) for s, e, own, top in zip(ids, *exercised, tops)]
+    lo, hi = min(starts), max(tops)
     for i in range(steps - 1, -1, -1):
         # level i writes parity par = (steps - i) % 2; slot m reads kids[m + par - 1], kids[m + par]
-        v, kids, pay, ex_kid, ex_own, safe, lift, back = levels[(steps - i) & 1]
-        first = ((steps - i) >> 1) * ns
-        above = first + (i + 1) * ns  # the slot above the level's last node
-        lo, hi = above, 0
-        for s in ids:
-            # the top node's up child is level i + 1's dead slot; skip slot m while its
-            # up child (whose gap is below m's) and m itself are in their exercised runs
-            top = dead[s] + lift if dead[s] + lift < above + s else above + s
-            start = ex_kid[s] - back if ex_kid[s] - back < ex_own[s] else ex_own[s]
-            start = first + s if start < first + s else top if start > top else start
-            tops[s], starts[s] = top, start
-            if start < lo:
-                lo = start
-            if top > hi:
-                hi = top
+        v, kids, pay, cell, payoff, ex_kid, ex_own, safe, itm_par, lift, back = \
+            levels[(steps - i) & 1]
         lo, hi = lo - lo % ns, hi - hi % ns
         down = lo - lift
         head, up = v[lo:hi], scratch[:hi - lo]
         multiply(kids[down: down + hi - lo], qd0, head)
         multiply(kids[down + ns: down + ns + hi - lo], qu0, up)
         add(head, up, head)
-        maximum(head, pay[lo:hi], out=head)
+        cut = hi if hi < itm_par else itm_par
+        if lo < cut:
+            below = v[lo:cut]
+            maximum(below, pay[lo:cut], out=below)
+        if hi < above:
+            cell[hi: hi + ns] = zeros  # the up children of level i - 1's top nodes
+        nxt, nxt_above = first + back, above - lift  # level i - 1's first and above
+        lo, hi = nxt_above, 0
         for s in ids:
-            if hi < above:
-                v[hi + s] = 0.0  # the up child of level i - 1's top node
             top, bottom = tops[s], first + s
-            while top > bottom and v[top - ns] < cutoff:
+            while top > bottom and cell[top - ns] < cutoff:
                 top -= ns
-                v[top] = 0.0
-            dead[s] = top
+                cell[top] = 0.0
             start = starts[s]
             stop = safe[s] if safe[s] < top else top
-            while start < stop and v[start] == pay[start]:
+            while start < stop and cell[start] == payoff[start]:
                 start += ns
             ex_own[s] = start
+            # level i - 1's top node's up child is this dead slot; skip slot m while its
+            # up child (whose gap is below m's) and m itself are in their exercised runs
+            top = top + back if top + back < nxt_above + s else nxt_above + s
+            start = start - lift if start - lift < ex_kid[s] else ex_kid[s]
+            start = nxt + s if start < nxt + s else top if start > top else start
+            tops[s], starts[s] = top, start
+            if start < lo:
+                lo = start
+            if top > hi:
+                hi = top
+        first, above = nxt, nxt_above
     prices = values[steps & 1][(steps >> 1) * ns:][:ns]
     return float(prices[0]) if batch.ndim == 0 else prices.tolist()

@@ -117,6 +117,19 @@ class TestBaryBasis:
         init = [f.name for f in dataclasses.fields(BaryBasis) if f.init]
         assert init == ["nodes", "degree"]
 
+    def test_equal_bases_compare_and_hash_alike(self):
+        # a basis is fixed by its nodes and its order
+        basis = BaryBasis(np.linspace(0.0, 1.0, 5), 2)
+        twin = BaryBasis([0.0, 0.25, 0.5, 0.75, 1.0], 2)
+        assert basis == twin and hash(basis) == hash(twin)
+        assert {basis, twin} == {basis}
+        assert basis != BaryBasis(np.linspace(0.0, 1.0, 5), 1)
+        assert basis != BaryBasis(np.linspace(0.0, 2.0, 5), 2)
+        assert basis != BaryBasis(np.linspace(0.0, 1.0, 6), 2)
+        assert basis != "basis"
+        signed, unsigned = BaryBasis([-0.0, 1.0], 0), BaryBasis([0.0, 1.0], 0)
+        assert signed == unsigned and hash(signed) == hash(unsigned)
+
 
 class TestEvalInterpolant:
     def test_exact_at_nodes(self):

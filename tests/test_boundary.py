@@ -146,6 +146,11 @@ class TestSolveBoundary:
         assert diag.weights_s + diag.newton_s <= diag.wall_time
         assert diag.flags == ()
 
+    def test_curves_compare_and_hash_by_identity(self, curve_n32_d2):
+        again = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
+        assert curve_n32_d2 == curve_n32_d2 and curve_n32_d2 != again
+        assert {curve_n32_d2, again, curve_n32_d2} == {curve_n32_d2, again}
+
     def test_nested_grid_discrepancy_shrinks_without_dividend(self):
         p = params_with(0.0)
         curves = {n: solve_boundary(SolverConfig(n=n, d=2), p)
@@ -407,6 +412,14 @@ class TestNewtonStart:
                 got = row[5 - k:].dot(np.polyval(coeffs, u_nodes))
                 exact = np.polyval(coeffs, math.sqrt(i))
                 assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_weights_cached_read_only(self):
+        # they depend on n alone and are shared by every solve on n intervals
+        weights = boundary._start_weights(32)
+        assert weights.flags.writeable is False
+        assert boundary._start_weights(32) is weights
+        clear_weight_cache()
+        assert boundary._start_weights(32) is not weights
 
     def test_start_of_each_row(self, monkeypatch):
         starts = []

@@ -73,10 +73,11 @@ def bits(values) -> list[str]:
 
 class CountingNumpy:
     """Stand-in for ``market.np`` counting np.multiply calls and the values
-    passed through np.maximum."""
+    passed through np.multiply and np.maximum."""
 
     def __init__(self):
         self.multiply_calls = 0
+        self.multiply_values = 0
         self.maximum_values = 0
 
     def __getattr__(self, name):
@@ -84,6 +85,7 @@ class CountingNumpy:
 
     def multiply(self, *args, **kwargs):
         self.multiply_calls += 1
+        self.multiply_values += np.size(args[0])
         return np.multiply(*args, **kwargs)
 
     def maximum(self, x, *args, **kwargs):
@@ -375,6 +377,13 @@ class TestBinomialAmericanPut:
     @example(steps=600, rate=0.08, dividend=0.08, vol=0.2, expiry=3.0,
              moneyness=[1.2, 0.8, 1.0, 0.9, 1.1], duplicate=True, deep=True,
              order=random.Random(0))
+    # every spot far above the strike: the windows near the root lie above every payoff
+    @example(steps=600, rate=0.05, dividend=0.1, vol=0.3, expiry=3.0,
+             moneyness=[3.0, 4.0, 5.0], duplicate=True, deep=False, order=random.Random(1))
+    # r = 0 with a dividend: no node is provably exercised
+    @example(steps=600, rate=0.0, dividend=0.2, vol=0.2, expiry=3.0,
+             moneyness=[0.5, 0.8, 1.0, 1.3], duplicate=True, deep=True,
+             order=random.Random(2))
     @settings(max_examples=100, deadline=None)
     def test_batch_matches_per_spot_calls_property(self, steps, rate, dividend, vol,
                                                    expiry, moneyness, duplicate, deep,
@@ -404,6 +413,21 @@ class TestBinomialAmericanPut:
         monkeypatch.setattr(market, "np", counting)
         binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
         assert 0 < counting.maximum_values < 0.4 * 3.40e7
+
+    def test_tail_and_prefix_are_not_updated(self, monkeypatch):
+        # each level updates a node by two products, so a sweep of every live node
+        # in the Table-3 BIN(10000) tree at S = 100 multiplies 2 x 3.40e7 values
+        counting = CountingNumpy()
+        monkeypatch.setattr(market, "np", counting)
+        binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
+        assert 0 < counting.multiply_values <= 0.3 * 2 * 3.40e7
+
+    def test_exercise_maximum_only_below_the_strike(self, monkeypatch):
+        # above the strike the continuation, >= 0, is what the maximum returns
+        counting = CountingNumpy()
+        monkeypatch.setattr(market, "np", counting)
+        binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
+        assert 0 < counting.maximum_values < 1e6
 
     def test_batch_makes_each_numpy_call_once_per_level(self, monkeypatch):
         one, five = CountingNumpy(), CountingNumpy()
