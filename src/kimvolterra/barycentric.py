@@ -34,9 +34,10 @@ class BaryBasis:
     """Equidistant interpolation nodes with the Floater-Hormann weights of order d.
 
     ``degree`` is the blending order d, with 0 <= d <= n; d = 0 is Berrut's
-    basis.  Node spacing must be uniform to within 1e-12 of the span.  The
-    read-only ``weights`` are ``fh_weights(n, degree)``, set on construction,
-    so two bases are equal, and hash alike, when their degrees and nodes are.
+    basis.  Nodes must be finite, their spacing uniform to within 1e-12 of
+    the span.  The read-only ``weights`` are ``fh_weights(n, degree)``, set on
+    construction, so two bases are equal, and hash alike, when their degrees
+    and nodes are.
     """
 
     nodes: np.ndarray
@@ -47,6 +48,8 @@ class BaryBasis:
         nodes = np.array(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("need at least 2 one-dimensional nodes")
+        if not np.isfinite(nodes).all():  # NaN fails no comparison below
+            raise ValueError("nodes must be finite")
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ValueError("nodes must be strictly increasing")

@@ -6,11 +6,12 @@ module, the array d1/d2 along a boundary lives in the boundary solver and
 the premium integrand in the pricing module.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
-gives its layout, the nodes it skips, which leave 9.5e6 of 3.40e7 node updates
-(28%) in the Table-3 BIN(10000) tree at S = 100, and its one pass per level over
-the spots.  Its five spots take about 0.12 s in one call, 0.29 s in five, and one
-spot 0.06 s, mostly the fixed cost of a level's numpy calls and of that pass
-(medians of 15 alternating runs, 2-core Intel Xeon VM, Python 3.11, numpy 2.4).
+gives its layout, the nodes it skips, which leave 4.1e6 of the 3.40e7 nodes
+worth at least 1e-290 K (12%) to update in the Table-3 BIN(10000) tree at
+S = 100, and its one pass per level over the spots.  Its five spots take about
+0.13 s in one call, 0.34 s in five, and one spot 0.065 s, mostly the fixed cost
+of a level's numpy calls and of that pass (medians of 15 alternating runs,
+2-core Intel Xeon VM, Python 3.11, numpy 2.4).
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -35,8 +36,10 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Tree nodes below this fraction of the strike are dropped as exact zeros.
+# A tree node is dropped as an exact zero below the larger of these fractions of
+# the strike and of its spot's price floor (see _price_floors).
 _TAIL_CUTOFF = 1e-290
+_TAIL_SHARE = 2.0 ** -110
 # A node whose children are both exercised keeps its payoff when its exercise
 # gap exceeds this fraction of the strike (proof in binomial_american_put).
 _EXERCISE_MARGIN = 1e-12
@@ -133,6 +136,33 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
             - spot * math.exp(-p.dividend * t) * norm_cdf(-d1))
 
 
+def _price_floors(steps: int, batch: np.ndarray, terminal: np.ndarray, q: float,
+                  log_disc: float, strike: float) -> list[float]:
+    """Per spot S, F = max(K - S, E / 2), a lower bound on its tree price.
+
+    The root holds at least its payoff K - S, and an American value is at
+    least the European value E of the same tree.  E is the binomial sum of
+    C(N, j) qu^j qd^(N-j) (K - S u^(2j-N)) over the in-the-money terminal
+    nodes (``terminal`` holds u^(2j-N), j = 0..N), each term formed in log
+    space as log C(N, j) + j log q + (N - j) log(1 - q) + N log_disc, finite
+    even where the discount underflows, with log C(N, j) a cumulative sum of
+    log((N-j+1)/j).  Its rounding, about 1e-11 relative at N = 10,000, is far
+    inside the halving; terms that underflow drop out, which only lowers the
+    bound.
+    """
+    j = np.arange(steps + 1.0)
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((steps + 1 - j[1:]) / j[1:]))))
+    log_weights = (log_binom + j * math.log(q) + (steps - j) * math.log(1.0 - q)
+                   + steps * log_disc)
+    floors = []
+    for s in batch.reshape(-1).tolist():
+        pay = strike - s * terminal
+        itm = np.count_nonzero(pay > 0.0)  # the payoff falls as j rises
+        european = float(np.exp(log_weights[:itm] + np.log(pay[:itm])).sum())
+        floors.append(max(strike - s, 0.5 * european))
+    return floors
+
+
 def binomial_american_put(steps: int, spot: float | Sequence[float],
                           p: MarketParams) -> float | list[float]:
     """American put values from one Cox-Ross-Rubinstein tree for all spots.
@@ -177,15 +207,22 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     and its own entry are their payoffs, so the skip relies on no
     monotonicity of the computed tree.
 
-    Out-of-the-money tail.  Node values never rise with the spot, so those
-    below ``_TAIL_CUTOFF * K`` = 1e-290 K form a tail at the top of each
-    level, which is set to an exact 0 and never updated again.  Values are
-    >= 0 and each node is qd v[j] + qu v[j+1] with qu + qd = exp(-r dt) <= 1,
-    so a dropped value moves the price by less than its own size; the tests
-    hold the price to |change| <= 1e-290 K against a full sweep of every
-    node, and to the same bits wherever it is >= 1e-280 K.  Without the cut,
-    the Table-3 tree at S = 100 holds up to 1,202 subnormal values in a level,
-    on which numpy arithmetic runs about 13 times slower.
+    Out-of-the-money tail.  Each spot drops the nodes worth less than its
+    cut max(1e-290 K, 2^-110 F), with F its price floor (``_price_floors``),
+    which is at most its tree price.  Node values never rise with the spot,
+    so the dropped nodes form a tail at the top of each level, which is set
+    to an exact 0 and never updated again.  Values are >= 0 and each node is
+    qd v[j] + qu v[j+1], or its payoff, with qu + qd = exp(-r dt) <= 1, so
+    one level's drops move each node nearer the root by less than the cut,
+    and the price moves by less than (steps + 1) times the cut.  Where the
+    floor sets the cut, that is below (steps + 1) 2^-110 of the price, about
+    2^-97 at 10,000 steps and far below half an ulp, so the price keeps its
+    bits; the tests hold it to the same bits as a full sweep of every node
+    wherever the price is >= 1e-280 K, and to |change| <= 1e-290 K below.
+    At 1e-290 K alone the five-spot Table-3 tree updated 4,974 values per
+    level; the per-spot cut leaves 2,305.  Without a cut, the Table-3 tree
+    at S = 100 holds up to 1,202 subnormal values in a level, on which numpy
+    arithmetic runs about 13 times slower.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
@@ -203,7 +240,6 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
             f"reduce the step size relative to the volatility")
     disc = math.exp(-p.rate * dt)
     qu, qd = disc * q, disc * (1.0 - q)
-    cutoff = _TAIL_CUTOFF * p.strike
 
     def flat(mask):  # per spot s: m * ns + s, with m the number of its slots in mask
         return (np.count_nonzero(mask.reshape(-1, ns), axis=0) * ns + np.arange(ns)).tolist()
@@ -211,6 +247,9 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     # spot u^k for k = -steps..steps; the node j of level i sits at k = 2j - i, in slot
     # (k + steps) // 2 of the arrays of parity (k + steps) % 2; slot m of spot s is m * ns + s
     ladder = np.exp(p.volatility * math.sqrt(dt) * np.arange(-steps, steps + 1))
+    # each spot's tail cut; its floor's sums are done before the tree's arrays exist
+    cuts = [max(_TAIL_CUTOFF * p.strike, _TAIL_SHARE * floor)
+            for floor in _price_floors(steps, batch, ladder[::2], q, -p.rate * dt, p.strike)]
     spots = [np.outer(ladder[par::2], batch).reshape(-1) for par in (0, 1)]
     # gap_safe[par][s]: the slots of spot s below it have a gap above the margin
     gap_r, gap_d = p.strike * -math.expm1(-p.rate * dt), -math.expm1(-p.dividend * dt)
@@ -231,9 +270,10 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
                exercised[1 - par], exercised[par], gap_safe[par], itm[par],
                (1 - par) * ns, par * ns) for par in (0, 1)]
     # level steps - 1's windows, as the pass below sets them; the expiry level is dead from
-    # its first value < cutoff, as values never rise with k and a positive K - S is >= 2^-54 K
+    # its first value < its cut, as values never rise with k and a positive K - S is
+    # >= 2^-54 K, above every cut
     first, above = 0, steps * ns
-    tops = [min(dead, above + s) for s, dead in zip(ids, flat(values[0] >= cutoff))]
+    tops = [min(dead, above + s) for s, dead in zip(ids, flat(values[0].reshape(-1, ns) >= cuts))]
     starts = [max(s, min(e - ns, own, top)) for s, e, own, top in zip(ids, *exercised, tops)]
     lo, hi = min(starts), max(tops)
     for i in range(steps - 1, -1, -1):
@@ -256,7 +296,7 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
         lo, hi = nxt_above, 0
         for s in ids:
             top, bottom = tops[s], first + s
-            while top > bottom and cell[top - ns] < cutoff:
+            while top > bottom and cell[top - ns] < cuts[s]:
                 top -= ns
                 cell[top] = 0.0
             start = starts[s]

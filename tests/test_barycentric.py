@@ -90,6 +90,12 @@ class TestBaryBasis:
         with pytest.raises(ValueError):
             BaryBasis(np.array([1.0, 0.5, 0.0]), 0)
 
+    @pytest.mark.parametrize("nodes", [[math.nan, math.nan], [0.0, math.nan, 2.0],
+                                       [0.0, math.inf], [-math.inf, 0.0, math.inf]])
+    def test_rejects_non_finite(self, nodes):
+        with pytest.raises(ValueError, match="finite"):
+            BaryBasis(nodes, 0)
+
     def test_rejects_short(self):
         with pytest.raises(ValueError):
             BaryBasis(np.array([1.0]), 0)

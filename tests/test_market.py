@@ -288,6 +288,24 @@ class TestBinomialAmericanPut:
         assert bits(batch) == bits(binomial_american_put(2500, s, p) for s in spots)
         assert batch[1] == batch[3] == 0.0
 
+    # far out of the money, where each spot's own cut thins the tree most
+    @pytest.mark.parametrize("p,moneyness", [
+        (MarketParams(100.0, 0.25, 0.05, 0.0, 0.2), (3.0, 5.0, 7.0)),
+        (MarketParams(1.0, 0.1, 0.3, 0.5, 0.4), (4.0, 8.0, 12.0)),
+        (MarketParams(1e5, 3.0, 0.0, 0.04, 0.1), (6.0, 15.0, 30.0)),
+        (MarketParams(100.0, 0.02, 0.02, 0.0, 0.8), (3.0, 6.0, 8.0)),
+        (MarketParams(100.0, 10.0, 0.3, 0.0, 0.05), (1.2, 2.0, 3.0)),
+    ])
+    def test_far_tail_bits_match_full_sweep(self, p, moneyness):
+        far = [m * p.strike for m in moneyness]
+        spots = far + [0.8 * p.strike, p.strike]
+        references = {s: reference_american_put(400, s, p) for s in spots}
+        assert all(1e-250 * p.strike <= references[s] <= 1e-20 * p.strike for s in far)
+        alone = [binomial_american_put(400, s, p) for s in far]
+        assert bits(alone) == bits(references[s] for s in far)
+        random.Random(sum(moneyness)).shuffle(spots)  # priced among in-the-money spots
+        assert bits(binomial_american_put(400, spots, p)) == bits(references[s] for s in spots)
+
     def test_convergence_as_steps_double(self):
         values = {n: binomial_american_put(n, 100.0, TABLE3_PARAMS)
                   for n in (250, 500, 1000, 2000, 4000)}
@@ -304,6 +322,12 @@ class TestBinomialAmericanPut:
                          volatility=0.05)
         with pytest.raises(ConfigurationError):
             binomial_american_put(1, 100.0, p)
+
+    def test_underflowing_discount_prices_the_payoff(self):
+        # exp(-r dt) underflows to 0: the continuation is 0, and so is the European floor
+        p = MarketParams(strike=100.0, expiry=1.0, rate=1000.0, dividend=1000.0,
+                         volatility=1.0)
+        assert binomial_american_put(1, [90.0, 120.0], p) == [10.0, 0.0]
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -371,6 +395,33 @@ class TestBinomialAmericanPut:
 
     @given(steps=st.integers(1, 600), rate=st.floats(0.0, 0.3),
            dividend=st.floats(0.0, 0.5), vol=st.floats(0.05, 0.8),
+           expiry=st.floats(0.02, 10.0), moneyness=st.floats(0.2, 5.0))
+    @settings(max_examples=200, deadline=None)
+    def test_price_floor_below_full_sweep_property(self, steps, rate, dividend, vol,
+                                                   expiry, moneyness):
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate,
+                         dividend=dividend, volatility=vol)
+        spot = moneyness * p.strike
+        reference = reference_american_put(steps, spot, p)
+        if reference is None:
+            return
+        floors, price_floors = [], market._price_floors
+
+        def spy(*args):
+            floors.extend(price_floors(*args))
+            return floors
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market, "_price_floors", spy)
+            binomial_american_put(steps, spot, p)
+        [floor] = floors
+        assert floor >= p.strike - spot
+        # below 2^110 x 1e-290 K the floor sets no cut, and a full sweep there may
+        # run through subnormal values, whose rounding is no longer relative
+        cut_by_floor = market._TAIL_SHARE * floor > market._TAIL_CUTOFF * p.strike
+        assert floor <= reference or not cut_by_floor
+
+    @given(steps=st.integers(1, 600), rate=st.floats(0.0, 0.3),
+           dividend=st.floats(0.0, 0.5), vol=st.floats(0.05, 0.8),
            expiry=st.floats(0.02, 10.0),
            moneyness=st.lists(st.floats(0.2, 5.0), min_size=1, max_size=6),
            duplicate=st.booleans(), deep=st.booleans(), order=st.randoms())
@@ -421,6 +472,14 @@ class TestBinomialAmericanPut:
         monkeypatch.setattr(market, "np", counting)
         binomial_american_put(10_000, 100.0, TABLE3_PARAMS)
         assert 0 < counting.multiply_values <= 0.3 * 2 * 3.40e7
+
+    def test_tail_cut_per_spot_halves_the_updates(self, monkeypatch):
+        # a cut at 1e-290 K for every spot multiplies 9.95e7 values in the five-spot
+        # Table-3 BIN(10000) tree; a cut at 2^-110 of each spot's floor, 4.61e7
+        counting = CountingNumpy()
+        monkeypatch.setattr(market, "np", counting)
+        binomial_american_put(10_000, TABLE3_SPOTS, TABLE3_PARAMS)
+        assert 0 < counting.multiply_values <= 0.6 * 9.95e7
 
     def test_exercise_maximum_only_below_the_strike(self, monkeypatch):
         # above the strike the continuation, >= 0, is what the maximum returns
