@@ -25,8 +25,9 @@ of tau alone are lag tables, ln B_j and r K - delta B_j running arrays, and
 constants of h alone are computed once per solve.
 
 Weight row i on spacing h is sqrt(h) (product) or h (quadrature) times the
-row on the unit nodes 0..i, so one cached table of rows 0..n per (n, d,
-alpha), Berrut's basis being order 0, serves every horizon and pricing.
+row on the unit nodes 0..i, so the solve reads rows 1..n of
+``quadrature.unit_weight_rows(n, d, alpha)``, Berrut's basis being order 0;
+that cached table serves every horizon and pricing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import ndtr
 
-from .barycentric import BaryBasis, eval_interpolant, fh_weights
+from .barycentric import BaryBasis, eval_interpolant
 from .market import MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
@@ -150,7 +151,7 @@ class SolveDiagnostics:
 class BoundaryCurve:
     """Solved boundary values on a grid, evaluable anywhere on [0, T]; equal only to itself."""
 
-    grid: np.ndarray
+    grid: np.ndarray  # the read-only basis.nodes itself: one node array prices and evaluates
     values: np.ndarray
     basis: BaryBasis
     params: MarketParams
@@ -187,19 +188,9 @@ def _perpetual_exponent(p: MarketParams) -> float:
     return (-mu - math.sqrt(mu * mu + 2.0 * p.volatility**2 * p.rate)) / p.volatility**2
 
 
-@lru_cache(maxsize=None)
-def _unit_rows(n: int, d: int, alpha: float) -> np.ndarray:
-    """Read-only unit-node weight rows 0..n; row i is on the Floater-Hormann
-    basis of order min(d, i) (d = 0 is Berrut's), zero beyond node i."""
-    betas = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):  # slice writes: padding each row cost about as much as the integrals
-        betas[i, :i + 1] = fh_weights(i, min(d, i))
-    return unit_weight_rows(betas, alpha)
-
-
 def clear_weight_cache() -> None:
     """Drop the cached unit-spacing weight rows and start weights (used by timing studies)."""
-    _unit_rows.cache_clear()
+    unit_weight_rows.cache_clear()
     _start_weights.cache_clear()
 
 
@@ -297,8 +288,8 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     lags = np.array((sig_tau, inv_sig_tau, (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau,
                      ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau,
                      pref * disc_r, np.exp(-delta * tau), disc_r * inv_sig_tau / _SQRT_2PI))
-    w_rows = _unit_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = _unit_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else None
+    w_rows = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
+    q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else None
 
     def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray):
         sig_tau, inv_sig_tau, drift, a1, kern_lag, disc_d, slope_lag = lags[:, cfg.n - i:]
@@ -350,7 +341,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
         raise ValueError("rate = 0 makes early exercise worthless; "
                          "the boundary equation degenerates")
     n = cfg.n
-    start, builds = time.perf_counter(), _unit_rows.cache_info().misses
+    start, builds = time.perf_counter(), unit_weight_rows.cache_info().misses
     grid, build_row = _row_residual(cfg, p)
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
@@ -391,8 +382,9 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                             bisections=bisections, flags=tuple(flags),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
-                            weights_cached=_unit_rows.cache_info().misses == builds)
-    return BoundaryCurve(grid=grid, values=values, basis=BaryBasis(grid, cfg.d),
+                            weights_cached=unit_weight_rows.cache_info().misses == builds)
+    basis = BaryBasis(grid, cfg.d)
+    return BoundaryCurve(grid=basis.nodes, values=values, basis=basis,
                          params=p, config=cfg, diagnostics=diag)
 
 

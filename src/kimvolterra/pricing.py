@@ -4,11 +4,11 @@ The put value splits into its European part plus the early-exercise
 premium, an integral of discounted exercise benefits against the boundary
 over [0, t].  The premium integrand is written here once (the
 value-matching equation is this formula at S = B), and the integral is
-evaluated with the solver's cached quadrature rows of the curve's rational
-basis, scaled to the grid spacing; the integrand's endpoint limit vanishes
-in the continuation region.  Calls are priced through put-call symmetry
-(strike and spot swap roles, as do rate and dividend yield), which also
-gives the European call without dividends.
+evaluated with the cached quadrature rows (``unit_weight_rows``) of the
+curve's rational basis, scaled to the grid spacing; the integrand's
+endpoint limit vanishes in the continuation region.  Calls are priced
+through put-call symmetry (strike and spot swap roles, as do rate and
+dividend yield), which also gives the European call without dividends.
 
 Pricing is pure given an immutable curve; concurrent pricing across
 spots and times is safe.
@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, _unit_rows,
-                       eval_boundary, solve_boundary)
+from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, eval_boundary,
+                       solve_boundary)
 from .market import MarketParams, _require_spot, european_put
-from .quadrature import brq_weights  # noqa: F401 (the benchmark tracer wraps it here)
+from .quadrature import brq_weights, unit_weight_rows  # noqa: F401 (brq_weights is traced)
 
 __all__ = [
     "PriceResult",
@@ -58,6 +58,7 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     theta is the negative perpetual-put exponent, so the factor is positive
     for every valid parameter set with r > 0.
     """
+    _require_spot(spot)
     if p.rate <= 0.0:
         raise ValueError("error_bound_factor requires rate > 0")
     theta = _perpetual_exponent(p)
@@ -120,7 +121,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
         premium = value - euro
     else:
         m = nodes.size - 1
-        weights = (t / m) * _unit_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
+        weights = (t / m) * unit_weight_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
         integrand = _premium_integrand(spot, t - nodes[:-1], ys[:-1], p)
         # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
         endpoint = ((0.5 if spot - ys[-1] <= 1e-9 * p.strike else 0.0)

@@ -9,7 +9,8 @@ u = (e - s)^(1-alpha), each unit subinterval e - s in [m - 1, m] gets 16
 Gauss-Legendre points in u.  Their offsets v = e - s lie strictly inside
 (m - 1, m) whatever the row end e, so every row shares one Cauchy table
 T[(m, q), l] = 1 / (l - v_q(m)) over the lags l = e - j, and no point meets
-a node.  Every function is pure and returns bare read-only arrays.
+a node.  The solve, pricing and the per-basis weights all read their rows
+from one cached read-only table of rows 0..n per (n, d, alpha), unit nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .barycentric import BaryBasis, basis_matrix  # noqa: F401 (the benchmark tracer wraps it)
+from .barycentric import BaryBasis, basis_matrix, fh_weights  # noqa: F401 (basis_matrix is traced)
 
 __all__ = [
     "brq_weights",
@@ -38,28 +39,30 @@ def brq_weights(basis: BaryBasis) -> np.ndarray:
 
 
 def product_weights(basis: BaryBasis, alpha: float = 0.5) -> np.ndarray:
-    """Weights w_j = int_{t_0}^{t_n} L_j(s) (t_n - s)^(-alpha) ds, n = ``basis.n``: the
-    one-row case of :func:`unit_weight_rows`, times h^(1-alpha) on the spacing h."""
-    row = unit_weight_rows(basis.weights[None, :], alpha)[0]
+    """Weights w_j = int_{t_0}^{t_n} L_j(s) (t_n - s)^(-alpha) ds, n = ``basis.n``:
+    row n of :func:`unit_weight_rows` for the basis order, times h^(1-alpha) on the spacing h."""
+    row = unit_weight_rows(basis.n, basis.degree, alpha)[basis.n]
     weights = (basis.span / basis.n) ** (1.0 - alpha) * row
     weights.setflags(write=False)
     return weights
 
 
-def unit_weight_rows(betas: np.ndarray, alpha: float) -> np.ndarray:
-    """Last k rows of the table W[e, j] = int_0^e L_j(s) (e - s)^(-alpha) ds, unit nodes.
+@lru_cache(maxsize=None)
+def unit_weight_rows(n: int, d: int, alpha: float) -> np.ndarray:
+    """Read-only table W[e, j] = int_0^e L_j(s) (e - s)^(-alpha) ds on the unit nodes 0..n.
 
-    Row c of the (k, n + 1) array ``betas`` holds the barycentric weights of
-    row e = n + 1 - k + c, zero beyond node e, as is W.  With B[l, c] those
-    weights by lag l = e - j, each block of points adds ((g / D)^T @ T) * B^T
-    to the rows, D = T @ B and g the Gauss weights of the points m <= e.
+    Row e is on the Floater-Hormann basis of order min(d, e) over the nodes
+    0..e, zero beyond node e.  With B[l, e] its barycentric weights by lag
+    l = e - j, each block of points adds ((g / D)^T @ T) * B^T to the rows,
+    D = T @ B and g the Gauss weights of the points m <= e.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    width = betas.shape[1]
-    ends = np.arange(width - len(betas), width)
-    lags = (ends[:, None] - np.arange(width)) % width
-    b = np.take_along_axis(betas, lags, axis=1)  # B^T, zero for l > e
+    width = n + 1
+    lags = (np.arange(width)[:, None] - np.arange(width)) % width
+    b = np.zeros((width, width))  # B^T, zero for l > e
+    for e in range(width):  # slice writes: padding each row cost about as much as the integrals
+        b[e, :e + 1] = fh_weights(e, min(d, e))[::-1]
     power = 1.0 - alpha
     x, w = _gauss(_POINTS)
     m = np.repeat(np.arange(1, width), _POINTS)  # subinterval of each point
@@ -70,10 +73,10 @@ def unit_weight_rows(betas: np.ndarray, alpha: float) -> np.ndarray:
     for blk in range(0, m.size, _BLOCK * _POINTS):
         pts = slice(blk, blk + _BLOCK * _POINTS)
         cauchy = 1.0 / (np.arange(width) - v[pts, None])
-        live = np.searchsorted(ends, m[blk])  # rows that reach this block
+        live = m[blk]  # rows e < live end before this block
         denom = cauchy @ b[live:].T
         scaled = np.divide(g[pts, None], denom, out=np.zeros_like(denom),
-                           where=m[pts, None] <= ends[live:])
+                           where=m[pts, None] <= np.arange(live, width))
         rows[live:] += scaled.T @ cauchy
     rows *= b
     if not np.all(np.isfinite(rows)):

@@ -133,6 +133,7 @@ def solve_boundary_kim2d(n, p):
                             newton_steps=newton_steps, bisections=bisections,
                             flags=(), wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
-    return BoundaryCurve(grid=grid, values=values, basis=BaryBasis(grid, 2),
+    basis = BaryBasis(grid, 2)
+    return BoundaryCurve(grid=basis.nodes, values=values, basis=basis,
                          params=p, config=cfg, diagnostics=diag)
 

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import kimvolterra
 
 # The exact public surface: adding or removing a name must change this set.
@@ -43,3 +47,14 @@ def test_public_names_pinned():
 def test_public_names_resolve():
     missing = [name for name in kimvolterra.__all__ if not hasattr(kimvolterra, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark tracer wraps these names in their calling modules
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod, attr) for mod, attr, _ in tracer.LIBRARY_CALLS
+               if not hasattr(importlib.import_module(f"kimvolterra.{mod}"), attr)]
+    assert tracer.LIBRARY_CALLS and missing == []

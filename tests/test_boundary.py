@@ -29,11 +29,11 @@ from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
 def product_rows(n, d, family):
     """Cached unit product rows 0..n of a solve; Berrut's basis is order 0."""
-    return boundary._unit_rows(n, d if family == "fh" else 0, 0.5)
+    return quadrature.unit_weight_rows(n, d if family == "fh" else 0, 0.5)
 
 
 def brq_rows(n, d):
-    return boundary._unit_rows(n, d, 0.0)
+    return quadrature.unit_weight_rows(n, d, 0.0)
 
 
 def params_with(dividend, rate=0.08):
@@ -173,31 +173,28 @@ class TestSolveBoundary:
         assert np.all(np.diff(curve.values) <= 1e-9 * 100.0)
         assert collocation_residuals(curve).max() <= 1e-10 * 100.0
 
-    def test_weight_tables_shared_across_dividends(self, monkeypatch):
-        # one table build per weight kind, counted at the blocked builder
-        builds = {"product": 0, "brq": 0}
-        build = boundary.unit_weight_rows
+    def test_weight_tables_shared_across_dividends(self):
+        # one table build per weight kind, counted as misses of the cached builder
+        def builds():
+            return quadrature.unit_weight_rows.cache_info().misses
 
-        def counted(betas, alpha):
-            builds["product" if alpha else "brq"] += 1
-            return build(betas, alpha)
-
-        monkeypatch.setattr(boundary, "unit_weight_rows", counted)
         cfg = SolverConfig(n=16, d=2)
         clear_weight_cache()
         solve_boundary(cfg, params_with(0.0))
+        assert builds() == 1  # the product table alone: no dividend terms
         solve_boundary(cfg, params_with(0.08))
-        assert builds == {"product": 1, "brq": 1}
+        assert builds() == 2  # the BRQ table joins; the product table is read
         # rows are horizon-free; pricing reuses the BRQ rows on and off the nodes
         short = MarketParams(strike=100.0, expiry=0.5, rate=0.08, dividend=0.08,
                              volatility=0.2)
         curve = solve_boundary(cfg, short)
         american_put_price(0.5, 110.0, curve)
         american_put_price(0.2, 110.0, curve)
-        assert builds == {"product": 1, "brq": 1}
+        assert builds() == 2
         clear_weight_cache()
+        assert quadrature.unit_weight_rows.cache_info().currsize == 0
         solve_boundary(cfg, params_with(0.08))
-        assert builds == {"product": 2, "brq": 2}
+        assert builds() == 2
 
     def test_diagnostics_report_table_builds(self):
         cfg = SolverConfig(n=16, d=2)
@@ -213,9 +210,9 @@ class TestSolveBoundary:
     def test_rows_converged_in_gauss_points(self, monkeypatch, d, alpha):
         # 16 points per unit subinterval already give the 32-point rows
         n = 128
-        rows = boundary._unit_rows(n, d, alpha)
+        rows = quadrature.unit_weight_rows(n, d, alpha)
         monkeypatch.setattr(quadrature, "_POINTS", 32)
-        fine = boundary._unit_rows.__wrapped__(n, d, alpha)
+        fine = quadrature.unit_weight_rows.__wrapped__(n, d, alpha)
         np.testing.assert_allclose(rows, fine, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("family", ["fh", BFH])
@@ -233,6 +230,14 @@ class TestSolveBoundary:
             direct = boundary.brq_weights(BaryBasis(sub, min(d, i)))
             np.testing.assert_allclose(h * brq_rows(n, d)[i, : i + 1], direct,
                                        rtol=0.0, atol=1e-13)
+
+    def test_curve_grid_is_basis_nodes(self):
+        # one read-only node array prices and evaluates the curve
+        for cfg in (SolverConfig(n=8, d=2), SolverConfig(n=8, d=2, hybrid_m=3)):
+            curve = solve_boundary(cfg, TABLE3_PARAMS)
+            assert curve.grid is curve.basis.nodes
+            with pytest.raises(ValueError):
+                curve.grid[5] += 0.05
 
     def test_cached_rows_read_only(self):
         # cached rows are shared by every solve and every price

@@ -63,6 +63,11 @@ class TestErrorBoundFactor:
         with pytest.raises(ValueError):
             error_bound_factor(100.0, p)
 
+    @pytest.mark.parametrize("spot", [-5.0, 0.0, math.nan, math.inf])
+    def test_invalid_spot_rejected(self, spot):
+        with pytest.raises(ValueError, match="spot"):
+            error_bound_factor(spot, TABLE3_PARAMS)
+
 
 class TestAmericanPutPrice:
     def test_benchmark_prices_at_paper_accuracy(self, curve_n32_d2):

@@ -9,7 +9,6 @@ from kimvolterra import (
     BaryBasis,
     brq_weights,
     lebesgue_constant,
-    fh_weights,
     product_weights,
 )
 from kimvolterra.quadrature import unit_weight_rows
@@ -157,15 +156,23 @@ class TestProductWeights:
 
 
 class TestUnitWeightRows:
-    def test_scale_invariance(self):
-        # the barycentric quotient ignores a common factor of the weights,
-        # so raw, unnormalized weights give the same rows
-        n = 20
-        for d in (0, 3):
-            betas = np.zeros((n + 1, n + 1))
-            for i in range(n + 1):
-                betas[i, :i + 1] = fh_weights(i, min(d, i))
-            for alpha in (0.0, 0.5):
-                rows = unit_weight_rows(betas, alpha)
-                scaled = unit_weight_rows(7.3 * betas, alpha)
-                assert np.max(np.abs(scaled - rows)) <= 1e-14
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("d", [0, 2, 3])
+    def test_basis_weights_are_table_rows(self, d, alpha):
+        # any basis reads row n of the cached unit table, scaled by h^(1 - alpha)
+        for n in (3, 8, 17):
+            for start, span in ((0.0, 1.0), (0.0, 0.25), (-2.5, 7.3)):
+                basis = BaryBasis(np.linspace(start, start + span, n + 1), d)
+                row = (basis.span / n) ** (1.0 - alpha) * unit_weight_rows(n, d, alpha)[n]
+                np.testing.assert_array_equal(product_weights(basis, alpha), row)
+                if alpha == 0.0:
+                    np.testing.assert_array_equal(brq_weights(basis), row)
+
+    def test_table_shape_and_zeros(self):
+        n, d = 9, 3
+        for alpha in (0.0, 0.5):
+            table = unit_weight_rows(n, d, alpha)
+            assert table.shape == (n + 1, n + 1)
+            assert table.flags.writeable is False
+            assert np.all(np.triu(table, 1) == 0.0)
+            assert unit_weight_rows(n, d, alpha) is table
