@@ -6,12 +6,12 @@ module, the array d1/d2 along a boundary lives in the boundary solver and
 the premium integrand in the pricing module.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
-gives its layout, the nodes it skips, which leave 4.1e6 of the 3.40e7 nodes
-worth at least 1e-290 K (12%) to update in the Table-3 BIN(10000) tree at
-S = 100, and its one pass per level over the spots.  Its five spots take about
-0.13 s in one call, 0.34 s in five, and one spot 0.065 s, mostly the fixed cost
-of a level's numpy calls and of that pass (medians of 15 alternating runs,
-2-core Intel Xeon VM, Python 3.11, numpy 2.4).
+gives its layout, the nodes it skips, which leave 4.25e6 of the 3.40e7 nodes
+worth at least 1e-290 K (12.5%) to update in the Table-3 BIN(10000) tree at
+S = 100, and its per-spot pass on two levels in every 32.  Its five spots take
+about 0.11 s in one call, 0.33 s in five, and one spot 0.068 s, mostly the fixed
+cost of a level's numpy calls (medians of 21 alternating runs, 2-core Intel
+Xeon VM, Python 3.11, numpy 2.4).
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -43,6 +43,8 @@ _TAIL_SHARE = 2.0 ** -110
 # A node whose children are both exercised keeps its payoff when its exercise
 # gap exceeds this fraction of the strike (proof in binomial_american_put).
 _EXERCISE_MARGIN = 1e-12
+# The tree's per-spot pass runs on two consecutive levels in every _PASS_EVERY (>= 3).
+_PASS_EVERY = 32
 
 
 class ConfigurationError(ValueError):
@@ -183,10 +185,24 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     exercise maximum stops at the first slot from which every spot's payoff
     K - S is < 0 (it falls as the slot rises): there the continuation
     qd a + qu b, with qd, qu > 0 and values >= 0, is >= 0 > K - S, so the
-    maximum would return its bits.  Then one pass over the spots trims each
-    one's tail, scans its exercised run and sets its window for the next
-    level; it reads and writes single entries through memoryviews, as Python
-    floats, since a numpy scalar costs about twice as much.
+    maximum would return its bits.  Then, on two consecutive levels in every
+    ``_PASS_EVERY`` = 32, one pass over the spots trims each one's tail, scans
+    its exercised run and sets its window for the next level; it reads and
+    writes single entries through memoryviews, as Python floats, since a
+    numpy scalar costs about twice as much.
+
+    Pass schedule.  The levels between passes make no per-spot loop: each
+    top rises by the level's shift, capped by the triangle, as when no node
+    is dropped, so it still bounds every nonzero node; each start falls by
+    the lift.  The skip rule min(start - lift, ex_kid) needs its inputs only
+    to be skip bounds, every node below one holding its payoff and being
+    gap-safe, and after a pass its first term is the smaller at every level,
+    so a carried start is the rule's own value.  The first level of a pair
+    rebuilds each window by the shifts since the last pass and takes as
+    ex_kid the start carried to the level before, not an older scan, which
+    need not bound a later run; the second takes the first's scan, so the
+    pair resets each start to its run (one pass alone let the starts drift
+    down: 3.4 times the values per level).
 
     Exercised prefix.  A node at spot S whose two children hold exactly
     their exercise values a = K - S/u and b = K - S u keeps its stored payoff
@@ -211,16 +227,19 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     cut max(1e-290 K, 2^-110 F), with F its price floor (``_price_floors``),
     which is at most its tree price.  Node values never rise with the spot,
     so the dropped nodes form a tail at the top of each level, which is set
-    to an exact 0 and never updated again.  Values are >= 0 and each node is
-    qd v[j] + qu v[j+1], or its payoff, with qu + qd = exp(-r dt) <= 1, so
-    one level's drops move each node nearer the root by less than the cut,
-    and the price moves by less than (steps + 1) times the cut.  Where the
+    to an exact 0 and never updated again.  Drops happen only at a pass, up
+    to 32 levels late, but each node is dropped once, at a value below its
+    cut.  Values are >= 0 and each node is qd v[j] + qu v[j+1], or its
+    payoff, with qu + qd = exp(-r dt) <= 1, so one level's drops move each
+    node nearer the root by less than the cut, and the price moves by less
+    than (steps + 1) times the cut.  Where the
     floor sets the cut, that is below (steps + 1) 2^-110 of the price, about
     2^-97 at 10,000 steps and far below half an ulp, so the price keeps its
     bits; the tests hold it to the same bits as a full sweep of every node
     wherever the price is >= 1e-280 K, and to |change| <= 1e-290 K below.
     At 1e-290 K alone the five-spot Table-3 tree updated 4,974 values per
-    level; the per-spot cut leaves 2,305.  Without a cut, the Table-3 tree
+    level; the per-spot cut leaves 2,305 with a pass at every level, and
+    2,384 with the pass schedule.  Without a cut, the Table-3 tree
     at S = 100 holds up to 1,202 subnormal values in a level, on which numpy
     arithmetic runs about 13 times slower.
     """
@@ -276,6 +295,7 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     tops = [min(dead, above + s) for s, dead in zip(ids, flat(values[0].reshape(-1, ns) >= cuts))]
     starts = [max(s, min(e - ns, own, top)) for s, e, own, top in zip(ids, *exercised, tops)]
     lo, hi = min(starts), max(tops)
+    first_pass, above_pass = first, above
     for i in range(steps - 1, -1, -1):
         # level i writes parity par = (steps - i) % 2; slot m reads kids[m + par - 1], kids[m + par]
         v, kids, pay, cell, payoff, ex_kid, ex_own, safe, itm_par, lift, back = \
@@ -293,6 +313,17 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
         if hi < above:
             cell[hi: hi + ns] = zeros  # the up children of level i - 1's top nodes
         nxt, nxt_above = first + back, above - lift  # level i - 1's first and above
+        phase = (steps - i) % _PASS_EVERY
+        if phase > 1:  # no pass: the windows move as far as one level can move them
+            lo = lo - lift if lo - lift > nxt else nxt
+            hi = hi + back if hi + back < nxt_above else nxt_above
+            first, above = nxt, nxt_above
+            continue
+        if not phase:  # the windows carried since the last pass, and level i + 1's start
+            rise, fall = first - first_pass, above_pass - above
+            tops = [min(top + rise, above + s) for s, top in zip(ids, tops)]
+            ex_kid[:] = [start - fall + back for start in starts]
+            starts = [max(first + s, start - fall) for s, start in zip(ids, starts)]
         lo, hi = nxt_above, 0
         for s in ids:
             top, bottom = tops[s], first + s
@@ -314,6 +345,6 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
                 lo = start
             if top > hi:
                 hi = top
-        first, above = nxt, nxt_above
+        first, above = first_pass, above_pass = nxt, nxt_above
     prices = values[steps & 1][(steps >> 1) * ns:][:ns]
     return float(prices[0]) if batch.ndim == 0 else prices.tolist()

@@ -306,6 +306,21 @@ class TestBinomialAmericanPut:
         random.Random(sum(moneyness)).shuffle(spots)  # priced among in-the-money spots
         assert bits(binomial_american_put(400, spots, p)) == bits(references[s] for s in spots)
 
+    # steps either side of the first and second block of levels between two per-spot
+    # passes; at r = 0 no node is skipped, so every window starts at its level's first node
+    @pytest.mark.parametrize("steps", [market._PASS_EVERY - 1, market._PASS_EVERY,
+                                       market._PASS_EVERY + 1, 2 * market._PASS_EVERY,
+                                       2 * market._PASS_EVERY + 1, 600])
+    @pytest.mark.parametrize("p", [TABLE3_PARAMS, MarketParams(100.0, 3.0, 0.0, 0.04, 0.2)])
+    def test_pass_block_edges_match_full_sweep(self, steps, p):
+        spots = [*TABLE3_SPOTS, 250.0, 1000.0, 5000.0, 1e40 * p.strike]
+        for spot, value in zip(spots, binomial_american_put(steps, spots, p)):
+            reference = reference_american_put(steps, spot, p)
+            if reference < 1e-280 * p.strike:  # the documented tail cut
+                assert abs(value - reference) <= 1e-290 * p.strike, spot
+            else:
+                assert float.hex(value) == float.hex(reference), spot
+
     def test_convergence_as_steps_double(self):
         values = {n: binomial_american_put(n, 100.0, TABLE3_PARAMS)
                   for n in (250, 500, 1000, 2000, 4000)}
@@ -475,11 +490,19 @@ class TestBinomialAmericanPut:
 
     def test_tail_cut_per_spot_halves_the_updates(self, monkeypatch):
         # a cut at 1e-290 K for every spot multiplies 9.95e7 values in the five-spot
-        # Table-3 BIN(10000) tree; a cut at 2^-110 of each spot's floor, 4.61e7
+        # Table-3 BIN(10000) tree; a cut at 2^-110 of each spot's floor, 4.77e7
         counting = CountingNumpy()
         monkeypatch.setattr(market, "np", counting)
         binomial_american_put(10_000, TABLE3_SPOTS, TABLE3_PARAMS)
         assert 0 < counting.multiply_values <= 0.6 * 9.95e7
+
+    def test_windows_between_passes_add_few_updates(self, monkeypatch):
+        # a per-spot pass at every level multiplies 4.611e7 values in the five-spot
+        # Table-3 BIN(10000) tree; a pass on two levels in every 32, 4.77e7
+        counting = CountingNumpy()
+        monkeypatch.setattr(market, "np", counting)
+        binomial_american_put(10_000, TABLE3_SPOTS, TABLE3_PARAMS)
+        assert 0 < counting.multiply_values <= 1.04 * 4.611e7
 
     def test_exercise_maximum_only_below_the_strike(self, monkeypatch):
         # above the strike the continuation, >= 0, is what the maximum returns
