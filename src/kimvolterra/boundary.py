@@ -87,7 +87,7 @@ class SolverConfig:
     ``n`` counts the Newton grid subintervals (nodes t_i = i T / n,
     i = 0..n).  With ``hybrid_m = m`` the solved curve is filled by linear
     interpolation to n (m - 1) stored subintervals, i.e. m - 2 interior
-    points per Newton interval; ``hybrid_m = 2`` adds none.
+    points per Newton interval; the default ``hybrid_m = 2`` adds none.
 
     ``family`` selects the kernel-interpolation basis: "fh" uses the
     Floater-Hormann weights of order ``d`` throughout, "bfh" uses order-0
@@ -102,11 +102,11 @@ class SolverConfig:
     n: int
     d: int
     family: str = FH
-    hybrid_m: int | None = None
+    hybrid_m: int = 2
     newton_tol: ClassVar[float] = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("n", "d") + (("hybrid_m",) if self.hybrid_m is not None else ()):
+        for name in ("n", "d", "hybrid_m"):
             if not isinstance(v := getattr(self, name), numbers.Integral) or isinstance(v, bool):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.d < 0:
@@ -115,7 +115,7 @@ class SolverConfig:
             raise ValueError(f"need n >= d + 1, got n={self.n}, d={self.d}")
         if self.family not in (FH, BFH):
             raise ValueError(f"family must be '{FH}' or '{BFH}', got {self.family!r}")
-        if self.hybrid_m is not None and self.hybrid_m < 2:
+        if self.hybrid_m < 2:
             raise ValueError(f"hybrid_m must be >= 2, got {self.hybrid_m}")
 
 
@@ -125,8 +125,8 @@ class SolveDiagnostics:
 
     ``iterations[i]`` counts row i's residual evals: one per Newton step,
     plus, on a row that fell back to bisection, its two bracket ends and
-    one per bisection step.  ``residual_evals`` is their sum, ``newton_steps``
-    the Newton steps alone, and ``bisections`` counts the rows that fell back.
+    one per bisection step; ``newton_steps`` counts the Newton steps alone.
+    Derived, not stored: ``residual_evals`` (their sum), ``bisections`` (the rows that fell back).
 
     ``flags`` lists the solved rows to look at, in row order, as
     ``(row, kind, value)``: "bisection", the row fell back to bisection
@@ -137,26 +137,36 @@ class SolveDiagnostics:
 
     iterations: np.ndarray
     residuals: np.ndarray
-    residual_evals: int
     newton_steps: int
-    bisections: int
     flags: tuple[tuple[int, str, float], ...]
     wall_time: float
     weights_s: float  # part of wall_time spent getting the weight rows
     newton_s: float  # part of wall_time spent in the Newton row loop
     weights_cached: bool  # True when no weight table had to be built
 
+    @property
+    def residual_evals(self) -> int:
+        return int(self.iterations.sum())
+
+    @property
+    def bisections(self) -> int:
+        return sum(kind == "bisection" for _, kind, _ in self.flags)
+
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
     """Solved boundary values on a grid, evaluable anywhere on [0, T]; equal only to itself."""
 
-    grid: np.ndarray  # the read-only basis.nodes itself: one node array prices and evaluates
     values: np.ndarray
     basis: BaryBasis
     params: MarketParams
     config: SolverConfig
     diagnostics: SolveDiagnostics
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The stored nodes: the read-only ``basis.nodes`` itself."""
+        return self.basis.nodes
 
     @property
     def horizon(self) -> float:
@@ -352,7 +362,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
     flags: list[tuple[int, str, float]] = []
-    bisections = newton_steps = 0
+    newton_steps = 0
     newton_start = time.perf_counter()
     start_w = _start_weights(n)
     for i in range(1, n + 1):
@@ -365,7 +375,6 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
             build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
             cfg.newton_tol * p.strike, i)
         if steps < iterations[i]:
-            bisections += 1
             flags.append((i, "bisection", float(iterations[i])))
         if b - values[i - 1] > 1e-9 * p.strike:
             flags.append((i, "non_monotone", float(b - values[i - 1])))
@@ -374,17 +383,15 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
         newton_steps += steps
         values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
     newton_s = time.perf_counter() - newton_start
-    if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
+    if cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=int(iterations.sum()), newton_steps=newton_steps,
-                            bisections=bisections, flags=tuple(flags),
+                            newton_steps=newton_steps, flags=tuple(flags),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
                             weights_cached=unit_weight_rows.cache_info().misses == builds)
-    basis = BaryBasis(grid, cfg.d)
-    return BoundaryCurve(grid=basis.nodes, values=values, basis=basis,
+    return BoundaryCurve(values=values, basis=BaryBasis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag)
 
 
@@ -409,7 +416,7 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     this is the residual certificate for an accepted solve.
     """
     cfg = curve.config
-    if cfg.hybrid_m is not None and cfg.hybrid_m > 2:
+    if cfg.hybrid_m > 2:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     p, values = curve.params, curve.values

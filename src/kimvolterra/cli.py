@@ -25,6 +25,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .boundary import (
     solve_boundary,
 )
 from .market import ConfigurationError, MarketParams, binomial_american_put
-from .pricing import american_put_price
+from .pricing import american_put_price, error_bound_factor
 
 __all__ = ["main", "build_parser"]
 
@@ -138,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _market_from_args(args, default_dividend: float = 0.08) -> MarketParams:
-    dividend = args.dividend if args.dividend is not None else default_dividend
+def _market_from_args(args) -> MarketParams:
+    dividend = args.dividend if args.dividend is not None else 0.08
     return MarketParams(strike=args.strike, expiry=args.expiry, rate=args.rate,
                         dividend=dividend, volatility=args.vol)
 
@@ -148,7 +149,7 @@ def _config_from_args(args, default_n: int, default_d: int) -> SolverConfig:
     return SolverConfig(n=args.n if args.n is not None else default_n,
                         d=args.d if args.d is not None else default_d,
                         family=args.family,
-                        hybrid_m=args.m)
+                        hybrid_m=args.m if args.m is not None else 2)
 
 
 def _diagnostics(curves) -> list[dict]:
@@ -186,9 +187,7 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
     cfg = _config_from_args(args, default_n=64, default_d=3)
     curves = []
     for dividend in dividends:
-        params = MarketParams(strike=args.strike, expiry=args.expiry,
-                              rate=args.rate, dividend=dividend,
-                              volatility=args.vol)
+        params = replace(_market_from_args(args), dividend=dividend)
         curve = solve_boundary(cfg, params)
         curves.append(curve)
         limit = initial_boundary(params)
@@ -219,7 +218,7 @@ def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
         rows.append([_fmt_price(spot), _fmt_price(result.value),
                      _fmt_price(result.european_part),
                      _fmt_price(result.premium_part),
-                     f"{result.bound_factor:.6f}"])
+                     f"{error_bound_factor(spot, params):.6f}"])
     spec = {"command": "price", "strike": params.strike, "expiry": params.expiry,
             "rate": params.rate, "dividend": params.dividend, "vol": params.volatility,
             "family": cfg.family, "n": cfg.n, "d": cfg.d, "m": args.m,
@@ -270,9 +269,10 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
 
 def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Wall time and absolute error per (method, n); spot fixed at 120."""
-    if args.m is not None and args.m < 2:
+    m = args.m if args.m is not None else 2
+    if m < 2:
         # the Newton-grid size below divides by m - 1
-        raise ConfigurationError(f"--m must be >= 2, got {args.m}")
+        raise ConfigurationError(f"--m must be >= 2, got {m}")
     params = _market_from_args(args)
     d = args.d if args.d is not None else 2
     spot = 120.0
@@ -280,16 +280,16 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     header = ["method", "n", "total_nodes", "wall_time", "abs_error", "status"]
     rows = []
     passed = True
-    methods: list[tuple[str, str, int | None]] = [("fh", FH, None), ("bfh", BFH, None)]
+    methods = [("fh", FH, 2), ("bfh", BFH, 2)]
     if args.m is not None:
-        methods += [(f"fh_m{args.m}", FH, args.m), (f"bfh_m{args.m}", BFH, args.m)]
+        methods += [(f"fh_m{m}", FH, m), (f"bfh_m{m}", BFH, m)]
     for n in args.n_list:
-        for label, family, m in methods:
+        for label, family, fill in methods:
             try:
-                # Newton intervals giving roughly n stored intervals after the fill
-                newton_n = (n if m is None
+                # plain cells (label == family) solve on n, hybrid ones store about n intervals
+                newton_n = (n if label == family
                             else max(d + 2, round((n + m - 1) / (m - 1))) - 1)
-                cfg = SolverConfig(n=newton_n, d=d, family=family, hybrid_m=m)
+                cfg = SolverConfig(n=newton_n, d=d, family=family, hybrid_m=fill)
                 clear_weight_cache()
                 curve = solve_boundary(cfg, params)
                 result = american_put_price(params.expiry, spot, curve)

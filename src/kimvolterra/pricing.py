@@ -9,6 +9,7 @@ curve's rational basis, scaled to the grid spacing; the integrand's
 endpoint limit vanishes in the continuation region.  Calls are priced
 through put-call symmetry (strike and spot swap roles, as do rate and
 dividend yield), which also gives the European call without dividends.
+A result holds the value and its two parts; ``error_bound_factor`` needs no curve.
 
 Pricing is pure given an immutable curve; concurrent pricing across
 spots and times is safe.
@@ -40,15 +41,14 @@ __all__ = [
 class PriceResult:
     """Option value with its decomposition and runtime diagnostics.
 
-    ``value`` always equals ``european_part + premium_part``;
-    ``bound_factor`` is the multiplier that converts a boundary error into
-    a price error bound, attached as a diagnostic.
+    ``value`` always equals ``european_part + premium_part``.  The factor
+    that turns a boundary error into a price error bound is not stored; it
+    depends on the spot and market alone, so ``error_bound_factor`` gives it.
     """
 
     value: float
     european_part: float
     premium_part: float
-    bound_factor: float
     wall_time: float
 
 
@@ -129,7 +129,6 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
         premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
         value = euro + premium
     return PriceResult(value=value, european_part=euro, premium_part=premium,
-                       bound_factor=error_bound_factor(spot, p),
                        wall_time=time.perf_counter() - start)
 
 
@@ -150,7 +149,6 @@ def american_call_price(t: float, spot: float, p: MarketParams,
     if p.dividend == 0.0:
         euro = european_put(t, p.strike, symmetric)
         return PriceResult(value=euro, european_part=euro, premium_part=0.0,
-                           bound_factor=0.0,
                            wall_time=time.perf_counter() - start)
     curve = solve_boundary(cfg, symmetric)
     result = american_put_price(t, p.strike, curve)

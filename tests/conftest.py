@@ -120,20 +120,20 @@ def solve_boundary_kim2d(n, p):
     values[0] = b0
     iterations = np.zeros(n + 1, dtype=int)
     residuals = np.zeros(n + 1)
-    bisections = newton_steps = 0
+    flags = []
+    newton_steps = 0
     for i in range(1, n + 1):
         values[i], iterations[i], residuals[i], steps = boundary._newton_scalar(
             kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
             cfg.newton_tol * p.strike, i)
-        bisections += int(steps < iterations[i])
+        if steps < iterations[i]:
+            flags.append((i, "bisection", float(iterations[i])))
         newton_steps += steps
     wall_time = time.perf_counter() - start
     diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            residual_evals=int(iterations.sum()),
-                            newton_steps=newton_steps, bisections=bisections,
-                            flags=(), wall_time=wall_time, weights_s=0.0,
+                            newton_steps=newton_steps, flags=tuple(flags),
+                            wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
-    basis = BaryBasis(grid, 2)
-    return BoundaryCurve(grid=basis.nodes, values=values, basis=basis,
+    return BoundaryCurve(values=values, basis=BaryBasis(grid, 2),
                          params=p, config=cfg, diagnostics=diag)
 

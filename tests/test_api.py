@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -38,10 +39,26 @@ PUBLIC_NAMES = {
     "__version__",
 }
 
+# The settable fields of the solve's config and result types: each stored
+# value is one fact; what can be derived from these is a property.
+INIT_FIELDS = {
+    "SolverConfig": ["n", "d", "family", "hybrid_m"],
+    "BoundaryCurve": ["values", "basis", "params", "config", "diagnostics"],
+    "SolveDiagnostics": ["iterations", "residuals", "newton_steps", "flags", "wall_time",
+                         "weights_s", "newton_s", "weights_cached"],
+    "PriceResult": ["value", "european_part", "premium_part", "wall_time"],
+}
+
 
 def test_public_names_pinned():
     assert len(kimvolterra.__all__) == len(set(kimvolterra.__all__))
     assert set(kimvolterra.__all__) == PUBLIC_NAMES
+
+
+def test_init_fields_pinned():
+    init = {name: [f.name for f in dataclasses.fields(getattr(kimvolterra, name)) if f.init]
+            for name in INIT_FIELDS}
+    assert init == INIT_FIELDS
 
 
 def test_public_names_resolve():

@@ -83,6 +83,7 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(n=32, d=2)
         assert cfg.newton_tol == 1e-12
+        assert cfg == SolverConfig(n=32, d=2, hybrid_m=2)
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=2, d=2), dict(n=8, d=-1), dict(n=8, d=2, family="spline"),
@@ -92,6 +93,7 @@ class TestSolverConfig:
         # integer fields: a float or bool would fail inside the solve or be solved
         dict(n=32.0, d=2), dict(n=32, d=2.0), dict(n=32, d=2, hybrid_m=2.5),
         dict(n=32, d=2, hybrid_m=3.0), dict(n=True, d=0), dict(n=32, d=True),
+        dict(n=8, d=2, hybrid_m=None),
     ])
     def test_invalid_rejected(self, kwargs):
         # newton_tol is a class constant, so any value passed for it is

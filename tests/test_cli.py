@@ -198,27 +198,35 @@ class TestWorkPrecision:
             return curves[-1]
 
         monkeypatch.setattr(cli, "solve_boundary", recorded)
-        code, data = run(tmp_path, "w.csv",
-                         ["workprecision", "--n-list", "8,32", "--m", "3"])
-        assert code == 0
-        header, rows = rows_of(data)
+        scans = []
+        for k in range(5):
+            code, data = run(tmp_path, f"w{k}.csv",
+                             ["workprecision", "--n-list", "8,32", "--m", "3"])
+            assert code == 0
+            header, rows = rows_of(data)
+            scans.append(rows)
         assert header == ["method", "n", "total_nodes", "wall_time",
                           "abs_error", "status"]
+        untimed = [[{**r, "wall_time": ""} for r in scan] for scan in scans]
+        assert all(u == untimed[0] for u in untimed)
         assert all(r["status"] == "ok" for r in rows)
         assert all(float(r["wall_time"]) > 0.0 for r in rows)
         fh = {r["n"]: float(r["abs_error"]) for r in rows if r["method"] == "fh"}
         assert fh["32"] <= fh["8"]
         assert {r["method"] for r in rows} == {"fh", "bfh", "fh_m3", "bfh_m3"}
-        # hybrid beats the plain scheme at a comparable stored-node count
+        # hybrid beats the plain scheme at a comparable stored-node count, each
+        # cell timed by its best cold run: every scan runs the cells in turn
         cells = {(r["method"], r["n"]): r for r in rows}
         plain, hybrid = cells[("fh", "32")], cells[("fh_m3", "32")]
         assert abs(int(plain["total_nodes"]) - int(hybrid["total_nodes"])) <= 1
-        assert float(hybrid["wall_time"]) < float(plain["wall_time"])
+        best = {key: min(float(r["wall_time"]) for scan in scans for r in scan
+                         if (r["method"], r["n"]) == key) for key in cells}
+        assert best[("fh_m3", "32")] < best[("fh", "32")]
         # the same comparison counted in residual evals, free of machine load
         evals = {(c.config.family, c.config.hybrid_m, c.grid.size): c.diagnostics.residual_evals
                  for c in curves}
         assert (evals[("fh", 3, int(hybrid["total_nodes"]))]
-                < evals[("fh", None, int(plain["total_nodes"]))])
+                < evals[("fh", 2, int(plain["total_nodes"]))])
 
 
 class TestErrorHandling:
