@@ -12,6 +12,7 @@ Bases are immutable after construction; all functions are pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,7 @@ class BaryBasis:
     ``degree`` is the blending order d, with 0 <= d <= n; d = 0 is Berrut's
     basis.  Nodes must be finite, their spacing uniform to within 1e-12 of
     the span.  The read-only ``weights`` are ``fh_weights(n, degree)``, set on
-    construction, so two bases are equal, and hash alike, when their degrees
-    and nodes are.
+    construction.  A basis is equal only to itself.
     """
 
     nodes: np.ndarray
@@ -63,13 +63,6 @@ class BaryBasis:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BaryBasis) and self.degree == other.degree
-                and np.array_equal(self.nodes, other.nodes))
-
-    def __hash__(self) -> int:
-        return hash((self.degree, (self.nodes + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
-
     @property
     def n(self) -> int:
         """Highest node index (node count minus one)."""
@@ -88,8 +81,8 @@ def fh_weights(n: int, d: int) -> np.ndarray:
     weights and |beta_0| = |beta_n| = 1.  The sums over J_i are the full
     convolution of n - d + 1 ones with the binomials C(d, .).
     """
-    if not 0 <= d <= n:
-        raise ValueError(f"need 0 <= d <= n, got d={d}, n={n}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or not 0 <= d <= n:
+        raise ValueError(f"need an integer 0 <= d <= n, got d={d!r}, n={n}")
     beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
     beta[(d + 1) % 2::2] *= -1.0
     return beta

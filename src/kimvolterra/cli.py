@@ -72,8 +72,8 @@ def _parse_spots(text: str) -> list[float]:
         spots = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad spot list {text!r}") from exc
-    if not spots or any(s <= 0.0 for s in spots):
-        raise argparse.ArgumentTypeError(f"spots must be positive, got {text!r}")
+    if not spots or not all(math.isfinite(s) and s > 0.0 for s in spots):
+        raise argparse.ArgumentTypeError(f"spots must be finite and positive, got {text!r}")
     return spots
 
 

@@ -1,9 +1,8 @@
 """Market data, Black-Scholes primitives, and a CRR binomial oracle.
 
-``d1d2`` (a plain (d1, d2) tuple) and ``european_put`` are the only scalar
-Black-Scholes formulas: calls follow from put-call symmetry in the pricing
-module, the array d1/d2 along a boundary lives in the boundary solver and
-the premium integrand in the pricing module.
+``european_put`` is the one scalar Black-Scholes formula, through the
+private ``_d1d2`` (a plain (d1, d2) tuple); the array d1/d2 along a boundary
+lives in the boundary solver and the premium integrand in the pricing module.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
 gives its layout, the nodes it skips, which leave 4.25e6 of the 3.40e7 nodes
@@ -30,7 +29,6 @@ __all__ = [
     "ConfigurationError",
     "MarketParams",
     "norm_cdf",
-    "d1d2",
     "european_put",
     "binomial_american_put",
 ]
@@ -102,7 +100,7 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def d1d2(x: float, t: float, y: float, p: MarketParams) -> tuple[float, float]:
+def _d1d2(x: float, t: float, y: float, p: MarketParams) -> tuple[float, float]:
     """d1 = [ln(x/y) + (r - delta + sigma^2/2) t] / (sigma sqrt(t)), d2 = d1 - sigma sqrt(t).
 
     Returns the plain tuple (d1, d2).  Requires x > 0, y > 0 and t > 0; the
@@ -133,7 +131,7 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
         raise ValueError(f"european_put requires t >= 0, got {t}")
     if t == 0.0:
         return max(p.strike - spot, 0.0)
-    d1, d2 = d1d2(spot, t, p.strike, p)
+    d1, d2 = _d1d2(spot, t, p.strike, p)
     return (p.strike * math.exp(-p.rate * t) * norm_cdf(-d2)
             - spot * math.exp(-p.dividend * t) * norm_cdf(-d1))
 

@@ -6,10 +6,8 @@ over [0, t].  The premium integrand is written here once (the
 value-matching equation is this formula at S = B), and the integral is
 evaluated with the cached quadrature rows (``unit_weight_rows``) of the
 curve's rational basis, scaled to the grid spacing; the integrand's
-endpoint limit vanishes in the continuation region.  Calls are priced
-through put-call symmetry (strike and spot swap roles, as do rate and
-dividend yield), which also gives the European call without dividends.
-A result holds the value and its two parts; ``error_bound_factor`` needs no curve.
+endpoint limit vanishes in the continuation region.  A result holds the
+value and its two parts; ``error_bound_factor`` needs no curve.
 
 Pricing is pure given an immutable curve; concurrent pricing across
 spots and times is safe.
@@ -19,13 +17,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .boundary import (BoundaryCurve, SolverConfig, _perpetual_exponent, eval_boundary,
-                       solve_boundary)
+from .boundary import BoundaryCurve, _perpetual_exponent, eval_boundary
 from .market import MarketParams, _require_spot, european_put
 from .quadrature import brq_weights, unit_weight_rows  # noqa: F401 (brq_weights is traced)
 
@@ -33,7 +30,6 @@ __all__ = [
     "PriceResult",
     "error_bound_factor",
     "american_put_price",
-    "american_call_price",
 ]
 
 
@@ -130,26 +126,3 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
         value = euro + premium
     return PriceResult(value=value, european_part=euro, premium_part=premium,
                        wall_time=time.perf_counter() - start)
-
-
-def american_call_price(t: float, spot: float, p: MarketParams,
-                        cfg: SolverConfig) -> PriceResult:
-    """American call value via put-call symmetry.
-
-    call(spot, strike; r, delta) equals put(strike, spot; delta, r): the
-    symmetric put boundary is solved internally with ``cfg`` and priced at
-    the original strike.  Without dividends the call is never exercised
-    early, so the symmetric European put is returned directly.
-    """
-    _require_spot(spot)
-    t = _horizon_time(t, p.expiry)
-    start = time.perf_counter()
-    symmetric = MarketParams(strike=spot, expiry=p.expiry, rate=p.dividend,
-                             dividend=p.rate, volatility=p.volatility)
-    if p.dividend == 0.0:
-        euro = european_put(t, p.strike, symmetric)
-        return PriceResult(value=euro, european_part=euro, premium_part=0.0,
-                           wall_time=time.perf_counter() - start)
-    curve = solve_boundary(cfg, symmetric)
-    result = american_put_price(t, p.strike, curve)
-    return replace(result, wall_time=time.perf_counter() - start)

@@ -19,7 +19,7 @@ from kimvolterra import (
     perpetual_lower_bound,
     solve_boundary,
 )
-from kimvolterra.market import d1d2
+from kimvolterra.market import _d1d2
 from kimvolterra.pricing import _premium_integrand
 
 # Benchmark fixture set: 3-year put, r = delta = 8%, sigma = 20%, K = 100.
@@ -93,7 +93,7 @@ def kim2d_row(i, grid, prior, p):
         d1 = (np.log(b / prior) + (r - delta + 0.5 * vol**2) * tau) / sig_sqrt
         d2 = d1 - sig_sqrt
         df = -disc_d * ndtr(-d1) - kern * np.exp(-0.5 * d2 * d2) / b
-        d1_t, _ = d1d2(b, t_i, k, p)
+        d1_t, _ = _d1d2(b, t_i, k, p)
         slope = (-1.0 + math.exp(-delta * t_i) * norm_cdf(-d1_t)
                  - h * (0.5 * df[0] + df[1:].sum() - 0.25 * delta))
         return (k - b) - european_put(t_i, b, p) - premium, slope

@@ -10,7 +10,6 @@ PUBLIC_NAMES = {
     "ConfigurationError",
     "MarketParams",
     "binomial_american_put",
-    "d1d2",
     "european_put",
     "norm_cdf",
     "BaryBasis",
@@ -33,7 +32,6 @@ PUBLIC_NAMES = {
     "perpetual_lower_bound",
     "solve_boundary",
     "PriceResult",
-    "american_call_price",
     "american_put_price",
     "error_bound_factor",
     "__version__",

@@ -105,7 +105,7 @@ class TestBaryBasis:
         with pytest.raises(ValueError):
             basis.nodes[0] = 3.0
 
-    @pytest.mark.parametrize("degree", [-1, 3])
+    @pytest.mark.parametrize("degree", [-1, 3, 1.5, True])
     def test_rejects_degree_outside_0_to_n(self, degree):
         with pytest.raises(ValueError, match="0 <= d <= n"):
             BaryBasis(np.array([0.0, 0.5, 1.0]), degree)
@@ -122,19 +122,6 @@ class TestBaryBasis:
     def test_init_fields_are_nodes_and_degree(self):
         init = [f.name for f in dataclasses.fields(BaryBasis) if f.init]
         assert init == ["nodes", "degree"]
-
-    def test_equal_bases_compare_and_hash_alike(self):
-        # a basis is fixed by its nodes and its order
-        basis = BaryBasis(np.linspace(0.0, 1.0, 5), 2)
-        twin = BaryBasis([0.0, 0.25, 0.5, 0.75, 1.0], 2)
-        assert basis == twin and hash(basis) == hash(twin)
-        assert {basis, twin} == {basis}
-        assert basis != BaryBasis(np.linspace(0.0, 1.0, 5), 1)
-        assert basis != BaryBasis(np.linspace(0.0, 2.0, 5), 2)
-        assert basis != BaryBasis(np.linspace(0.0, 1.0, 6), 2)
-        assert basis != "basis"
-        signed, unsigned = BaryBasis([-0.0, 1.0], 0), BaryBasis([0.0, 1.0], 0)
-        assert signed == unsigned and hash(signed) == hash(unsigned)
 
 
 class TestEvalInterpolant:

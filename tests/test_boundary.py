@@ -22,7 +22,7 @@ from kimvolterra import (
 )
 
 from kimvolterra.barycentric import BaryBasis
-from kimvolterra.market import d1d2, norm_cdf
+from kimvolterra.market import _d1d2, norm_cdf
 
 from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
@@ -255,7 +255,7 @@ def _paper_residual(b, i, grid, prior, w, om, p):
     t_i = grid[i]
     r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
     pref = 1.0 / (vol * math.sqrt(2.0 * math.pi))
-    d1, d2 = d1d2(b, t_i, k, p)
+    d1, d2 = _d1d2(b, t_i, k, p)
     f = -b * math.exp(-delta * t_i) * norm_cdf(d1)
     f += k * math.exp(-r * t_i - 0.5 * d2 * d2) * pref / math.sqrt(t_i)
     f -= b * math.exp(-delta * t_i - 0.5 * d1 * d1) * pref / math.sqrt(t_i)

@@ -260,6 +260,8 @@ class TestErrorHandling:
         ["price", "--spots", "0,90"],
         ["workprecision", "--n-list", "8,2"],
         ["workprecision", "--n-list", "x"],
+        ["price", "--spots", "nan"],
+        ["price", "--spots", "inf,100"],
     ])
     def test_bad_list_exits_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -13,10 +13,10 @@ from kimvolterra import (
     ConfigurationError,
     MarketParams,
     binomial_american_put,
-    d1d2,
     european_put,
     norm_cdf,
 )
+from kimvolterra.market import _d1d2
 
 from conftest import TABLE3_PARAMS, TABLE3_SPOTS
 
@@ -146,7 +146,7 @@ class TestD1D2:
     def test_at_the_money_closed_form(self):
         p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=0.0,
                          volatility=0.2)
-        d1, d2 = d1d2(100.0, 1.0, 100.0, p)
+        d1, d2 = _d1d2(100.0, 1.0, 100.0, p)
         assert d1 == pytest.approx(0.5, abs=1e-15)
         assert d2 == pytest.approx(0.3, abs=1e-15)
 
@@ -154,14 +154,14 @@ class TestD1D2:
         p = MarketParams(strike=100.0, expiry=5.0, rate=0.05, dividend=0.02,
                          volatility=0.3)
         for t in (0.1, 0.7, 2.5):
-            d1, _ = d1d2(50.0, t, 50.0, p)
+            d1, _ = _d1d2(50.0, t, 50.0, p)
             expected = (p.rate - p.dividend + 0.5 * p.volatility**2) \
                 * math.sqrt(t) / p.volatility
             assert d1 == pytest.approx(expected, rel=1e-14)
 
     def test_derived_value(self):
         # frozen from a 50-digit mpmath evaluation of the closed form
-        d1, d2 = d1d2(120.0, 3.0, 100.0, TABLE3_PARAMS)
+        d1, d2 = _d1d2(120.0, 3.0, 100.0, TABLE3_PARAMS)
         assert d1 == pytest.approx(0.6995220802271944, abs=1e-15)
         assert d2 == pytest.approx(0.35311191871341896, abs=1e-15)
         with mpmath.workdps(50):
@@ -175,17 +175,17 @@ class TestD1D2:
         for _ in range(300):
             x, y = rng.uniform(10.0, 300.0, 2)
             t = rng.uniform(1e-3, 3.0)
-            d1, d2 = d1d2(x, t, y, p)
+            d1, d2 = _d1d2(x, t, y, p)
             gap = d1 - p.volatility * math.sqrt(t)
             assert abs(d2 - gap) <= 1e-14 * max(1.0, abs(d1))
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            d1d2(100.0, 0.0, 100.0, TABLE3_PARAMS)
+            _d1d2(100.0, 0.0, 100.0, TABLE3_PARAMS)
         with pytest.raises(ValueError):
-            d1d2(-1.0, 1.0, 100.0, TABLE3_PARAMS)
+            _d1d2(-1.0, 1.0, 100.0, TABLE3_PARAMS)
         with pytest.raises(ValueError):
-            d1d2(100.0, 1.0, 0.0, TABLE3_PARAMS)
+            _d1d2(100.0, 1.0, 0.0, TABLE3_PARAMS)
 
 
 class TestEuropeanPut:

@@ -7,7 +7,6 @@ import kimvolterra.pricing as pricing
 from kimvolterra import (
     MarketParams,
     SolverConfig,
-    american_call_price,
     american_put_price,
     error_bound_factor,
     eval_boundary,
@@ -17,21 +16,6 @@ from kimvolterra import (
 
 from conftest import (TABLE3_BIN_COLUMN, TABLE3_METHOD_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS,
                       solve_boundary_kim2d)
-
-
-def binomial_american_call(steps, spot, strike, expiry, rate, dividend, vol):
-    """Independent CRR call tree (oracle; mirrors none of the library code)."""
-    dt = expiry / steps
-    u = math.exp(vol * math.sqrt(dt))
-    d = 1.0 / u
-    q = (math.exp((rate - dividend) * dt) - d) / (u - d)
-    disc = math.exp(-rate * dt)
-    ladder = spot * np.exp(vol * math.sqrt(dt) * np.arange(-steps, steps + 1))
-    values = np.maximum(ladder[0::2] - strike, 0.0)
-    for i in range(steps - 1, -1, -1):
-        values = disc * (q * values[1:] + (1.0 - q) * values[:-1])
-        values = np.maximum(values, ladder[steps - i: steps + i + 1: 2] - strike)
-    return float(values[0])
 
 
 class TestErrorBoundFactor:
@@ -182,68 +166,3 @@ class TestAmericanPutPrice:
         result = american_put_price(3.0, 90.0, curve)
         assert abs(result.value - references[90.0]) <= 2e-2
 
-
-class TestAmericanCallPrice:
-    def test_no_dividend_equals_european(self):
-        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=0.0,
-                         volatility=0.2)
-        cfg = SolverConfig(n=32, d=2)
-        result = american_call_price(1.0, 100.0, p, cfg)
-        d1 = (0.08 + 0.02) / 0.2
-        euro = 100.0 * _ncdf(d1) - 100.0 * math.exp(-0.08) * _ncdf(d1 - 0.2)
-        assert result.value == pytest.approx(euro, abs=2e-3)
-        # the symmetric European put is the closed-form call
-        assert result.value == pytest.approx(euro, abs=1e-12)
-        assert result.premium_part == 0.0
-
-    def test_negative_time_rejected_without_dividends(self):
-        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=0.0,
-                         volatility=0.2)
-        with pytest.raises(ValueError):
-            american_call_price(-0.5, 100.0, p, SolverConfig(n=32, d=2))
-
-    @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
-    def test_nonfinite_spot_rejected(self, spot):
-        with pytest.raises(ValueError, match="spot must be finite and > 0"):
-            american_call_price(1.0, spot, TABLE3_PARAMS, SolverConfig(n=16, d=2))
-
-    @pytest.mark.parametrize("dividend", [0.0, 0.03])
-    @pytest.mark.parametrize("t", [0.0, 5.0, float("nan")])
-    def test_time_outside_horizon_rejected_before_solving(self, monkeypatch, dividend, t):
-        # both paths check t as the put does, before any boundary solve
-        def no_solve(*args):
-            raise AssertionError("boundary solved before t was checked")
-
-        monkeypatch.setattr(pricing, "solve_boundary", no_solve)
-        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=dividend,
-                         volatility=0.2)
-        with pytest.raises(ValueError, match=r"t must lie in \(0, 1.0\]"):
-            american_call_price(t, 100.0, p, SolverConfig(n=16, d=2))
-
-    @pytest.mark.parametrize("dividend", [0.0, 0.03])
-    def test_time_near_horizon_snaps(self, dividend):
-        # within 1e-12 T of the horizon the call is priced at t = T, bit for bit
-        p = MarketParams(strike=100.0, expiry=1.0, rate=0.08, dividend=dividend,
-                         volatility=0.2)
-        cfg = SolverConfig(n=16, d=2)
-        at_horizon = american_call_price(1.0, 110.0, p, cfg).value
-        for t in (1.0 - 1e-13, 1.0 + 1e-13):
-            assert american_call_price(t, 110.0, p, cfg).value == at_horizon
-
-    def test_symmetric_fixture_matches_put(self, curve_n64_d3):
-        # strike = spot and rate = dividend make the symmetry swap an identity
-        put = american_put_price(3.0, 100.0, curve_n64_d3)
-        call = american_call_price(3.0, 100.0, TABLE3_PARAMS,
-                                   SolverConfig(n=64, d=3))
-        assert call.value == pytest.approx(put.value, abs=1e-6)
-
-    def test_against_binomial_call_oracle(self):
-        p = MarketParams(strike=100.0, expiry=1.0, rate=0.04, dividend=0.08,
-                         volatility=0.2)
-        result = american_call_price(1.0, 110.0, p, SolverConfig(n=64, d=3))
-        oracle = binomial_american_call(10_000, 110.0, 100.0, 1.0, 0.04, 0.08, 0.2)
-        assert result.value == pytest.approx(oracle, abs=2e-3)
-
-
-def _ncdf(x):
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
