@@ -81,8 +81,9 @@ def fh_weights(n: int, d: int) -> np.ndarray:
     weights and |beta_0| = |beta_n| = 1.  The sums over J_i are the full
     convolution of n - d + 1 ones with the binomials C(d, .).
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or not 0 <= d <= n:
-        raise ValueError(f"need an integer 0 <= d <= n, got d={d!r}, n={n}")
+    if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+               for k in (n, d)) or not 0 <= d <= n:
+        raise ValueError(f"need integers n and 0 <= d <= n, got d={d!r}, n={n!r}")
     beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
     beta[(d + 1) % 2::2] *= -1.0
     return beta
@@ -128,8 +129,9 @@ def lebesgue_constant(basis: BaryBasis, oversample: int) -> float:
     Samples ``oversample`` interior points per subinterval, so the estimate
     is a lower bound converging from below as ``oversample`` grows.
     """
-    if oversample < 10:
-        raise ValueError(f"oversample must be >= 10 per subinterval, got {oversample}")
+    if isinstance(oversample, bool) or not isinstance(oversample, numbers.Integral) \
+            or oversample < 10:
+        raise ValueError(f"oversample must be an integer >= 10 per subinterval, got {oversample!r}")
     nodes = basis.nodes
     ts = np.concatenate([
         np.linspace(a, b, oversample + 2)[1:-1]

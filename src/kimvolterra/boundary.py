@@ -140,7 +140,7 @@ class SolveDiagnostics:
     newton_steps: int
     flags: tuple[tuple[int, str, float], ...]
     wall_time: float
-    weights_s: float  # part of wall_time spent getting the weight rows
+    weights_s: float  # part of wall_time in the row set-up: weight rows and lag tables
     newton_s: float  # part of wall_time spent in the Newton row loop
     weights_cached: bool  # True when no weight table had to be built
 
@@ -401,7 +401,7 @@ def eval_boundary(curve: BoundaryCurve, t):
     Barycentric evaluation with the curve's basis; exact at the nodes.
     ``t`` may be a scalar or an array.
     """
-    horizon = curve.grid[-1]
+    horizon = curve.horizon
     tol = 1e-12 * horizon
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr >= -tol) & (t_arr <= horizon + tol)):  # NaN fails too

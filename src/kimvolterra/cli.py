@@ -121,19 +121,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "by product integration on a barycentric rational basis.")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("table3", parents=[family, output],
-                   help="five-spot benchmark against a binomial reference")
+                   help="five-spot benchmark against a binomial reference"
+                   ).set_defaults(run=cmd_table3)
     sub.add_parser("boundary", parents=[market, scheme, grid, family, output],
-                   help="solved boundary curves")
+                   help="solved boundary curves").set_defaults(run=cmd_boundary)
     price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
                            help="price given spots")
+    price.set_defaults(run=cmd_price)
     price.add_argument("--spots", type=_parse_spots, default=None,
                        help="comma-separated spot prices")
     sub.add_parser("convergence", parents=[output],
-                   help="interpolation convergence orders on exp(t)")
+                   help="interpolation convergence orders on exp(t)"
+                   ).set_defaults(run=cmd_convergence)
     sub.add_parser("lebesgue", parents=[output],
-                   help="Lebesgue constants against the logarithmic bound")
+                   help="Lebesgue constants against the logarithmic bound"
+                   ).set_defaults(run=cmd_lebesgue)
     wp = sub.add_parser("workprecision", parents=[market, scheme, output],
                         help="wall time and error per (method, n) cell")
+    wp.set_defaults(run=cmd_workprecision)
     wp.add_argument("--n-list", type=_parse_int_list, default=[8, 16, 32, 64],
                     help="ascending comma-separated grid sizes")
     return parser
@@ -308,16 +313,6 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     return header, rows, passed, spec
 
 
-_COMMANDS = {
-    "table3": cmd_table3,
-    "boundary": cmd_boundary,
-    "price": cmd_price,
-    "convergence": cmd_convergence,
-    "lebesgue": cmd_lebesgue,
-    "workprecision": cmd_workprecision,
-}
-
-
 def _emit(args, header: list[str], rows: list[list[str]], passed: bool,
           spec: dict) -> None:
     if args.format == "csv":
@@ -340,11 +335,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        header, rows, passed, spec = _COMMANDS[args.command](args)
+        header, rows, passed, spec = args.run(args)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError included
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

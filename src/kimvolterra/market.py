@@ -7,10 +7,7 @@ lives in the boundary solver and the premium integrand in the pricing module.
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
 gives its layout, the nodes it skips, which leave 4.25e6 of the 3.40e7 nodes
 worth at least 1e-290 K (12.5%) to update in the Table-3 BIN(10000) tree at
-S = 100, and its per-spot pass on two levels in every 32.  Its five spots take
-about 0.11 s in one call, 0.33 s in five, and one spot 0.068 s, mostly the fixed
-cost of a level's numpy calls (medians of 21 alternating runs, 2-core Intel
-Xeon VM, Python 3.11, numpy 2.4).
+S = 100, and its per-spot pass on two levels in every 32.
 
 Everything here is a pure function of its inputs; there is no shared
 mutable state, so concurrent use is safe.
@@ -127,8 +124,8 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
     t = 0 returns the payoff max(K - spot, 0).
     """
     _require_spot(spot)
-    if t < 0.0:
-        raise ValueError(f"european_put requires t >= 0, got {t}")
+    if not 0.0 <= t < math.inf:  # NaN fails too
+        raise ValueError(f"european_put requires a finite t >= 0, got {t}")
     if t == 0.0:
         return max(p.strike - spot, 0.0)
     d1, d2 = _d1d2(spot, t, p.strike, p)
@@ -235,11 +232,8 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     2^-97 at 10,000 steps and far below half an ulp, so the price keeps its
     bits; the tests hold it to the same bits as a full sweep of every node
     wherever the price is >= 1e-280 K, and to |change| <= 1e-290 K below.
-    At 1e-290 K alone the five-spot Table-3 tree updated 4,974 values per
-    level; the per-spot cut leaves 2,305 with a pass at every level, and
-    2,384 with the pass schedule.  Without a cut, the Table-3 tree
-    at S = 100 holds up to 1,202 subnormal values in a level, on which numpy
-    arithmetic runs about 13 times slower.
+    Without a cut, the Table-3 tree at S = 100 holds up to 1,202 subnormal
+    values in a level, on which numpy arithmetic runs about 13 times slower.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")

@@ -62,22 +62,6 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))
 
 
-def _horizon_time(t: float, horizon: float) -> float:
-    """t checked to lie in (0, T] and snapped to T within 1e-12 T: the one test of t = T."""
-    if not 0.0 < t <= horizon * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {horizon}], got {t}")
-    return horizon if t >= horizon * (1.0 - 1e-12) else t
-
-
-def _premium_grid(curve: BoundaryCurve, t: float, d: int) -> np.ndarray:
-    """Equidistant quadrature nodes on [0, t]; the curve's own grid array at t = T."""
-    if t == curve.horizon:
-        return curve.grid
-    spacing = curve.horizon / (curve.grid.size - 1)
-    segments = max(d + 1, int(math.ceil(t / spacing - 1e-12)))
-    return np.linspace(0.0, t, segments + 1)
-
-
 def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
                        p: MarketParams) -> np.ndarray:
     """Early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau) N(-d1).
@@ -96,28 +80,36 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     """American put value at time-to-expiry t via the premium representation.
 
     The premium integral over [0, t] takes Floater-Hormann quadrature
-    weights of the curve's own order on m equidistant subintervals (the
-    curve's own at t = T): row m of the solver's unit table for the curve's
-    grid, times t / m.  The boundary is read once at those m + 1 nodes, from
-    the stored values at t = T and by one ``eval_boundary`` call otherwise;
-    the last node is t, so the read also gives B(t).  In the exercise region
-    (spot at or below B(t)) the value is exactly the payoff K - spot.
+    weights of the curve's own order on m equidistant subintervals: row m
+    of the solver's unit table for the curve's grid, times t / m.  t must
+    lie in (0, T], and one branch decides t = T, for any t within 1e-12 T
+    of it: there the nodes are the curve's grid and the boundary its stored
+    values.  Otherwise m = max(d + 1, ceil(t / h)) for the curve's spacing
+    h, and one ``eval_boundary`` call reads the boundary at the m + 1 nodes.
+    Either way the last node is t, so the read also gives B(t).  In the
+    exercise region (spot at or below B(t)) the value is exactly the payoff
+    K - spot.
     """
     start = time.perf_counter()
     p = curve.params
     _require_spot(spot)
-    t = _horizon_time(t, curve.horizon)
-    d = curve.basis.degree
-    nodes = _premium_grid(curve, t, d)
-    # node hits interpolate to exact unit rows, so the stored values are bitwise eval_boundary
-    ys = curve.values if nodes is curve.grid else eval_boundary(curve, nodes)
+    horizon, n, d = curve.horizon, curve.grid.size - 1, curve.basis.degree
+    if not 0.0 < t <= horizon * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in (0, {horizon}], got {t}")
+    if t >= horizon * (1.0 - 1e-12):
+        # node hits interpolate to exact unit rows, so the stored values are bitwise eval_boundary
+        t, nodes, ys = horizon, curve.grid, curve.values
+    else:
+        segments = max(d + 1, int(math.ceil(t / (horizon / n) - 1e-12)))
+        nodes = np.linspace(0.0, t, segments + 1)
+        ys = eval_boundary(curve, nodes)
     euro = european_put(t, spot, p)
     if spot <= ys[-1]:
         value = p.strike - spot
         premium = value - euro
     else:
         m = nodes.size - 1
-        weights = (t / m) * unit_weight_rows(curve.grid.size - 1, d, 0.0)[m, :m + 1]
+        weights = (t / m) * unit_weight_rows(n, d, 0.0)[m, :m + 1]
         integrand = _premium_integrand(spot, t - nodes[:-1], ys[:-1], p)
         # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
         endpoint = ((0.5 if spot - ys[-1] <= 1e-9 * p.strike else 0.0)

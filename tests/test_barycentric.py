@@ -69,6 +69,11 @@ class TestFloaterHormannWeights:
         with pytest.raises(ValueError):
             fh_weights(3, 4)
 
+    @pytest.mark.parametrize("n,d", [(True, 0), (2.5, 0)])
+    def test_non_integer_n_rejected(self, n, d):
+        with pytest.raises(ValueError, match="0 <= d <= n"):
+            fh_weights(n, d)
+
     def test_matches_written_out_sums(self):
         # beta_i = (-1)^(i-d) sum_{j in J_i} C(d, i-j), bit for bit
         for n in range(301):
@@ -275,3 +280,8 @@ class TestLebesgueConstant:
     def test_oversample_floor(self):
         with pytest.raises(ValueError):
             lebesgue_constant(BaryBasis(np.array([0.0, 1.0]), 0), 9)
+
+    @pytest.mark.parametrize("oversample", [10.5, 12.0])
+    def test_oversample_not_integer_rejected(self, oversample):
+        with pytest.raises(ValueError, match="oversample must be an integer"):
+            lebesgue_constant(BaryBasis(np.array([0.0, 1.0]), 0), oversample)

@@ -230,6 +230,11 @@ class TestEuropeanPut:
         with pytest.raises(ValueError):
             european_put(-0.5, 100.0, TABLE3_PARAMS)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="european_put requires a finite t"):
+            european_put(t, 100.0, TABLE3_PARAMS)
+
     @pytest.mark.parametrize("spot", NONFINITE_SPOTS)
     def test_nonfinite_spot_rejected(self, spot):
         with pytest.raises(ValueError, match="spot must be finite and > 0"):
