@@ -21,7 +21,6 @@ __all__ = [
     "BaryBasis",
     "fh_weights",
     "basis_matrix",
-    "eval_interpolant",
     "lebesgue_constant",
 ]
 
@@ -107,20 +106,6 @@ def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:
         out[rows] = 0.0
         out[rows, near[rows]] = 1.0
     return out
-
-
-def eval_interpolant(basis: BaryBasis, values, t):
-    """Evaluate the barycentric interpolant of ``values`` at ``t``.
-
-    ``t`` may be a scalar or an array; points coinciding with a node (to
-    within 1e-14 of the span) return the stored value exactly.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != basis.nodes.shape:
-        raise ValueError(f"expected {basis.nodes.size} values, got {values.size}")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    result = basis_matrix(basis, t).dot(values)
-    return float(result[0]) if scalar else result
 
 
 def lebesgue_constant(basis: BaryBasis, oversample: int) -> float:

@@ -42,7 +42,8 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import ndtr
 
-from .barycentric import BaryBasis, eval_interpolant
+from . import barycentric  # the benchmark tracer wraps basis_matrix in its own module
+from .barycentric import BaryBasis
 from .market import MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
@@ -167,11 +168,6 @@ class BoundaryCurve:
     def grid(self) -> np.ndarray:
         """The stored nodes: the read-only ``basis.nodes`` itself."""
         return self.basis.nodes
-
-    @property
-    def horizon(self) -> float:
-        """Time horizon T of the solve."""
-        return float(self.grid[-1])
 
 
 def initial_boundary(p: MarketParams) -> float:
@@ -398,15 +394,17 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 def eval_boundary(curve: BoundaryCurve, t):
     """Evaluate the solved boundary at time-to-expiry t in [0, T].
 
-    Barycentric evaluation with the curve's basis; exact at the nodes.
-    ``t`` may be a scalar or an array.
+    The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``,
+    exact at the nodes.  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an
+    array of its length.
     """
-    horizon = curve.horizon
-    tol = 1e-12 * horizon
+    T = curve.params.expiry
+    tol = 1e-12 * T
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= -tol) & (t_arr <= horizon + tol)):  # NaN fails too
-        raise ValueError(f"t must lie in [0, {horizon}], got {t!r}")
-    return eval_interpolant(curve.basis, curve.values, np.clip(t_arr, 0.0, horizon))
+    if not np.all((t_arr >= -tol) & (t_arr <= T + tol)):  # NaN fails too
+        raise ValueError(f"t must lie in [0, {T}], got {t!r}")
+    ys = barycentric.basis_matrix(curve.basis, np.clip(t_arr, 0.0, T)).dot(curve.values)
+    return float(ys[0]) if t_arr.ndim == 0 else ys
 
 
 def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:

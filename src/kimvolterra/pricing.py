@@ -93,14 +93,14 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     start = time.perf_counter()
     p = curve.params
     _require_spot(spot)
-    horizon, n, d = curve.horizon, curve.grid.size - 1, curve.basis.degree
-    if not 0.0 < t <= horizon * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {horizon}], got {t}")
-    if t >= horizon * (1.0 - 1e-12):
+    T, n, d = p.expiry, curve.basis.n, curve.basis.degree
+    if not 0.0 < t <= T * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in (0, {T}], got {t}")
+    if t >= T * (1.0 - 1e-12):
         # node hits interpolate to exact unit rows, so the stored values are bitwise eval_boundary
-        t, nodes, ys = horizon, curve.grid, curve.values
+        t, nodes, ys = T, curve.grid, curve.values
     else:
-        segments = max(d + 1, int(math.ceil(t / (horizon / n) - 1e-12)))
+        segments = max(d + 1, int(math.ceil(t / (T / n) - 1e-12)))
         nodes = np.linspace(0.0, t, segments + 1)
         ys = eval_boundary(curve, nodes)
     euro = european_put(t, spot, p)

@@ -14,7 +14,6 @@ PUBLIC_NAMES = {
     "norm_cdf",
     "BaryBasis",
     "basis_matrix",
-    "eval_interpolant",
     "fh_weights",
     "lebesgue_constant",
     "brq_weights",

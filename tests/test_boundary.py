@@ -669,6 +669,31 @@ class TestEvalBoundary:
         values = eval_boundary(curve_n64_d3, ts)
         assert values.shape == ts.shape
 
+    @pytest.mark.parametrize("t", [1.7283, np.float64(1.7283), np.array(1.7283)])
+    def test_scalar_gives_float(self, curve_n64_d3, t):
+        value = eval_boundary(curve_n64_d3, t)
+        assert type(value) is float
+        assert value == eval_boundary(curve_n64_d3, [t])[0]
+
+    def test_list_gives_array_of_its_length(self, curve_n64_d3):
+        values = eval_boundary(curve_n64_d3, [0.0, 1.7283, 3.0])
+        assert isinstance(values, np.ndarray)
+        assert values.shape == (3,)
+        assert values[-1] == curve_n64_d3.values[-1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(expiry=st.floats(0.02, 10.0), n=st.integers(1, 64),
+           family=st.sampled_from(["fh", BFH]), hybrid_m=st.sampled_from([2, 3, 5]))
+    def test_last_node_is_expiry_property(self, expiry, n, family, hybrid_m):
+        # pricing and eval_boundary read T from the market, so every solved grid
+        # must end on it bit for bit
+        p = MarketParams(strike=100.0, expiry=expiry, rate=0.08, dividend=0.08,
+                         volatility=0.2)
+        curve = solve_boundary(SolverConfig(n=n, d=min(2, n - 1), family=family,
+                                            hybrid_m=hybrid_m), p)
+        assert curve.grid[-1] == curve.params.expiry
+        assert eval_boundary(curve, expiry) == curve.values[-1]
+
     def test_out_of_range_rejected(self, curve_n64_d3):
         with pytest.raises(ValueError):
             eval_boundary(curve_n64_d3, -0.1)

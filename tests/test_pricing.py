@@ -120,6 +120,23 @@ class TestAmericanPutPrice:
             assert calls[0][0] is curve
             assert calls[0][1][-1] == t
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the premium's last interval "
+                       "misses the endpoint kink just above B(T)")
+    def test_price_above_boundary_at_least_payoff(self):
+        # the benchmark's book market, seed 601 op 39.  S lies 9.8e-4 above
+        # B(T) = 91.2776 in log, so the CDF factors fall from about 1/2 to 0
+        # within tau* = (ln(S/B)/sigma)^2 = 3.8e-5 of the end, inside the last
+        # interval h = 0.0156.  The integrand at tau = h reads 1.86, about
+        # (rK - delta S)/2, while the endpoint term takes 0; taking 1/2 there
+        # gives +1.5e-3 instead.  The price is 22.83279 against the payoff
+        # 22.84168 (-8.9e-3, no flag; -1.9e-2, -4.1e-3, -1.8e-3 at n = 64, 256, 512).
+        strike = 114.20837921082617
+        p = MarketParams(strike=strike, expiry=2.0, rate=0.06863049275243101,
+                         dividend=0.0445198020560671, volatility=0.15804837321889428)
+        curve = solve_boundary(SolverConfig(n=128, d=2), p)
+        value = american_put_price(2.0, 0.8 * strike, curve).value
+        assert value >= 0.2 * strike - 1e-6 * strike
+
     def test_deep_out_of_the_money_no_dividend(self):
         p = MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.0,
                          volatility=0.2)
