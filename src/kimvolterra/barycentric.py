@@ -95,6 +95,8 @@ def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:
     the nearest node, found by rounding, can be that close: O(m) for m points.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ts.ndim != 1:
+        raise ValueError(f"points must be a number or 1-D, got shape {ts.shape}")
     nodes, n, span = basis.nodes, basis.n, basis.span
     with np.errstate(divide="ignore", invalid="ignore"):
         c = basis.weights / (ts[:, None] - nodes)

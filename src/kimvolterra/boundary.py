@@ -122,7 +122,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """Per-Newton-row residual eval counts and final residuals, plus wall time.
+    """Per-Newton-row residual eval counts (read-only), quality flags and wall time.
 
     ``iterations[i]`` counts row i's residual evals: one per Newton step,
     plus, on a row that fell back to bisection, its two bracket ends and
@@ -137,11 +137,10 @@ class SolveDiagnostics:
     """
 
     iterations: np.ndarray
-    residuals: np.ndarray
     newton_steps: int
     flags: tuple[tuple[int, str, float], ...]
     wall_time: float
-    weights_s: float  # part of wall_time in the row set-up: weight rows and lag tables
+    weights_s: float  # part of wall_time in the set-up: weight rows, lag and start tables
     newton_s: float  # part of wall_time spent in the Newton row loop
     weights_cached: bool  # True when no weight table had to be built
 
@@ -156,7 +155,7 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """Solved boundary values on a grid, evaluable anywhere on [0, T]; equal only to itself."""
+    """Read-only solved boundary values on a grid, evaluable on [0, T]; equal only to itself."""
 
     values: np.ndarray
     basis: BaryBasis
@@ -349,6 +348,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     n = cfg.n
     start, builds = time.perf_counter(), unit_weight_rows.cache_info().misses
     grid, build_row = _row_residual(cfg, p)
+    start_w = _start_weights(n)
     weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
@@ -356,18 +356,16 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
     iterations = np.zeros(n + 1, dtype=int)
-    residuals = np.zeros(n + 1)
     flags: list[tuple[int, str, float]] = []
     newton_steps = 0
     newton_start = time.perf_counter()
-    start_w = _start_weights(n)
     for i in range(1, n + 1):
         if i >= _SQRT_START:
             k = min(5, (i - 1) // 2)
             guess = float(start_w[i - _SQRT_START, 5 - k:].dot(values[i - 2 * k:i - 1:2]))
         else:
             guess = values[i - 1]
-        b, iterations[i], residuals[i], steps = _newton_scalar(
+        b, iterations[i], _, steps = _newton_scalar(
             build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
             cfg.newton_tol * p.strike, i)
         if steps < iterations[i]:
@@ -382,8 +380,9 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     if cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
-    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            newton_steps=newton_steps, flags=tuple(flags),
+    values.setflags(write=False)
+    iterations.setflags(write=False)
+    diag = SolveDiagnostics(iterations=iterations, newton_steps=newton_steps, flags=tuple(flags),
                             wall_time=time.perf_counter() - start, weights_s=weights_s,
                             newton_s=newton_s,
                             weights_cached=unit_weight_rows.cache_info().misses == builds)
@@ -396,7 +395,7 @@ def eval_boundary(curve: BoundaryCurve, t):
 
     The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``,
     exact at the nodes.  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an
-    array of its length.
+    array of its length; ``basis_matrix`` rejects other shapes.
     """
     T = curve.params.expiry
     tol = 1e-12 * T

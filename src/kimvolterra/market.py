@@ -100,14 +100,10 @@ def norm_cdf(x: float) -> float:
 def _d1d2(x: float, t: float, y: float, p: MarketParams) -> tuple[float, float]:
     """d1 = [ln(x/y) + (r - delta + sigma^2/2) t] / (sigma sqrt(t)), d2 = d1 - sigma sqrt(t).
 
-    Returns the plain tuple (d1, d2).  Requires x > 0, y > 0 and t > 0; the
-    t -> 0 limits are handled by the kernel routines in the boundary solver,
-    not here.
+    Returns the plain tuple (d1, d2).  Callers pass x > 0, y > 0 and t > 0
+    (``european_put`` checks x and t, ``MarketParams`` K); the t -> 0 limits
+    are handled by the kernel routines in the boundary solver, not here.
     """
-    if t <= 0.0:
-        raise ValueError(f"d1d2 requires t > 0, got {t}")
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError(f"d1d2 requires positive price arguments, got x={x}, y={y}")
     sig_sqrt_t = p.volatility * math.sqrt(t)
     d1 = (math.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * t) / sig_sqrt_t
     return d1, d1 - sig_sqrt_t

@@ -119,19 +119,17 @@ def solve_boundary_kim2d(n, p):
     values = np.empty(n + 1)
     values[0] = b0
     iterations = np.zeros(n + 1, dtype=int)
-    residuals = np.zeros(n + 1)
     flags = []
     newton_steps = 0
     for i in range(1, n + 1):
-        values[i], iterations[i], residuals[i], steps = boundary._newton_scalar(
+        values[i], iterations[i], _, steps = boundary._newton_scalar(
             kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
             cfg.newton_tol * p.strike, i)
         if steps < iterations[i]:
             flags.append((i, "bisection", float(iterations[i])))
         newton_steps += steps
     wall_time = time.perf_counter() - start
-    diag = SolveDiagnostics(iterations=iterations, residuals=residuals,
-                            newton_steps=newton_steps, flags=tuple(flags),
+    diag = SolveDiagnostics(iterations=iterations, newton_steps=newton_steps, flags=tuple(flags),
                             wall_time=wall_time, weights_s=0.0,
                             newton_s=wall_time, weights_cached=True)
     return BoundaryCurve(values=values, basis=BaryBasis(grid, 2),

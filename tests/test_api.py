@@ -41,8 +41,8 @@ PUBLIC_NAMES = {
 INIT_FIELDS = {
     "SolverConfig": ["n", "d", "family", "hybrid_m"],
     "BoundaryCurve": ["values", "basis", "params", "config", "diagnostics"],
-    "SolveDiagnostics": ["iterations", "residuals", "newton_steps", "flags", "wall_time",
-                         "weights_s", "newton_s", "weights_cached"],
+    "SolveDiagnostics": ["iterations", "newton_steps", "flags", "wall_time", "weights_s",
+                         "newton_s", "weights_cached"],
     "PriceResult": ["value", "european_part", "premium_part", "wall_time"],
 }
 

@@ -236,6 +236,11 @@ class TestBasisMatrixNodeHits:
             got, want = basis_matrix(basis, ts), basis_matrix_reference(basis, ts)
             np.testing.assert_array_equal(got, want)
 
+    def test_two_dimensional_points_rejected(self):
+        basis = BaryBasis(np.linspace(0.0, 1.0, 9), 2)
+        with pytest.raises(ValueError, match=r"number or 1-D, got shape \(2, 2\)"):
+            basis_matrix(basis, np.zeros((2, 2)))
+
 
 class TestLebesgueConstant:
     def test_two_nodes_is_one(self):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -138,7 +139,15 @@ class TestSolveBoundary:
         for curve in figure1_curves.values():
             residuals = collocation_residuals(curve)
             assert residuals.max() <= 1e-10 * 100.0
-            assert curve.diagnostics.residuals.max() <= 1e-10 * 100.0
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(n=16, d=2), SolverConfig(n=16, d=2, family=BFH),
+                                     SolverConfig(n=16, d=2, hybrid_m=3)])
+    def test_solved_arrays_read_only(self, cfg):
+        # the certificate re-derives its residuals from the values the solve stored
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
+        for array in (curve.values, curve.diagnostics.iterations):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 1
 
     def test_diagnostics_populated(self, curve_n32_d2):
         diag = curve_n32_d2.diagnostics
@@ -206,6 +215,17 @@ class TestSolveBoundary:
         assert 0.0 < cold.weights_s <= cold.wall_time
         warm = solve_boundary(cfg, params_with(0.08)).diagnostics
         assert warm.weights_cached is True
+
+    def test_start_weights_timed_in_set_up(self, monkeypatch):
+        start_weights = boundary._start_weights
+
+        def slow(n):
+            time.sleep(0.05)
+            return start_weights(n)
+
+        monkeypatch.setattr(boundary, "_start_weights", slow)
+        diag = solve_boundary(SolverConfig(n=16, d=2), params_with(0.08)).diagnostics
+        assert diag.weights_s >= 0.05 > diag.newton_s
 
     @pytest.mark.parametrize("d,alpha", [(2, 0.5), (0, 0.5), (2, 0.0)],
                              ids=["fh", "bfh", "fh-alpha0"])
@@ -394,11 +414,19 @@ class TestResidualEvals:
     @pytest.mark.parametrize("n", [32, 128])
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
-    def test_certificate_repeats_solve_residuals(self, family, dividend, n):
+    def test_certificate_repeats_solve_residuals(self, family, dividend, n, monkeypatch):
         # one residual for solve and certificate: the rows are rebuilt bit for bit
+        solved = []
+        newton = boundary._newton_scalar
+
+        def recorded(*args):
+            out = newton(*args)
+            solved.append(out[2])
+            return out
+
+        monkeypatch.setattr(boundary, "_newton_scalar", recorded)
         curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
-        np.testing.assert_array_equal(collocation_residuals(curve),
-                                      curve.diagnostics.residuals[1:])
+        np.testing.assert_array_equal(collocation_residuals(curve), solved)
 
 
 class TestNewtonStart:
@@ -699,6 +727,10 @@ class TestEvalBoundary:
             eval_boundary(curve_n64_d3, -0.1)
         with pytest.raises(ValueError):
             eval_boundary(curve_n64_d3, 3.1)
+
+    def test_two_dimensional_t_rejected(self, curve_n64_d3):
+        with pytest.raises(ValueError, match=r"number or 1-D, got shape \(2, 3\)"):
+            eval_boundary(curve_n64_d3, np.full((2, 3), 1.5))
 
     def test_nan_rejected(self, curve_n64_d3):
         with pytest.raises(ValueError):

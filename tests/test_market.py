@@ -179,14 +179,6 @@ class TestD1D2:
             gap = d1 - p.volatility * math.sqrt(t)
             assert abs(d2 - gap) <= 1e-14 * max(1.0, abs(d1))
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            _d1d2(100.0, 0.0, 100.0, TABLE3_PARAMS)
-        with pytest.raises(ValueError):
-            _d1d2(-1.0, 1.0, 100.0, TABLE3_PARAMS)
-        with pytest.raises(ValueError):
-            _d1d2(100.0, 1.0, 0.0, TABLE3_PARAMS)
-
 
 class TestEuropeanPut:
     def test_expiry_payoff(self):

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kimvolterra.pricing as pricing
 from kimvolterra import (
     MarketParams,
     SolverConfig,
+    SolverError,
     american_put_price,
     error_bound_factor,
     eval_boundary,
     european_put,
+    perpetual_lower_bound,
     solve_boundary,
 )
 
@@ -183,3 +187,21 @@ class TestAmericanPutPrice:
         result = american_put_price(3.0, 90.0, curve)
         assert abs(result.value - references[90.0]) <= 2e-2
 
+
+@settings(max_examples=100, deadline=None)
+@given(rate=st.floats(0.005, 0.3), dividend=st.floats(0.0, 0.5), vol=st.floats(0.05, 0.8),
+       expiry=st.floats(0.02, 10.0), n=st.sampled_from([16, 32, 64]),
+       moneyness=st.floats(0.5, 1.5), share=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)))
+def test_price_between_european_and_strike_property(rate, dividend, vol, expiry, n,
+                                                     moneyness, share):
+    # the domain of test_every_solve_converges_or_raises_property in
+    # test_boundary.py, priced at t = T or at a share of it
+    p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend, volatility=vol)
+    try:
+        curve = solve_boundary(SolverConfig(n=n, d=2), p)
+    except SolverError:
+        assert perpetual_lower_bound(p) > 0.97 * p.strike
+        return
+    t, spot = share * expiry, moneyness * p.strike
+    value = american_put_price(t, spot, curve).value
+    assert european_put(t, spot, p) - 1e-10 * p.strike <= value <= p.strike * (1.0 + 1e-10)
