@@ -44,7 +44,7 @@ from scipy.special import ndtr
 
 from . import barycentric  # the benchmark tracer wraps basis_matrix in its own module
 from .barycentric import BaryBasis
-from .market import MarketParams, norm_cdf
+from .market import ConfigurationError, MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
@@ -73,12 +73,6 @@ _SQRT_START = 5  # first row with two same-parity predecessors after B_0
 
 class SolverError(RuntimeError):
     """Newton failed to reach the residual tolerance at some collocation row."""
-
-    def __init__(self, message: str, step: int | None = None,
-                 residual: float | None = None) -> None:
-        super().__init__(message)
-        self.step = step
-        self.residual = residual
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,8 @@ def initial_boundary(p: MarketParams) -> float:
 def perpetual_lower_bound(p: MarketParams) -> float:
     """Time-independent lower bound theta K / (theta - 1) from the perpetual put.
 
-    theta is the negative root of the quadratic exponent equation; r = 0
-    degenerates to a zero bound.
+    theta is the negative root of the quadratic exponent equation (a market
+    where it is not finite and negative is rejected); r = 0 gives a zero bound.
     """
     if p.rate == 0.0:
         return 0.0
@@ -189,8 +183,12 @@ def perpetual_lower_bound(p: MarketParams) -> float:
 
 
 def _perpetual_exponent(p: MarketParams) -> float:
-    mu = p.rate - p.dividend - 0.5 * p.volatility**2
-    return (-mu - math.sqrt(mu * mu + 2.0 * p.volatility**2 * p.rate)) / p.volatility**2
+    var = p.volatility**2  # 0.0 for sigma below about 1.6e-162
+    mu = p.rate - p.dividend - 0.5 * var
+    theta = (-mu - math.sqrt(mu * mu + 2.0 * var * p.rate)) / var if var > 0.0 else math.nan
+    if not -math.inf < theta < 0.0:  # theta rounds to 0 when r is tiny next to mu^2
+        raise ConfigurationError(f"perpetual-put exponent {theta!r} is not finite and negative")
+    return theta
 
 
 def clear_weight_cache() -> None:
@@ -249,9 +247,8 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
         if abs(fb) <= tol_abs:
             return b, evals, abs(fb), it
     if f_lo * f_hi > 0.0:
-        raise SolverError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}] at collocation row {step}",
-            step=step, residual=min(abs(f_lo), abs(f_hi)))
+        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}] at collocation row {step}, "
+                          f"min |F| {min(abs(f_lo), abs(f_hi)):.3e}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         evals += 1
         f_mid = f(mid)[0]
@@ -261,9 +258,8 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
-    residual = min(abs(f_lo), abs(f_hi))
-    raise SolverError(f"bisection stalled at row {step} with residual {residual:.3e}",
-                      step=step, residual=residual)
+    raise SolverError(f"bisection stalled at row {step} with residual "
+                      f"{min(abs(f_lo), abs(f_hi)):.3e}")
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):

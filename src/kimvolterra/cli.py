@@ -97,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--family", choices=(FH, BFH), default=FH)
 
     market = argparse.ArgumentParser(add_help=False)
-    market.add_argument("--strike", type=float, default=100.0)
-    market.add_argument("--expiry", type=float, default=3.0)
-    market.add_argument("--rate", type=float, default=0.08)
+    market.add_argument("--strike", type=float, default=TABLE3_PARAMS.strike)
+    market.add_argument("--expiry", type=float, default=TABLE3_PARAMS.expiry)
+    market.add_argument("--rate", type=float, default=TABLE3_PARAMS.rate)
     market.add_argument("--dividend", type=float, default=None,
-                        help="continuous dividend yield (boundary sweeps "
-                             "four yields when omitted; other commands default to 0.08)")
-    market.add_argument("--vol", type=float, default=0.2)
+                        help="continuous dividend yield (boundary sweeps four yields when "
+                             f"omitted; other commands default to {TABLE3_PARAMS.dividend})")
+    market.add_argument("--vol", type=float, default=TABLE3_PARAMS.volatility)
 
     scheme = argparse.ArgumentParser(add_help=False)
     scheme.add_argument("--d", type=int, default=None, help="rational blending order")
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _market_from_args(args) -> MarketParams:
-    dividend = args.dividend if args.dividend is not None else 0.08
+    dividend = args.dividend if args.dividend is not None else TABLE3_PARAMS.dividend
     return MarketParams(strike=args.strike, expiry=args.expiry, rate=args.rate,
                         dividend=dividend, volatility=args.vol)
 
@@ -176,7 +176,7 @@ def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
         passed = passed and err <= TABLE3_TOLERANCE
         rows.append([f"{spot:.0f}", _fmt_price(reference),
                      _fmt_price(result.value), _fmt_err(err)])
-    spec = {"command": "table3", "family": args.family, "n": 32, "d": 2,
+    spec = {"command": "table3", "family": args.family, "n": cfg.n, "d": cfg.d,
             "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS,
             "tolerance": TABLE3_TOLERANCE, "diagnostics": _diagnostics([curve])}
     return header, rows, passed, spec
@@ -270,10 +270,12 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
 
 def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Wall time and absolute error per (method, n); spot fixed at 120."""
-    m = args.m if args.m is not None else 2
-    if m < 2:
-        # the Newton-grid size below divides by m - 1
-        raise ConfigurationError(f"--m must be >= 2, got {m}")
+    methods = [("fh", FH, 2), ("bfh", BFH, 2)]
+    if (m := args.m) is not None:
+        if m < 2:
+            # the Newton-grid size below divides by m - 1
+            raise ConfigurationError(f"--m must be >= 2, got {m}")
+        methods += [(f"fh_m{m}", FH, m), (f"bfh_m{m}", BFH, m)]
     params = _market_from_args(args)
     d = args.d if args.d is not None else 2
     spot = 120.0
@@ -281,15 +283,12 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     header = ["method", "n", "total_nodes", "wall_time", "abs_error", "status"]
     rows = []
     passed = True
-    methods = [("fh", FH, 2), ("bfh", BFH, 2)]
-    if args.m is not None:
-        methods += [(f"fh_m{m}", FH, m), (f"bfh_m{m}", BFH, m)]
     for n in args.n_list:
         for label, family, fill in methods:
             try:
                 # plain cells (label == family) solve on n, hybrid ones store about n intervals
                 newton_n = (n if label == family
-                            else max(d + 2, round((n + m - 1) / (m - 1))) - 1)
+                            else max(d + 2, round((n + fill - 1) / (fill - 1))) - 1)
                 cfg = SolverConfig(n=newton_n, d=d, family=family, hybrid_m=fill)
                 clear_weight_cache()
                 curve = solve_boundary(cfg, params)

@@ -240,7 +240,7 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     u = math.exp(p.volatility * math.sqrt(dt))
     d = 1.0 / u
     growth = math.exp((p.rate - p.dividend) * dt)
-    q = (growth - d) / (u - d)
+    q = (growth - d) / (u - d) if u > d else math.nan  # u = d once sigma sqrt(dt) < an ulp
     if not 0.0 < q < 1.0:
         raise ConfigurationError(
             f"risk-neutral probability {q:.6f} outside (0, 1); "

@@ -51,12 +51,10 @@ class PriceResult:
 def error_bound_factor(spot: float, p: MarketParams) -> float:
     """Price-error amplification factor (theta-1)/(sigma theta sqrt(2)) (sqrt(delta) S/K + sqrt(r)).
 
-    theta is the negative perpetual-put exponent, so the factor is positive
-    for every valid parameter set with r > 0.
+    theta is the negative perpetual-put exponent, so the factor is positive;
+    a market without a finite negative theta (r = 0 among them) is rejected.
     """
     _require_spot(spot)
-    if p.rate <= 0.0:
-        raise ValueError("error_bound_factor requires rate > 0")
     theta = _perpetual_exponent(p)
     scale = (theta - 1.0) / (p.volatility * theta * math.sqrt(2.0))
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))

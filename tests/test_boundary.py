@@ -11,6 +11,7 @@ import kimvolterra.boundary as boundary
 import kimvolterra.quadrature as quadrature
 from kimvolterra import (
     BFH,
+    ConfigurationError,
     MarketParams,
     SolverConfig,
     american_put_price,
@@ -78,6 +79,16 @@ class TestPerpetualLowerBound:
 
     def test_zero_rate_degenerates(self):
         assert perpetual_lower_bound(params_with(0.1, rate=0.0)) == 0.0
+
+    @pytest.mark.parametrize("p", [
+        # sigma^2 underflows to 0.0, which the exponent divides by
+        MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.08, volatility=1e-300),
+        # r is so small next to mu^2 that theta rounds to 0
+        params_with(0.08, rate=1e-300),
+    ])
+    def test_exponent_not_finite_and_negative_rejected(self, p):
+        with pytest.raises(ConfigurationError, match="not finite and negative"):
+            perpetual_lower_bound(p)
 
 
 class TestSolverConfig:
@@ -502,9 +513,8 @@ class TestLowVolCorner:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_coarse_grids_raise_at_row_1(self, n):
-        with pytest.raises(boundary.SolverError) as info:
+        with pytest.raises(boundary.SolverError, match=r"at collocation row 1, "):
             solve_boundary(SolverConfig(n=n, d=2), self.P)
-        assert info.value.step == 1
 
     def test_rise_is_flagged(self):
         curve = solve_boundary(SolverConfig(n=64, d=2), self.P)
@@ -576,10 +586,10 @@ class TestNewtonScalar:
         assert evals == steps == 2  # the step from 90, then the eval that accepts 70
 
     def test_no_sign_change(self):
-        with pytest.raises(boundary.SolverError, match="no sign change") as info:
+        with pytest.raises(boundary.SolverError,
+                           match=r"^no sign change on \[60, 100\] at collocation row 5, "
+                                 r"min \|F\| 1\.000e\+01$"):
             self.solve(lambda b: (b - 50.0, 1e-3))
-        assert info.value.step == 5
-        assert info.value.residual == pytest.approx(10.0)
 
     @pytest.mark.parametrize("slope,landing", [(1.0 / 3.0, -10.0), (20.0 / 45.0, 5.0)])
     def test_step_below_the_floor_falls_back(self, slope, landing):
@@ -612,9 +622,9 @@ class TestNewtonScalar:
             calls.append(b)
             return (1.0 if b > 70.0 else -1.0), 0.0
 
-        with pytest.raises(boundary.SolverError, match="stalled") as info:
+        with pytest.raises(boundary.SolverError,
+                           match=r"^bisection stalled at row 5 with residual 1\.000e\+00$"):
             self.solve(jump)
-        assert info.value.step == 5 and info.value.residual == 1.0
         assert len(calls) <= 64
         # the last bracket is two adjacent doubles around the jump
         lo, hi = max(c for c in calls if c <= 70.0), min(c for c in calls if c > 70.0)

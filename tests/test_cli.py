@@ -279,6 +279,18 @@ class TestErrorHandling:
             "failed: need n >= d + 1, got n=2, d=2"
         assert status[("fh", "8")] == status[("bfh", "8")] == "ok"
 
+    @pytest.mark.parametrize("argv", [
+        ["price", "--vol", "1e-170"],  # sigma^2 underflows in the perpetual exponent
+        ["boundary", "--vol", "1e-300", "--dividend", "0.08"],
+        ["price", "--rate", "1e-17"],  # the perpetual exponent rounds to 0
+        ["workprecision", "--vol", "1e-300", "--n-list", "8"],  # the tree's u = d
+    ])
+    def test_degenerate_market_exits_2(self, capsys, argv):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("configuration error:") and "Traceback" not in err
+
     def test_workprecision_m_below_2_exits_2(self, capsys):
         code = main(["workprecision", "--n-list", "8", "--m", "1"])
         assert code == 2
@@ -298,7 +310,7 @@ class TestErrorHandling:
 
     def test_solver_failure_exits_3(self, capsys, monkeypatch):
         def broken(cfg, params):
-            raise SolverError("stub failure", step=7, residual=1.0)
+            raise SolverError("stub failure")
 
         monkeypatch.setattr(cli, "solve_boundary", broken)
         code = main(["price", "--spots", "100"])

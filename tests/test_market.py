@@ -335,6 +335,13 @@ class TestBinomialAmericanPut:
         with pytest.raises(ConfigurationError):
             binomial_american_put(1, 100.0, p)
 
+    def test_up_and_down_factors_equal_rejected(self):
+        # sigma sqrt(dt) is below an ulp, so u = d = 1.0 and q would divide by zero
+        p = MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.08,
+                         volatility=1e-300)
+        with pytest.raises(ConfigurationError, match="risk-neutral probability nan"):
+            binomial_american_put(8, 100.0, p)
+
     def test_underflowing_discount_prices_the_payoff(self):
         # exp(-r dt) underflows to 0: the continuation is 0, and so is the European floor
         p = MarketParams(strike=100.0, expiry=1.0, rate=1000.0, dividend=1000.0,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kimvolterra.pricing as pricing
 from kimvolterra import (
+    ConfigurationError,
     MarketParams,
     SolverConfig,
     SolverError,
@@ -49,6 +50,13 @@ class TestErrorBoundFactor:
         p = MarketParams(strike=100.0, expiry=1.0, rate=0.0, dividend=0.1,
                          volatility=0.2)
         with pytest.raises(ValueError):
+            error_bound_factor(100.0, p)
+
+    def test_exponent_rounding_to_zero_rejected(self):
+        # theta rounds to 0, which the factor divides by
+        p = MarketParams(strike=100.0, expiry=3.0, rate=1e-17, dividend=0.08,
+                         volatility=0.2)
+        with pytest.raises(ConfigurationError, match="not finite and negative"):
             error_bound_factor(100.0, p)
 
     @pytest.mark.parametrize("spot", [-5.0, 0.0, math.nan, math.inf])
