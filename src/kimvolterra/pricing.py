@@ -86,7 +86,10 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     h, and one ``eval_boundary`` call reads the boundary at the m + 1 nodes.
     Either way the last node is t, so the read also gives B(t).  In the
     exercise region (spot at or below B(t)) the value is exactly the payoff
-    K - spot.
+    K - spot, unless the European price exceeds that payoff: then the spot
+    lies in the continuation region, below an interpolated B(t) that
+    overshoots the true boundary (as it does near expiry on coarse grids),
+    and it takes the premium integral.
     """
     start = time.perf_counter()
     p = curve.params
@@ -102,15 +105,17 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
         nodes = np.linspace(0.0, t, segments + 1)
         ys = eval_boundary(curve, nodes)
     euro = european_put(t, spot, p)
-    if spot <= ys[-1]:
+    if spot <= ys[-1] and euro <= p.strike - spot:
         value = p.strike - spot
         premium = value - euro
     else:
+        # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
         m = nodes.size - 1
         weights = (t / m) * unit_weight_rows(n, d, 0.0)[m, :m + 1]
         integrand = _premium_integrand(spot, t - nodes[:-1], ys[:-1], p)
-        # the CDF factors' limit as the time gap closes: 1/2 on the boundary, 0 above it
-        endpoint = ((0.5 if spot - ys[-1] <= 1e-9 * p.strike else 0.0)
+        # the CDF factors' limit as the time gap closes: 1 below the boundary, 1/2 on it, 0 above
+        gap = spot - ys[-1]
+        endpoint = ((1.0 if gap < -1e-9 * p.strike else 0.5 if gap <= 1e-9 * p.strike else 0.0)
                     * (p.rate * p.strike - p.dividend * spot))
         premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
         value = euro + premium
