@@ -98,11 +98,14 @@ def basis_matrix(basis: BaryBasis, ts) -> np.ndarray:
     if ts.ndim != 1:
         raise ValueError(f"points must be a number or 1-D, got shape {ts.shape}")
     nodes, n, span = basis.nodes, basis.n, basis.span
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = basis.weights / (ts[:, None] - nodes)
-        out = c / c.sum(axis=1, keepdims=True)
+    # a point next to a node can overflow the quotient; the hit test below replaces its row
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.subtract.outer(ts, nodes)
+        np.divide(basis.weights, out, out=out)
+        out /= out.sum(axis=1, keepdims=True)
         # NaN and huge points cast to some index; their hit test below fails
-        near = np.clip(np.rint((ts - nodes[0]) * (n / span)).astype(np.intp), 0, n)
+        near = np.rint((ts - nodes[0]) * (n / span)).astype(np.intp)
+        near = np.minimum(np.maximum(near, 0, out=near), n, out=near)  # np.clip costs more
     rows = np.flatnonzero(np.abs(ts - nodes[near]) <= _NODE_HIT_RTOL * span)
     if rows.size:
         out[rows] = 0.0

@@ -16,8 +16,8 @@ interpolation.  One row builder, called the same way, serves the solve
 and its certificate; Kim's (1990) discretization of the value-matching
 equation, an independent cross-check, is kept with the tests.
 
-Each row's residual returns its exact slope dF/db with its value, so a
-Newton step costs one residual eval.  The identity y e^(-r tau) phi(d2) =
+A row eval returns F; its exact slope dF/db, from the eval's arrays, is
+computed only for a Newton step.  The identity y e^(-r tau) phi(d2) =
 x e^(-delta tau) phi(d1) cancels the two scalar phi terms at t_i and merges
 the two exponential kernels into (r K - delta B_j) e^(-r tau_j) phi(d2_j).
 Rows are arrays of length i <= n, timed by numpy's cost per call, so factors
@@ -222,27 +222,30 @@ def _start_weights(n: int) -> np.ndarray:
     return c
 
 
-def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
+def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float,
                    step: int) -> tuple[float, int, float, int]:
-    """Safeguarded scalar Newton on f(b) = (F, dF/db) in [lo, hi], bisection fallback.
+    """Safeguarded scalar Newton on row = (f, slope) in [lo, hi], bisection fallback.
 
+    f(b) returns F and slope() dF/db at the last such b, asked for only to step.
     The start x0 is clamped into [lo, hi].  A step that is not finite or
     leaves [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting the
     same [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.
     Returns (root, residual evals, |F|, Newton steps); fewer steps than evals
     means a fallback.
     """
+    f, slope = row
     b = min(max(float(x0), lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        fb, slope = f(b)
+        fb = f(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb), it
-        nxt = b - fb / slope if slope != 0.0 else float("nan")
+        df = slope()
+        nxt = b - fb / df if df != 0.0 else float("nan")
         if not lo <= nxt <= hi:
             break
         b = nxt
     evals = it + 2
-    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    f_lo, f_hi = f(lo), f(hi)
     for b, fb in ((lo, f_lo), (hi, f_hi)):
         if abs(fb) <= tol_abs:
             return b, evals, abs(fb), it
@@ -251,7 +254,7 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
                           f"min |F| {min(abs(f_lo), abs(f_hi)):.3e}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         evals += 1
-        f_mid = f(mid)[0]
+        f_mid = f(mid)
         if abs(f_mid) <= tol_abs:
             return mid, evals, abs(f_mid), it
         if f_lo * f_mid <= 0.0:
@@ -263,15 +266,16 @@ def _newton_scalar(f, x0: float, lo: float, hi: float, tol_abs: float,
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior, log_prior, rk) -> (b -> (F(b), dF/db)) on cfg.n intervals.
+    """Grid and row builder (i, prior, log_prior, rk) -> (F, slope) on cfg.n intervals.
 
     Row i of the product-integrated boundary equation takes B_0..B_(i-1) in
     ``prior``, their math.log values in ``log_prior`` (np.log can differ by an
-    ulp) and r K - delta B_j in ``rk``.  tau_ij = t_(i-j), so row i views the
-    last i columns of the seven tables over lags n..1 (column 0 also serves
-    t_i).  The terms free of b are products of their slices, built once per
-    row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j leaves b only in ln(b).
-    So an eval costs a few array ops of length i, with ``ndarray.dot``
+    ulp) and r K - delta B_j in ``rk``; F(b) is its residual, slope() dF/db at
+    the last b.  tau_ij = t_(i-j), so row i views the last i entries of the
+    lag tables over lags n..1; its t_i scalars come from per-solve lists.  The
+    terms free of b are products of their slices, built once per row (the
+    slope's on its first call), and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
+    leaves b only in ln(b).  So an eval costs a few array ops of length i, with ``ndarray.dot``
     (cheaper per call than ``@``, same bits) and Python-float scalars.  The
     phi identity of the module docstring has already cancelled the scalar phi
     terms and merged the two kernels; the dividend terms vanish at delta = 0
@@ -286,41 +290,56 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     sig_tau = vol * np.sqrt(tau)
     inv_sig_tau = 1.0 / sig_tau
     disc_r = np.exp(-r * tau)
-    lags = np.array((sig_tau, inv_sig_tau, (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau,
-                     ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau,
-                     pref * disc_r, np.exp(-delta * tau), disc_r * inv_sig_tau / _SQRT_2PI))
+    drift = (r - delta - 0.5 * vol * vol) * tau * inv_sig_tau
+    a1 = ((r - delta + 0.5 * vol * vol) * tau - math.log(p.strike)) * inv_sig_tau
+    kern_lag, disc_d = pref * disc_r, np.exp(-delta * tau)
+    slope_lag = disc_r * inv_sig_tau / _SQRT_2PI
+    sig_ts, a1_ts, disc_ts = sig_tau.tolist(), a1.tolist(), disc_d.tolist()
     w_rows = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
-    q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0) if delta > 0.0 else None
+    # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
+    coincident_w = (pref * w_rows.diagonal()).tolist()
+    if delta > 0.0:
+        q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0)
+        halves = (0.5 * q_rows.diagonal()).tolist()
 
     def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray):
-        sig_tau, inv_sig_tau, drift, a1, kern_lag, disc_d, slope_lag = lags[:, cfg.n - i:]
-        sig_t, a1_t, disc_t = float(sig_tau[0]), float(a1[0]), float(disc_d[0])
-        a2 = drift - log_prior * inv_sig_tau
-        kern = w_rows[i, :i] * rk * kern_lag
-        kern_slope = kern * inv_sig_tau
-        # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
-        coincident = pref * float(w_rows[i, i])
+        k = cfg.n - i
+        inv_sig, sig_t, a1_t, disc_t, coincident = \
+            inv_sig_tau[k:], sig_ts[k], a1_ts[k], disc_ts[k], coincident_w[i]
+        a2 = drift[k:] - log_prior * inv_sig
+        kern = w_rows[i, :i] * rk * kern_lag[k:]
         if delta > 0.0:
-            smooth = q_rows[i, :i] * disc_d
-            smooth_slope = q_rows[i, :i] * prior * slope_lag
-            half = 0.5 * float(q_rows[i, i])
+            q_row, sig_row, half = q_rows[i, :i], sig_tau[k:], halves[i]
+            smooth = q_row * disc_d[k:]
+        kern_slope = smooth_slope = None
+        b = d1_t = cdf_t = s = d2 = e = 0.0  # the last eval's state, read by slope()
 
-        def row(b: float) -> tuple[float, float]:
+        def value(x: float) -> float:
+            nonlocal b, d1_t, cdf_t, d2, e, s
+            b = x
             log_b = math.log(b)
             d1_t = log_b / sig_t + a1_t
             cdf_t = norm_cdf(d1_t)
-            d2 = log_b * inv_sig_tau + a2
+            d2 = log_b * inv_sig + a2
             e = np.exp(-0.5 * d2 * d2)
             f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r_k - delta * b)
-            slope = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
-                     - float(kern_slope.dot(e * d2)) / b - coincident * delta)
             if delta > 0.0:
-                s = float(smooth.dot(ndtr(d2 + sig_tau))) + half
+                s = float(smooth.dot(ndtr(d2 + sig_row))) + half
                 f -= delta_h * b * s
-                slope -= delta_h * (s + float(smooth_slope.dot(e)) / b)
-            return f, slope
+            return f
 
-        return row
+        def slope() -> float:
+            nonlocal kern_slope, smooth_slope
+            if kern_slope is None:
+                kern_slope = kern * inv_sig
+                smooth_slope = q_row * prior * slope_lag[k:] if delta > 0.0 else None
+            df = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
+                  - float(kern_slope.dot(e * d2)) / b - coincident * delta)
+            if delta > 0.0:
+                df -= delta_h * (s + float(smooth_slope.dot(e)) / b)
+            return df
+
+        return value, slope
 
     return grid, build_row
 
@@ -396,9 +415,12 @@ def eval_boundary(curve: BoundaryCurve, t):
     T = curve.params.expiry
     tol = 1e-12 * T
     t_arr = np.asarray(t, dtype=float)
-    if not np.all((t_arr >= -tol) & (t_arr <= T + tol)):  # NaN fails too
+    # a NaN makes both NaN; the initial values let an empty t through, as before
+    lo, hi = t_arr.min(initial=math.inf), t_arr.max(initial=-math.inf)
+    if not (lo >= -tol and hi <= T + tol):
         raise ValueError(f"t must lie in [0, {T}], got {t!r}")
-    ys = barycentric.basis_matrix(curve.basis, np.clip(t_arr, 0.0, T)).dot(curve.values)
+    ts = np.clip(t_arr, 0.0, T) if lo < 0.0 or hi > T else t_arr  # np.clip costs more
+    ys = barycentric.basis_matrix(curve.basis, ts).dot(curve.values)
     return float(ys[0]) if t_arr.ndim == 0 else ys
 
 
@@ -416,5 +438,5 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     _, build_row = _row_residual(cfg, p)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
-    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
+    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])[0](values[i]))
                      for i in range(1, cfg.n + 1)])

@@ -1,6 +1,7 @@
 import math
 import time
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from kimvolterra import (
     solve_boundary,
 )
 
-from kimvolterra.barycentric import BaryBasis
+from kimvolterra.barycentric import BaryBasis, basis_matrix
 from kimvolterra.market import _d1d2, norm_cdf
 
-from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
+from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d, split_row
 
 
 def product_rows(n, d, family):
@@ -304,13 +305,14 @@ def _paper_residual(b, i, grid, prior, w, om, p):
 
 
 class TestRowResidual:
-    """The row residual returns its exact slope alongside its value."""
+    """The row's slope() is the exact dF/db at its last value eval."""
 
     @staticmethod
     def check_slope(row, b):
-        value, slope = row(b)
+        f, slope_at = row
+        value, slope = f(b), slope_at()
         step = 1e-6 * b
-        central = (row(b + step)[0] - row(b - step)[0]) / (2.0 * step)
+        central = (f(b + step) - f(b - step)) / (2.0 * step)
         assert abs(slope - central) <= 1e-6 * abs(slope)
         return value
 
@@ -341,32 +343,39 @@ class TestRowResidual:
         curve = solve_boundary_kim2d(n, p)
         values = curve.values
         for i in (1, 2, 7, 16):
-            row = kim2d_row(i, curve.grid, values[:i], p)
+            row = split_row(kim2d_row(i, curve.grid, values[:i], p))
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
                 self.check_slope(row, b)
 
 
+def counted_slopes(row, slopes, tag=None):
+    """The pair (f, slope) with each slope computation appended to ``slopes`` as ``tag``."""
+    f, slope = row
+    return f, lambda: slopes.append(tag) or slope()
+
+
 def counting_residual(monkeypatch):
-    """Wrap the rows boundary._row_residual builds so that every row eval of a solve is counted."""
-    evals = []
+    """Wrap the rows boundary._row_residual builds so that every row eval of a solve is
+    counted, and every slope computation by its row."""
+    evals, slopes = [], []
     make = boundary._row_residual
 
     def counted(*args):
         grid, build_row = make(*args)
 
-        def build(*row_args):
-            row = build_row(*row_args)
-            return lambda b: evals.append(b) or row(b)
+        def build(i, *row_args):
+            f, slope = counted_slopes(build_row(i, *row_args), slopes, i)
+            return (lambda b: evals.append(b) or f(b)), slope
 
         return grid, build
 
     monkeypatch.setattr(boundary, "_row_residual", counted)
-    return evals
+    return evals, slopes
 
 
 class TestResidualEvals:
     def test_one_eval_per_newton_step(self, monkeypatch):
-        evals = counting_residual(monkeypatch)
+        evals, _ = counting_residual(monkeypatch)
         diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
         assert diag.bisections == 0
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
@@ -376,12 +385,14 @@ class TestResidualEvals:
         # one Newton step per row, then bisection: its two bracket ends and
         # one eval per bisection step, all in the row's recorded count
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
-        evals = counting_residual(monkeypatch)
+        evals, slopes = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
         assert diag.bisections == 8
         assert diag.newton_steps == 8  # bracket ends and bisection steps excluded
+        # each row's one step computes a slope; its bracket ends and bisection evals none
+        assert slopes == list(range(1, 9))
         assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
@@ -438,6 +449,38 @@ class TestResidualEvals:
         monkeypatch.setattr(boundary, "_newton_scalar", recorded)
         curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
         np.testing.assert_array_equal(collocation_residuals(curve), solved)
+
+
+class TestSlopeOnDemand:
+    """A row computes dF/db only when Newton steps from its last eval: not at
+    the eval that meets the tolerance, nor at a bracket end or bisection eval.
+    ``newton_steps`` counts the accepting eval too, so a row Newton solves in
+    k evals computes k - 1 slopes."""
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    def test_one_slope_per_step(self, family, dividend, monkeypatch):
+        _, slopes = counting_residual(monkeypatch)
+        diag = solve_boundary(SolverConfig(n=32, d=2, family=family),
+                              params_with(dividend)).diagnostics
+        assert diag.bisections == 0
+        assert [slopes.count(i) for i in range(1, 33)] == (diag.iterations[1:] - 1).tolist()
+        assert len(slopes) == diag.newton_steps - 32
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    def test_row_accepted_at_its_start_computes_none(self, dividend):
+        p = params_with(dividend)
+        curve = solve_boundary(SolverConfig(n=16, d=2), p)
+        values = curve.values
+        _, build_row = boundary._row_residual(curve.config, p)
+        logs = np.array([math.log(b) for b in values])
+        rks = p.rate * p.strike - p.dividend * values
+        for i in (1, 2, 7, 16):
+            slopes = []
+            row = counted_slopes(build_row(i, values[:i], logs[:i], rks[:i]), slopes)
+            b, evals, _, steps = boundary._newton_scalar(row, values[i], 0.5 * values[i], 100.0,
+                                                         1e-12 * p.strike, i)
+            assert (b, evals, steps, slopes) == (values[i], 1, 1, [])
 
 
 class TestNewtonStart:
@@ -567,7 +610,7 @@ class TestNewtonScalar:
     TOL = 1e-9
 
     def solve(self, f, x0=100.0):
-        return boundary._newton_scalar(f, x0, 60.0, 100.0, self.TOL, 5)
+        return boundary._newton_scalar(split_row(f), x0, 60.0, 100.0, self.TOL, 5)
 
     def test_escaping_step_falls_back(self):
         # slope 1e-3 sends the first step far below the bracket
@@ -600,7 +643,8 @@ class TestNewtonScalar:
                 raise ValueError("math domain error")
             return b - 30.0, slope
 
-        b, evals, res, steps = boundary._newton_scalar(row, 50.0, 20.0, 100.0, self.TOL, 5)
+        b, evals, res, steps = boundary._newton_scalar(split_row(row), 50.0, 20.0, 100.0,
+                                                       self.TOL, 5)
         assert b == pytest.approx(30.0, abs=1e-9) and res <= self.TOL
         assert steps == 1 and evals > 3
 
@@ -614,6 +658,18 @@ class TestNewtonScalar:
         calls = []
         self.solve(lambda b: calls.append(b) or (b - 80.0, 1.0), x0)
         assert calls[0] == first
+
+    @pytest.mark.parametrize("row,x0,evals,slopes", [
+        (lambda b: (b - 70.0, 1.0), 70.0, 1, 0),  # accepted at the start
+        (lambda b: (b - 70.0, 1.0), 90.0, 2, 1),  # one step, then accepted
+        (lambda b: (b - 70.0, 1e-3), 100.0, 5, 1),  # escaping step, two ends, two mids
+        (lambda b: (b - 60.0, 1e-3), 100.0, 3, 1),  # escaping step, root at an end
+    ])
+    def test_slope_only_for_a_step(self, row, x0, evals, slopes):
+        computed = []
+        out = boundary._newton_scalar(counted_slopes(split_row(row), computed), x0,
+                                      60.0, 100.0, self.TOL, 5)
+        assert (out[1], len(computed)) == (evals, slopes)
 
     def test_stalls_at_adjacent_doubles(self):
         calls = []
@@ -629,6 +685,15 @@ class TestNewtonScalar:
         # the last bracket is two adjacent doubles around the jump
         lo, hi = max(c for c in calls if c <= 70.0), min(c for c in calls if c > 70.0)
         assert math.nextafter(lo, hi) == hi
+
+    def test_stalled_bisection_computes_no_slope(self):
+        # the jump of the test above: its slope 0.0 at the start ends Newton,
+        # and the bracket ends and the bisection to adjacent doubles compute none
+        slopes, evals = [], []
+        jump = split_row(lambda b: evals.append(b) or ((1.0 if b > 70.0 else -1.0), 0.0))
+        with pytest.raises(boundary.SolverError, match="bisection stalled"):
+            boundary._newton_scalar(counted_slopes(jump, slopes), 100.0, 60.0, 100.0, self.TOL, 5)
+        assert len(evals) > 50 and len(slopes) == 1
 
 
 def test_solve_reads_cached_rows_without_copies():
@@ -731,6 +796,29 @@ class TestEvalBoundary:
                                             hybrid_m=hybrid_m), p)
         assert curve.grid[-1] == curve.params.expiry
         assert eval_boundary(curve, expiry) == curve.values[-1]
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def near_end_curve(family, hybrid_m):
+        return solve_boundary(SolverConfig(n=16, d=2, family=family, hybrid_m=hybrid_m),
+                              TABLE3_PARAMS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from([("fh", 2), (BFH, 2), ("fh", 3)]),
+           ts=st.lists(st.one_of(st.floats(-1e-12 * 3.0, 0.0), st.floats(3.0, 3.0 + 1e-12 * 3.0),
+                                 st.floats(0.0, 3.0)), min_size=1, max_size=8))
+    @example(kind=("fh", 2), ts=[5e-324])  # a node hit whose weight quotient overflows
+    def test_near_endpoints_read_the_clipped_basis_matrix_property(self, kind, ts):
+        # points within the 1e-12 T tolerance outside [0, T] read the end
+        # values, bit for bit, whether or not any point needs the clip
+        curve = self.near_end_curve(*kind)
+        T = curve.params.expiry  # 3.0, the bound of the drawn points
+        ts = np.array(ts)
+        want = basis_matrix(curve.basis, np.clip(ts, 0.0, T)) @ curve.values
+        assert eval_boundary(curve, ts).tobytes() == want.tobytes()
+        for t in ts.tolist():
+            alone = basis_matrix(curve.basis, np.clip(t, 0.0, T)) @ curve.values
+            assert eval_boundary(curve, t) == alone[0]
 
     def test_out_of_range_rejected(self, curve_n64_d3):
         with pytest.raises(ValueError):
