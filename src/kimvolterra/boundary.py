@@ -118,9 +118,9 @@ class SolverConfig:
 class SolveDiagnostics:
     """Per-Newton-row residual eval counts (read-only), quality flags and wall time.
 
-    ``iterations[i]`` counts row i's residual evals: one per Newton step,
-    plus, on a row that fell back to bisection, its two bracket ends and
-    one per bisection step; ``newton_steps`` counts the Newton steps alone.
+    ``iterations[i]`` counts row i's residual evals: one per Newton step, one more for an
+    iterate accepted on an eval (not for one the curvature bound proves) and, on a bisection
+    fallback, its two bracket ends and one per step; ``newton_steps`` counts the evals before it.
     Derived, not stored: ``residual_evals`` (their sum), ``bisections`` (the rows that fell back).
 
     ``flags`` lists the solved rows to look at, in row order, as
@@ -134,7 +134,7 @@ class SolveDiagnostics:
     newton_steps: int
     flags: tuple[tuple[int, str, float], ...]
     wall_time: float
-    weights_s: float  # part of wall_time in the set-up: weight rows, lag and start tables
+    weights_s: float  # part of wall_time in the set-up: weight, lag, start and curvature tables
     newton_s: float  # part of wall_time spent in the Newton row loop
     weights_cached: bool  # True when no weight table had to be built
 
@@ -222,18 +222,21 @@ def _start_weights(n: int) -> np.ndarray:
     return c
 
 
-def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float,
-                   step: int) -> tuple[float, int, float, int]:
+def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: int,
+                   curv=(math.inf, math.inf, math.inf)) -> tuple[float, int, float, int]:
     """Safeguarded scalar Newton on row = (f, slope) in [lo, hi], bisection fallback.
 
     f(b) returns F and slope() dF/db at the last such b, asked for only to step.
-    The start x0 is clamped into [lo, hi].  A step that is not finite or
-    leaves [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting the
-    same [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.
-    Returns (root, residual evals, |F|, Newton steps); fewer steps than evals
-    means a fallback.
+    A step from b to b' leaves |F(b')| <= M (b' - b)^2 / 2, M bounding |F''| between
+    them (Taylor).  With curv = (c2, c1, noise) from ``_curvature_bounds``, b' is
+    returned unevaluated when that plus noise is <= tol_abs / 4, its |F| read as
+    that sum plus 3/4 tol_abs; the default curv proves nothing.  The start x0 is
+    clamped into [lo, hi].  A step that is not finite or leaves [lo, hi], or
+    _NEWTON_MAX_ITER steps, fall back to bisecting the same [lo, hi] until |F| <=
+    tol_abs or the bracket is two adjacent doubles.  Returns (root, residual evals,
+    |F|, Newton steps); fewer steps than evals means a fallback.
     """
-    f, slope = row
+    (f, slope), (c2, c1, noise) = row, curv
     b = min(max(float(x0), lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         fb = f(b)
@@ -243,6 +246,9 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float,
         nxt = b - fb / df if df != 0.0 else float("nan")
         if not lo <= nxt <= hi:
             break
+        low = min(b, nxt)
+        if (bound := 0.5 * (c2 / low + c1) / low * (nxt - b) ** 2 + noise) <= 0.25 * tol_abs:
+            return nxt, it, bound + 0.75 * tol_abs, it
         b = nxt
     evals = it + 2
     f_lo, f_hi = f(lo), f(hi)
@@ -344,6 +350,32 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     return grid, build_row
 
 
+@np.errstate(over="ignore")  # below sigma ~ 1e-154 the bounds are inf and prove nothing
+def _curvature_bounds(cfg: SolverConfig, p: MarketParams, lo: float, hi: float) -> list:
+    """Per-row (c2, c1, noise), row i at index i - 1: |F_i''(b)| <= (c2 / b + c1) / b, b > 0.
+
+    From max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|, e^(-r tau) and
+    e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each row's largest |weight|,
+    with S1_i, S2_i the sums of 1/sigma_l, 1/sigma_l^2 over lags l <= i (sigma_l =
+    sigma sqrt(l h)).  ``noise`` estimates F_i's rounding: a d argument splits
+    ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
+    """
+    n, h, delta, phi = cfg.n, p.expiry / cfg.n, p.dividend, 1.0 / _SQRT_2PI
+    e_half, inv_sig = math.exp(-0.5), 1.0 / (p.volatility * np.sqrt(h * np.arange(1, n + 1)))
+    row_max = lambda w: np.maximum(w.max(axis=1), -w.min(axis=1))[1:]  # noqa: E731
+    s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
+    kappa = max(abs(p.rate * p.strike - delta * x) for x in (lo, hi)) * math.sqrt(h) * phi \
+        / p.volatility * row_max(unit_weight_rows(n, cfg.d if cfg.family == FH else 0, 0.5))
+    disc = np.exp(-delta * h * np.arange(1, n + 1)) * phi * inv_sig
+    c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
+    noise = kappa * e_half * s1 + hi * disc
+    if delta > 0.0:
+        q = delta * h * phi * row_max(unit_weight_rows(n, cfg.d, 0.0))
+        c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
+    noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
+    return list(zip(c2.tolist(), c1.tolist(), noise.tolist()))
+
+
 def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     """Solve the collocated boundary equations row by row on t_i = i T / n.
 
@@ -364,10 +396,11 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     start, builds = time.perf_counter(), unit_weight_rows.cache_info().misses
     grid, build_row = _row_residual(cfg, p)
     start_w = _start_weights(n)
-    weights_s = time.perf_counter() - start
     b0 = initial_boundary(p)
     lower = perpetual_lower_bound(p)
     lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
+    curv = _curvature_bounds(cfg, p, lo, hi)
+    weights_s = time.perf_counter() - start
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
     iterations = np.zeros(n + 1, dtype=int)
@@ -382,7 +415,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
             guess = values[i - 1]
         b, iterations[i], _, steps = _newton_scalar(
             build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
-            cfg.newton_tol * p.strike, i)
+            cfg.newton_tol * p.strike, i, curv[i - 1])
         if steps < iterations[i]:
             flags.append((i, "bisection", float(iterations[i])))
         if b - values[i - 1] > 1e-9 * p.strike:
@@ -409,8 +442,10 @@ def eval_boundary(curve: BoundaryCurve, t):
     """Evaluate the solved boundary at time-to-expiry t in [0, T].
 
     The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``,
-    exact at the nodes.  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an
-    array of its length; ``basis_matrix`` rejects other shapes.
+    exact at the nodes; off them a value repeats bit for bit only in the same call
+    layout, as BLAS may sum its row in another order beside other points (an ulp at
+    t = 1.375, Table-3 market, n = 16).  A scalar or 0-d ``t`` gives a float, a 1-D
+    ``t`` an array of its length; ``basis_matrix`` rejects other shapes.
     """
     T = curve.params.expiry
     tol = 1e-12 * T

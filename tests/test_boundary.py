@@ -356,7 +356,7 @@ def counted_slopes(row, slopes, tag=None):
 
 def counting_residual(monkeypatch):
     """Wrap the rows boundary._row_residual builds so that every row eval of a solve is
-    counted, and every slope computation by its row."""
+    recorded as (row, b), and every slope computation by its row."""
     evals, slopes = [], []
     make = boundary._row_residual
 
@@ -365,12 +365,38 @@ def counting_residual(monkeypatch):
 
         def build(i, *row_args):
             f, slope = counted_slopes(build_row(i, *row_args), slopes, i)
-            return (lambda b: evals.append(b) or f(b)), slope
+            return (lambda b: evals.append((i, b)) or f(b)), slope
 
         return grid, build
 
     monkeypatch.setattr(boundary, "_row_residual", counted)
     return evals, slopes
+
+
+def no_curvature_bound(monkeypatch):
+    """Make every row's curvature bound infinite: no Newton iterate is then proved,
+    and each is evaluated, as in Kim's reference, which passes no bound."""
+    bounds = boundary._curvature_bounds
+    monkeypatch.setattr(boundary, "_curvature_bounds",
+                        lambda *args: [(math.inf,) * 3] * len(bounds(*args)))
+
+
+def recording_newton(monkeypatch):
+    """Record (result, proved) for each row _newton_scalar solves.  A row is proved
+    when it computed as many slopes as it made evals: its last iterate went
+    unevaluated.  A row accepted on an eval computes one slope fewer, and one
+    that fell back to bisection makes more evals."""
+    rows = []
+    newton = boundary._newton_scalar
+
+    def recorded(row, *args):
+        slopes = []
+        out = newton(counted_slopes(row, slopes), *args)
+        rows.append((out, len(slopes) == out[1]))
+        return out
+
+    monkeypatch.setattr(boundary, "_newton_scalar", recorded)
+    return rows
 
 
 class TestResidualEvals:
@@ -383,8 +409,10 @@ class TestResidualEvals:
 
     def test_bisection_evals_counted(self, monkeypatch):
         # one Newton step per row, then bisection: its two bracket ends and
-        # one eval per bisection step, all in the row's recorded count
+        # one eval per bisection step, all in the row's recorded count; without
+        # the bound a proved first step would end the row before the fallback
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        no_curvature_bound(monkeypatch)
         evals, slopes = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
@@ -402,6 +430,7 @@ class TestResidualEvals:
         p = MarketParams(strike=100.0, expiry=10.0, rate=0.08, dividend=0.5, volatility=0.2)
         newton = solve_boundary(SolverConfig(n=32, d=2), p).values
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        no_curvature_bound(monkeypatch)  # else a proved first step skips the fallback
         curve = solve_boundary(SolverConfig(n=32, d=2), p)
         assert curve.diagnostics.bisections == 32
         np.testing.assert_allclose(curve.values, newton, rtol=0.0, atol=1e-7)
@@ -437,35 +466,38 @@ class TestResidualEvals:
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_certificate_repeats_solve_residuals(self, family, dividend, n, monkeypatch):
-        # one residual for solve and certificate: the rows are rebuilt bit for bit
-        solved = []
-        newton = boundary._newton_scalar
-
-        def recorded(*args):
-            out = newton(*args)
-            solved.append(out[2])
-            return out
-
-        monkeypatch.setattr(boundary, "_newton_scalar", recorded)
+        # one residual for solve and certificate: a row accepted on an eval is
+        # rebuilt bit for bit, and a proved row certifies within its bound
+        rows = recording_newton(monkeypatch)
         curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
-        np.testing.assert_array_equal(collocation_residuals(curve), solved)
+        certificate = collocation_residuals(curve)
+        proved = np.array([p for _, p in rows])
+        solved = np.array([out[2] for out, _ in rows])
+        assert proved.any() and not proved.all()
+        np.testing.assert_array_equal(certificate[~proved], solved[~proved])
+        assert np.all(certificate[proved] <= solved[proved])
 
 
 class TestSlopeOnDemand:
     """A row computes dF/db only when Newton steps from its last eval: not at
     the eval that meets the tolerance, nor at a bracket end or bisection eval.
-    ``newton_steps`` counts the accepting eval too, so a row Newton solves in
-    k evals computes k - 1 slopes."""
+    ``newton_steps`` counts a row's evals before any fallback, so a row
+    accepted on its k-th eval computes k - 1 slopes, and a row whose last
+    iterate the curvature bound proved unevaluated computes k."""
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_one_slope_per_step(self, family, dividend, monkeypatch):
-        _, slopes = counting_residual(monkeypatch)
-        diag = solve_boundary(SolverConfig(n=32, d=2, family=family),
-                              params_with(dividend)).diagnostics
+        evals, slopes = counting_residual(monkeypatch)
+        curve = solve_boundary(SolverConfig(n=32, d=2, family=family), params_with(dividend))
+        diag = curve.diagnostics
         assert diag.bisections == 0
-        assert [slopes.count(i) for i in range(1, 33)] == (diag.iterations[1:] - 1).tolist()
-        assert len(slopes) == diag.newton_steps - 32
+        last_eval = dict(evals)  # each row's last evaluated b
+        accepted = [last_eval[i] == curve.values[i] for i in range(1, 33)]
+        assert any(accepted) and not all(accepted)
+        assert ([slopes.count(i) for i in range(1, 33)]
+                == [int(it) - a for it, a in zip(diag.iterations[1:], accepted)])
+        assert len(slopes) == diag.newton_steps - sum(accepted)
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     def test_row_accepted_at_its_start_computes_none(self, dividend):
@@ -481,6 +513,102 @@ class TestSlopeOnDemand:
             b, evals, _, steps = boundary._newton_scalar(row, values[i], 0.5 * values[i], 100.0,
                                                          1e-12 * p.strike, i)
             assert (b, evals, steps, slopes) == (values[i], 1, 1, [])
+
+
+class TestCurvatureProof:
+    """A Newton iterate b' is accepted unevaluated when the row's curvature bound
+    M(b) = (c2 / b + c1) / b gives M (b' - b)^2 / 2 plus the row's rounding
+    estimate <= tol / 4, a bound on |F(b')| by Taylor's theorem."""
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("dividend", [0.0, 0.08, 0.5])
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    def test_infinite_bound_keeps_the_bits(self, family, dividend, n, monkeypatch):
+        # a proved iterate is the float that an eval would have accepted
+        cfg, p = SolverConfig(n=n, d=2, family=family), params_with(dividend)
+        proved = solve_boundary(cfg, p)
+        no_curvature_bound(monkeypatch)
+        evaluated = solve_boundary(cfg, p)
+        np.testing.assert_array_equal(proved.values, evaluated.values)
+        assert proved.diagnostics.flags == evaluated.diagnostics.flags
+        assert proved.diagnostics.residual_evals < evaluated.diagnostics.residual_evals
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.08, 0.5])
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    def test_bound_dominates_the_second_difference(self, family, dividend):
+        # (F(b + e) - 2 F(b) + F(b - e)) / e^2 is F'' somewhere in [b - e, b + e],
+        # where M is largest at b - e
+        cfg, p = SolverConfig(n=32, d=2, family=family), params_with(dividend)
+        values = solve_boundary(cfg, p).values
+        lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
+        lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
+        bounds = boundary._curvature_bounds(cfg, p, lo, hi)
+        _, build_row = boundary._row_residual(cfg, p)
+        logs = np.array([math.log(b) for b in values])
+        rks = p.rate * p.strike - p.dividend * values
+        for i in (1, 2, 7, 32):
+            f = build_row(i, values[:i], logs[:i], rks[:i])[0]
+            c2, c1, _ = bounds[i - 1]
+            for b in np.linspace(lo + 1.0, hi - 1.0, 7):
+                e = 1e-2 * b
+                second = (f(b + e) - 2.0 * f(b) + f(b - e)) / (e * e)
+                assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-8
+
+    @pytest.mark.parametrize("rate,dividend,expiry,vol", [
+        (0.2, 0.0, 0.25, 0.01), (0.2, 0.08, 0.25, 0.0063), (0.08, 0.08, 3.0, 1e-4)])
+    def test_rounding_noise_keeps_low_volatility_solves_certified(self, rate, dividend,
+                                                                  expiry, vol, monkeypatch):
+        # a row eval's rounding grows as 1 / sigma; without its estimate in the
+        # proof, the curvature bound alone accepted rows here whose certificate
+        # exceeded the tolerance
+        cfg = SolverConfig(n=128, d=2)
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
+                         volatility=vol)
+        proved = solve_boundary(cfg, p)
+        assert collocation_residuals(proved).max() <= 1e-12 * p.strike
+        no_curvature_bound(monkeypatch)
+        np.testing.assert_array_equal(proved.values, solve_boundary(cfg, p).values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rate=st.floats(0.005, 0.3), dividend=st.floats(0.0, 0.5),
+           vol=st.floats(0.05, 0.8), expiry=st.floats(0.02, 10.0),
+           n=st.sampled_from([16, 32, 64]), family=st.sampled_from(["fh", BFH]))
+    def test_proved_rows_certify_within_half_the_tolerance_property(
+            self, rate, dividend, vol, expiry, n, family):
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
+                         volatility=vol)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = recording_newton(mp)
+            try:
+                curve = solve_boundary(SolverConfig(n=n, d=2, family=family), p)
+            except boundary.SolverError:
+                return  # the near-strike corner of the converge-or-raise property
+        certificate = collocation_residuals(curve)
+        for i, (out, proved) in enumerate(rows, start=1):
+            if proved:
+                assert certificate[i - 1] <= min(out[2], 0.5e-12 * p.strike)
+
+    def test_newton_scalar_proves_a_step_without_its_eval(self):
+        # F = (b - 70) + 1e-3 (b - 70)^2 has F'' = 2e-3 <= M(b) = 20 / b^2 on [60, 100]
+        evals = []
+        row = split_row(lambda b: evals.append(b) or
+                        ((b - 70.0) + 1e-3 * (b - 70.0) ** 2, 1.0 + 2e-3 * (b - 70.0)))
+        b, n_evals, res, steps = boundary._newton_scalar(row, 90.0, 60.0, 100.0, 1e-9, 5,
+                                                         (20.0, 0.0, 0.0))
+        assert b not in evals and n_evals == steps == len(evals)
+        assert abs((b - 70.0) + 1e-3 * (b - 70.0) ** 2) <= res <= 1e-9
+        evals.clear()
+        unproved = boundary._newton_scalar(row, 90.0, 60.0, 100.0, 1e-9, 5)
+        assert unproved[0] == b and unproved[1] == n_evals + 1 == unproved[3]
+
+    @pytest.mark.parametrize("noise,out", [
+        (1e-12, (70.0, 1, 1e-12 + 0.75 * 1e-9, 1)),  # proved, the noise in its |F|
+        (0.3e-9, (70.0, 2, 0.0, 2)),  # noise above tol / 4: the step is evaluated
+    ])
+    def test_linear_row_is_decided_by_the_noise(self, noise, out):
+        # F'' = 0 bounds to 0, so the first step lands on the root
+        row = split_row(lambda b: (b - 70.0, 1.0))
+        assert boundary._newton_scalar(row, 90.0, 60.0, 100.0, 1e-9, 5, (0.0, 0.0, noise)) == out
 
 
 class TestNewtonStart:
@@ -599,6 +727,7 @@ class TestFlags:
 
     def test_bisection_rows_flagged(self, monkeypatch):
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
+        no_curvature_bound(monkeypatch)  # else a proved first step skips the fallback
         diag = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS).diagnostics
         assert diag.flags == tuple((i, "bisection", float(diag.iterations[i]))
                                    for i in range(1, 9))
