@@ -16,8 +16,8 @@ interpolation.  One row builder, called the same way, serves the solve
 and its certificate; Kim's (1990) discretization of the value-matching
 equation, an independent cross-check, is kept with the tests.
 
-A row eval returns F; its exact slope dF/db, from the eval's arrays, is
-computed only for a Newton step.  The identity y e^(-r tau) phi(d2) =
+A row eval returns F and its exact slope dF/db from the same arrays, the
+slope unused when F meets the tolerance.  The identity y e^(-r tau) phi(d2) =
 x e^(-delta tau) phi(d1) cancels the two scalar phi terms at t_i and merges
 the two exponential kernels into (r K - delta B_j) e^(-r tau_j) phi(d2_j).
 Rows are arrays of length i <= n, timed by numpy's cost per call, so factors
@@ -224,34 +224,33 @@ def _start_weights(n: int) -> np.ndarray:
 
 def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: int,
                    curv=(math.inf, math.inf, math.inf)) -> tuple[float, int, float, int]:
-    """Safeguarded scalar Newton on row = (f, slope) in [lo, hi], bisection fallback.
+    """Safeguarded scalar Newton on row(b) -> (F, dF/db) in [lo, hi], bisection fallback.
 
-    f(b) returns F and slope() dF/db at the last such b, asked for only to step.
+    One row call per residual eval; the bracket ends and bisection read its F alone.
     A step from b to b' leaves |F(b')| <= M (b' - b)^2 / 2, M bounding |F''| between
     them (Taylor).  With curv = (c2, c1, noise) from ``_curvature_bounds``, b' is
     returned unevaluated when that plus noise is <= tol_abs / 4, its |F| read as
-    that sum plus 3/4 tol_abs; the default curv proves nothing.  The start x0 is
-    clamped into [lo, hi].  A step that is not finite or leaves [lo, hi], or
-    _NEWTON_MAX_ITER steps, fall back to bisecting the same [lo, hi] until |F| <=
-    tol_abs or the bracket is two adjacent doubles.  Returns (root, residual evals,
-    |F|, Newton steps); fewer steps than evals means a fallback.
+    that sum plus 3/4 tol_abs; the default curv, or a product that overflows to inf,
+    proves nothing.  The start x0 is clamped into [lo, hi].  A step that is not finite
+    or leaves [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting the same
+    [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.  Returns
+    (root, residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
     """
-    (f, slope), (c2, c1, noise) = row, curv
+    c2, c1, noise = curv
     b = min(max(float(x0), lo), hi)
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        fb = f(b)
+        fb, df = row(b)
         if abs(fb) <= tol_abs:
             return b, it, abs(fb), it
-        df = slope()
         nxt = b - fb / df if df != 0.0 else float("nan")
         if not lo <= nxt <= hi:
             break
         low = min(b, nxt)
-        if (bound := 0.5 * (c2 / low + c1) / low * (nxt - b) ** 2 + noise) <= 0.25 * tol_abs:
+        if (bound := 0.5 * (c2 / low + c1) / low * (nxt - b) * (nxt - b) + noise) <= 0.25 * tol_abs:
             return nxt, it, bound + 0.75 * tol_abs, it
         b = nxt
     evals = it + 2
-    f_lo, f_hi = f(lo), f(hi)
+    f_lo, f_hi = row(lo)[0], row(hi)[0]
     for b, fb in ((lo, f_lo), (hi, f_hi)):
         if abs(fb) <= tol_abs:
             return b, evals, abs(fb), it
@@ -260,7 +259,7 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
                           f"min |F| {min(abs(f_lo), abs(f_hi)):.3e}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         evals += 1
-        f_mid = f(mid)
+        f_mid = row(mid)[0]
         if abs(f_mid) <= tol_abs:
             return mid, evals, abs(f_mid), it
         if f_lo * f_mid <= 0.0:
@@ -271,19 +270,19 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
                       f"{min(abs(f_lo), abs(f_hi)):.3e}")
 
 
-def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid and row builder (i, prior, log_prior, rk) -> (F, slope) on cfg.n intervals.
+def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
+    """Grid and row builder (i, prior, log_prior, rk) -> row on cfg.n intervals.
 
     Row i of the product-integrated boundary equation takes B_0..B_(i-1) in
     ``prior``, their math.log values in ``log_prior`` (np.log can differ by an
-    ulp) and r K - delta B_j in ``rk``; F(b) is its residual, slope() dF/db at
-    the last b.  tau_ij = t_(i-j), so row i views the last i entries of the
-    lag tables over lags n..1; its t_i scalars come from per-solve lists.  The
-    terms free of b are products of their slices, built once per row (the
-    slope's on its first call), and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
-    leaves b only in ln(b).  So an eval costs a few array ops of length i, with ``ndarray.dot``
-    (cheaper per call than ``@``, same bits) and Python-float scalars.  The
-    phi identity of the module docstring has already cancelled the scalar phi
+    ulp) and r K - delta B_j in ``rk``; the stateless row(b) returns (F, dF/db),
+    F its residual, or (F, None) with ``slopes=False`` (the certificate's rows).
+    tau_ij = t_(i-j), so row i views the last i entries of the lag tables over lags
+    n..1; its t_i scalars come from per-solve lists.  The terms free of b are products
+    of their slices, built once per row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
+    leaves b only in ln(b).  So an eval costs a few array ops of length i, with
+    ``ndarray.dot`` (cheaper per call than ``@``, same bits) and Python-float scalars.
+    The phi identity of the module docstring has already cancelled the scalar phi
     terms and merged the two kernels; the dividend terms vanish at delta = 0
     and are skipped.  Weight rows are unit-spacing: sqrt(h) is folded into
     ``pref`` and the kernel's lag table, h into ``delta_h``, both once per solve.
@@ -314,15 +313,13 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
             inv_sig_tau[k:], sig_ts[k], a1_ts[k], disc_ts[k], coincident_w[i]
         a2 = drift[k:] - log_prior * inv_sig
         kern = w_rows[i, :i] * rk * kern_lag[k:]
+        kern_slope = kern * inv_sig if slopes else None
         if delta > 0.0:
             q_row, sig_row, half = q_rows[i, :i], sig_tau[k:], halves[i]
             smooth = q_row * disc_d[k:]
-        kern_slope = smooth_slope = None
-        b = d1_t = cdf_t = s = d2 = e = 0.0  # the last eval's state, read by slope()
+            smooth_slope = q_row * prior * slope_lag[k:] if slopes else None
 
-        def value(x: float) -> float:
-            nonlocal b, d1_t, cdf_t, d2, e, s
-            b = x
+        def row(b: float) -> tuple[float, float | None]:
             log_b = math.log(b)
             d1_t = log_b / sig_t + a1_t
             cdf_t = norm_cdf(d1_t)
@@ -332,20 +329,15 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
             if delta > 0.0:
                 s = float(smooth.dot(ndtr(d2 + sig_row))) + half
                 f -= delta_h * b * s
-            return f
-
-        def slope() -> float:
-            nonlocal kern_slope, smooth_slope
-            if kern_slope is None:
-                kern_slope = kern * inv_sig
-                smooth_slope = q_row * prior * slope_lag[k:] if delta > 0.0 else None
+            if not slopes:
+                return f, None
             df = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
                   - float(kern_slope.dot(e * d2)) / b - coincident * delta)
             if delta > 0.0:
                 df -= delta_h * (s + float(smooth_slope.dot(e)) / b)
-            return df
+            return f, df
 
-        return value, slope
+        return row
 
     return grid, build_row
 
@@ -407,23 +399,25 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     flags: list[tuple[int, str, float]] = []
     newton_steps = 0
     newton_start = time.perf_counter()
-    for i in range(1, n + 1):
-        if i >= _SQRT_START:
-            k = min(5, (i - 1) // 2)
-            guess = float(start_w[i - _SQRT_START, 5 - k:].dot(values[i - 2 * k:i - 1:2]))
-        else:
-            guess = values[i - 1]
-        b, iterations[i], _, steps = _newton_scalar(
-            build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
-            cfg.newton_tol * p.strike, i, curv[i - 1])
-        if steps < iterations[i]:
-            flags.append((i, "bisection", float(iterations[i])))
-        if b - values[i - 1] > 1e-9 * p.strike:
-            flags.append((i, "non_monotone", float(b - values[i - 1])))
-        if not lower <= b <= b0:
-            flags.append((i, "outside_bounds", b))
-        newton_steps += steps
-        values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
+    # below sigma ~ 1e-154 d2 * d2 overflows to inf, and exp(-inf) = 0 is the kernel's limit
+    with np.errstate(over="ignore"):
+        for i in range(1, n + 1):
+            if i >= _SQRT_START:
+                k = min(5, (i - 1) // 2)
+                guess = float(start_w[i - _SQRT_START, 5 - k:].dot(values[i - 2 * k:i - 1:2]))
+            else:
+                guess = values[i - 1]
+            b, iterations[i], _, steps = _newton_scalar(
+                build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
+                cfg.newton_tol * p.strike, i, curv[i - 1])
+            if steps < iterations[i]:
+                flags.append((i, "bisection", float(iterations[i])))
+            if b - values[i - 1] > 1e-9 * p.strike:
+                flags.append((i, "non_monotone", float(b - values[i - 1])))
+            if not lower <= b <= b0:
+                flags.append((i, "outside_bounds", b))
+            newton_steps += steps
+            values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
     newton_s = time.perf_counter() - newton_start
     if cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
@@ -470,8 +464,8 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     p, values = curve.params, curve.values
-    _, build_row = _row_residual(cfg, p)
+    _, build_row = _row_residual(cfg, p, slopes=False)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
-    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])[0](values[i]))
+    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
                      for i in range(1, cfg.n + 1)])

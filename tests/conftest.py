@@ -101,18 +101,6 @@ def kim2d_row(i, grid, prior, p):
     return row
 
 
-def split_row(row):
-    """A row b -> (F, dF/db) as the solver's pair (f, slope): f(b) returns F and
-    slope() the dF/db of the last f eval."""
-    last = [None]
-
-    def f(b):
-        fb, last[0] = row(b)
-        return fb
-
-    return f, lambda: last[0]
-
-
 def solve_boundary_kim2d(n, p):
     """Trapezoid cross-check curve on t_i = i T / n (Kim 1990).
 
@@ -135,7 +123,7 @@ def solve_boundary_kim2d(n, p):
     newton_steps = 0
     for i in range(1, n + 1):
         values[i], iterations[i], _, steps = boundary._newton_scalar(
-            split_row(kim2d_row(i, grid, values[:i], p)), values[i - 1], lower, b0,
+            kim2d_row(i, grid, values[:i], p), values[i - 1], lower, b0,
             cfg.newton_tol * p.strike, i)
         if steps < iterations[i]:
             flags.append((i, "bisection", float(iterations[i])))

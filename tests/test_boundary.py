@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -27,7 +28,7 @@ from kimvolterra import (
 from kimvolterra.barycentric import BaryBasis, basis_matrix
 from kimvolterra.market import _d1d2, norm_cdf
 
-from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d, split_row
+from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
 
 def product_rows(n, d, family):
@@ -42,6 +43,15 @@ def brq_rows(n, d):
 def params_with(dividend, rate=0.08):
     return MarketParams(strike=100.0, expiry=3.0, rate=rate, dividend=dividend,
                         volatility=0.2)
+
+
+def solved_rows(cfg, p, **kwargs):
+    """The solved nodes and i -> row i of boundary._row_residual(cfg, p, **kwargs) at them."""
+    values = solve_boundary(cfg, p).values
+    _, build_row = boundary._row_residual(cfg, p, **kwargs)
+    logs = np.array([math.log(b) for b in values])
+    rks = p.rate * p.strike - p.dividend * values
+    return values, lambda i: build_row(i, values[:i], logs[:i], rks[:i])
 
 
 class TestInitialBoundary:
@@ -305,14 +315,13 @@ def _paper_residual(b, i, grid, prior, w, om, p):
 
 
 class TestRowResidual:
-    """The row's slope() is the exact dF/db at its last value eval."""
+    """A row b -> (F, dF/db) returns the exact slope at b."""
 
     @staticmethod
     def check_slope(row, b):
-        f, slope_at = row
-        value, slope = f(b), slope_at()
+        value, slope = row(b)
         step = 1e-6 * b
-        central = (f(b + step) - f(b - step)) / (2.0 * step)
+        central = (row(b + step)[0] - row(b - step)[0]) / (2.0 * step)
         assert abs(slope - central) <= 1e-6 * abs(slope)
         return value
 
@@ -322,13 +331,11 @@ class TestRowResidual:
         n, d = 16, 2
         p = params_with(dividend)
         cfg = SolverConfig(n=n, d=d, family=family)
-        values = solve_boundary(cfg, p).values
-        grid, build_row = boundary._row_residual(cfg, p)
+        values, row_at = solved_rows(cfg, p)
+        grid = np.linspace(0.0, p.expiry, n + 1)
         h = p.expiry / n
-        logs = np.array([math.log(b) for b in values])
-        rks = p.rate * p.strike - p.dividend * values
         for i in (1, 2, 7, 16):
-            row = build_row(i, values[:i], logs[:i], rks[:i])
+            row = row_at(i)
             w = math.sqrt(h) * product_rows(n, d, family)[i, : i + 1]
             om = h * brq_rows(n, d)[i, : i + 1]
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
@@ -343,34 +350,40 @@ class TestRowResidual:
         curve = solve_boundary_kim2d(n, p)
         values = curve.values
         for i in (1, 2, 7, 16):
-            row = split_row(kim2d_row(i, curve.grid, values[:i], p))
+            row = kim2d_row(i, curve.grid, values[:i], p)
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
                 self.check_slope(row, b)
 
-
-def counted_slopes(row, slopes, tag=None):
-    """The pair (f, slope) with each slope computation appended to ``slopes`` as ``tag``."""
-    f, slope = row
-    return f, lambda: slopes.append(tag) or slope()
+    @pytest.mark.parametrize("family", ["fh", BFH])
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    def test_rows_without_slopes(self, family, dividend):
+        # the certificate's rows: the full row's F, bit for bit, and no slope
+        cfg, p = SolverConfig(n=16, d=2, family=family), params_with(dividend)
+        values, full = solved_rows(cfg, p)
+        _, bare = solved_rows(cfg, p, slopes=False)
+        for i in (1, 2, 7, 16):
+            for b in (0.9 * values[i], values[i], 1.01 * values[i]):
+                f, df = full(i)(b)
+                assert df is not None and bare(i)(b) == (f, None)
 
 
 def counting_residual(monkeypatch):
-    """Wrap the rows boundary._row_residual builds so that every row eval of a solve is
-    recorded as (row, b), and every slope computation by its row."""
-    evals, slopes = [], []
+    """Wrap the rows boundary._row_residual builds so that every row eval is recorded
+    as (row, b)."""
+    evals = []
     make = boundary._row_residual
 
-    def counted(*args):
-        grid, build_row = make(*args)
+    def counted(*args, **kwargs):
+        grid, build_row = make(*args, **kwargs)
 
         def build(i, *row_args):
-            f, slope = counted_slopes(build_row(i, *row_args), slopes, i)
-            return (lambda b: evals.append((i, b)) or f(b)), slope
+            row = build_row(i, *row_args)
+            return lambda b: evals.append((i, b)) or row(b)
 
         return grid, build
 
     monkeypatch.setattr(boundary, "_row_residual", counted)
-    return evals, slopes
+    return evals
 
 
 def no_curvature_bound(monkeypatch):
@@ -383,16 +396,14 @@ def no_curvature_bound(monkeypatch):
 
 def recording_newton(monkeypatch):
     """Record (result, proved) for each row _newton_scalar solves.  A row is proved
-    when it computed as many slopes as it made evals: its last iterate went
-    unevaluated.  A row accepted on an eval computes one slope fewer, and one
-    that fell back to bisection makes more evals."""
+    when the root it returns is not among the points its row evaluated."""
     rows = []
     newton = boundary._newton_scalar
 
     def recorded(row, *args):
-        slopes = []
-        out = newton(counted_slopes(row, slopes), *args)
-        rows.append((out, len(slopes) == out[1]))
+        evaluated = []
+        out = newton(lambda b: evaluated.append(b) or row(b), *args)
+        rows.append((out, out[0] not in evaluated))
         return out
 
     monkeypatch.setattr(boundary, "_newton_scalar", recorded)
@@ -401,7 +412,7 @@ def recording_newton(monkeypatch):
 
 class TestResidualEvals:
     def test_one_eval_per_newton_step(self, monkeypatch):
-        evals, _ = counting_residual(monkeypatch)
+        evals = counting_residual(monkeypatch)
         diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
         assert diag.bisections == 0
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
@@ -413,14 +424,13 @@ class TestResidualEvals:
         # the bound a proved first step would end the row before the fallback
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
         no_curvature_bound(monkeypatch)
-        evals, slopes = counting_residual(monkeypatch)
+        evals = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
+        assert [i for i, _ in evals] == [i for i in range(1, 9) for _ in range(diag.iterations[i])]
         assert diag.bisections == 8
         assert diag.newton_steps == 8  # bracket ends and bisection steps excluded
-        # each row's one step computes a slope; its bracket ends and bisection evals none
-        assert slopes == list(range(1, 9))
         assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
@@ -478,41 +488,32 @@ class TestResidualEvals:
         assert np.all(certificate[proved] <= solved[proved])
 
 
-class TestSlopeOnDemand:
-    """A row computes dF/db only when Newton steps from its last eval: not at
-    the eval that meets the tolerance, nor at a bracket end or bisection eval.
-    ``newton_steps`` counts a row's evals before any fallback, so a row
-    accepted on its k-th eval computes k - 1 slopes, and a row whose last
-    iterate the curvature bound proved unevaluated computes k."""
+class TestRowAcceptance:
+    """A row ends on the eval whose |F| meets the tolerance or on a Newton iterate
+    the curvature bound proves unevaluated; ``iterations`` counts its evals either way."""
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
-    def test_one_slope_per_step(self, family, dividend, monkeypatch):
-        evals, slopes = counting_residual(monkeypatch)
+    def test_accepted_or_proved(self, family, dividend, monkeypatch):
+        evals = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=32, d=2, family=family), params_with(dividend))
         diag = curve.diagnostics
-        assert diag.bisections == 0
-        last_eval = dict(evals)  # each row's last evaluated b
-        accepted = [last_eval[i] == curve.values[i] for i in range(1, 33)]
+        assert diag.bisections == 0 and diag.newton_steps == len(evals)
+        row_evals = [[b for j, b in evals if j == i] for i in range(1, 33)]
+        assert [len(bs) for bs in row_evals] == diag.iterations[1:].tolist()
+        accepted = [bs[-1] == curve.values[i] for i, bs in enumerate(row_evals, start=1)]
+        proved = [curve.values[i] not in bs for i, bs in enumerate(row_evals, start=1)]
         assert any(accepted) and not all(accepted)
-        assert ([slopes.count(i) for i in range(1, 33)]
-                == [int(it) - a for it, a in zip(diag.iterations[1:], accepted)])
-        assert len(slopes) == diag.newton_steps - sum(accepted)
+        assert [not a for a in accepted] == proved
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
-    def test_row_accepted_at_its_start_computes_none(self, dividend):
+    def test_row_accepted_at_its_start(self, dividend):
         p = params_with(dividend)
-        curve = solve_boundary(SolverConfig(n=16, d=2), p)
-        values = curve.values
-        _, build_row = boundary._row_residual(curve.config, p)
-        logs = np.array([math.log(b) for b in values])
-        rks = p.rate * p.strike - p.dividend * values
+        values, row_at = solved_rows(SolverConfig(n=16, d=2), p)
         for i in (1, 2, 7, 16):
-            slopes = []
-            row = counted_slopes(build_row(i, values[:i], logs[:i], rks[:i]), slopes)
-            b, evals, _, steps = boundary._newton_scalar(row, values[i], 0.5 * values[i], 100.0,
-                                                         1e-12 * p.strike, i)
-            assert (b, evals, steps, slopes) == (values[i], 1, 1, [])
+            b, evals, _, steps = boundary._newton_scalar(row_at(i), values[i], 0.5 * values[i],
+                                                         100.0, 1e-12 * p.strike, i)
+            assert (b, evals, steps) == (values[i], 1, 1)
 
 
 class TestCurvatureProof:
@@ -539,19 +540,16 @@ class TestCurvatureProof:
         # (F(b + e) - 2 F(b) + F(b - e)) / e^2 is F'' somewhere in [b - e, b + e],
         # where M is largest at b - e
         cfg, p = SolverConfig(n=32, d=2, family=family), params_with(dividend)
-        values = solve_boundary(cfg, p).values
         lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
         lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
         bounds = boundary._curvature_bounds(cfg, p, lo, hi)
-        _, build_row = boundary._row_residual(cfg, p)
-        logs = np.array([math.log(b) for b in values])
-        rks = p.rate * p.strike - p.dividend * values
+        _, row_at = solved_rows(cfg, p)
         for i in (1, 2, 7, 32):
-            f = build_row(i, values[:i], logs[:i], rks[:i])[0]
+            row = row_at(i)
             c2, c1, _ = bounds[i - 1]
             for b in np.linspace(lo + 1.0, hi - 1.0, 7):
                 e = 1e-2 * b
-                second = (f(b + e) - 2.0 * f(b) + f(b - e)) / (e * e)
+                second = (row(b + e)[0] - 2.0 * row(b)[0] + row(b - e)[0]) / (e * e)
                 assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-8
 
     @pytest.mark.parametrize("rate,dividend,expiry,vol", [
@@ -591,8 +589,8 @@ class TestCurvatureProof:
     def test_newton_scalar_proves_a_step_without_its_eval(self):
         # F = (b - 70) + 1e-3 (b - 70)^2 has F'' = 2e-3 <= M(b) = 20 / b^2 on [60, 100]
         evals = []
-        row = split_row(lambda b: evals.append(b) or
-                        ((b - 70.0) + 1e-3 * (b - 70.0) ** 2, 1.0 + 2e-3 * (b - 70.0)))
+        row = lambda b: (evals.append(b) or  # noqa: E731
+                         ((b - 70.0) + 1e-3 * (b - 70.0) ** 2, 1.0 + 2e-3 * (b - 70.0)))
         b, n_evals, res, steps = boundary._newton_scalar(row, 90.0, 60.0, 100.0, 1e-9, 5,
                                                          (20.0, 0.0, 0.0))
         assert b not in evals and n_evals == steps == len(evals)
@@ -607,7 +605,7 @@ class TestCurvatureProof:
     ])
     def test_linear_row_is_decided_by_the_noise(self, noise, out):
         # F'' = 0 bounds to 0, so the first step lands on the root
-        row = split_row(lambda b: (b - 70.0, 1.0))
+        row = lambda b: (b - 70.0, 1.0)  # noqa: E731
         assert boundary._newton_scalar(row, 90.0, 60.0, 100.0, 1e-9, 5, (0.0, 0.0, noise)) == out
 
 
@@ -696,6 +694,35 @@ class TestLowVolCorner:
             assert 0.005 < rises[row] < 0.01
 
 
+@pytest.mark.parametrize("vol", [1e-155, 1e-160])
+def test_vanishing_volatility_raises_solver_error(vol):
+    # d2 * d2 overflows to inf here; the rows read it as the kernel's limit, not as a warning
+    p = dataclasses.replace(TABLE3_PARAMS, volatility=vol)
+    with pytest.raises(boundary.SolverError, match="bisection stalled at row 1"):
+        solve_boundary(SolverConfig(n=32, d=2), p)
+
+
+@lru_cache(maxsize=None)
+def strike_100_solve(family):
+    curve = solve_boundary(SolverConfig(n=32, d=2, family=family), TABLE3_PARAMS)
+    return curve.values / 100.0, american_put_price(3.0, 100.0, curve).value / 100.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=st.floats(-300.0, 300.0), family=st.sampled_from(["fh", BFH]))
+@example(u=300.0, family="fh")
+@example(u=-300.0, family=BFH)
+def test_boundary_scales_with_the_strike_property(u, family):
+    # the equation is homogeneous of degree one in (K, B, S): the solve repeats K = 100's
+    strike = 10.0 ** u
+    p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
+    curve = solve_boundary(SolverConfig(n=32, d=2, family=family), p)
+    nodes, price = strike_100_solve(family)
+    np.testing.assert_allclose(curve.values / strike, nodes, rtol=1e-12, atol=0.0)
+    assert american_put_price(3.0, strike, curve).value / strike == pytest.approx(
+        price, rel=1e-13, abs=0.0)
+
+
 class TestFlags:
     def test_table3_has_none(self, curve_n32_d2):
         assert curve_n32_d2.diagnostics.flags == ()
@@ -739,7 +766,7 @@ class TestNewtonScalar:
     TOL = 1e-9
 
     def solve(self, f, x0=100.0):
-        return boundary._newton_scalar(split_row(f), x0, 60.0, 100.0, self.TOL, 5)
+        return boundary._newton_scalar(f, x0, 60.0, 100.0, self.TOL, 5)
 
     def test_escaping_step_falls_back(self):
         # slope 1e-3 sends the first step far below the bracket
@@ -772,8 +799,7 @@ class TestNewtonScalar:
                 raise ValueError("math domain error")
             return b - 30.0, slope
 
-        b, evals, res, steps = boundary._newton_scalar(split_row(row), 50.0, 20.0, 100.0,
-                                                       self.TOL, 5)
+        b, evals, res, steps = boundary._newton_scalar(row, 50.0, 20.0, 100.0, self.TOL, 5)
         assert b == pytest.approx(30.0, abs=1e-9) and res <= self.TOL
         assert steps == 1 and evals > 3
 
@@ -788,18 +814,6 @@ class TestNewtonScalar:
         self.solve(lambda b: calls.append(b) or (b - 80.0, 1.0), x0)
         assert calls[0] == first
 
-    @pytest.mark.parametrize("row,x0,evals,slopes", [
-        (lambda b: (b - 70.0, 1.0), 70.0, 1, 0),  # accepted at the start
-        (lambda b: (b - 70.0, 1.0), 90.0, 2, 1),  # one step, then accepted
-        (lambda b: (b - 70.0, 1e-3), 100.0, 5, 1),  # escaping step, two ends, two mids
-        (lambda b: (b - 60.0, 1e-3), 100.0, 3, 1),  # escaping step, root at an end
-    ])
-    def test_slope_only_for_a_step(self, row, x0, evals, slopes):
-        computed = []
-        out = boundary._newton_scalar(counted_slopes(split_row(row), computed), x0,
-                                      60.0, 100.0, self.TOL, 5)
-        assert (out[1], len(computed)) == (evals, slopes)
-
     def test_stalls_at_adjacent_doubles(self):
         calls = []
 
@@ -810,19 +824,10 @@ class TestNewtonScalar:
         with pytest.raises(boundary.SolverError,
                            match=r"^bisection stalled at row 5 with residual 1\.000e\+00$"):
             self.solve(jump)
-        assert len(calls) <= 64
+        assert 50 < len(calls) <= 64
         # the last bracket is two adjacent doubles around the jump
         lo, hi = max(c for c in calls if c <= 70.0), min(c for c in calls if c > 70.0)
         assert math.nextafter(lo, hi) == hi
-
-    def test_stalled_bisection_computes_no_slope(self):
-        # the jump of the test above: its slope 0.0 at the start ends Newton,
-        # and the bracket ends and the bisection to adjacent doubles compute none
-        slopes, evals = [], []
-        jump = split_row(lambda b: evals.append(b) or ((1.0 if b > 70.0 else -1.0), 0.0))
-        with pytest.raises(boundary.SolverError, match="bisection stalled"):
-            boundary._newton_scalar(counted_slopes(jump, slopes), 100.0, 60.0, 100.0, self.TOL, 5)
-        assert len(evals) > 50 and len(slopes) == 1
 
 
 def test_solve_reads_cached_rows_without_copies():
