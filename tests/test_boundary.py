@@ -367,23 +367,56 @@ class TestRowResidual:
                 assert df is not None and bare(i)(b) == (f, None)
 
 
+class ReadSlope(float):
+    """A row's dF/db that appends ``tag`` to ``reads`` when it is first compared
+    or divided by, the two ways Newton reads a slope to step."""
+
+    def __new__(cls, value, reads, tag):
+        slope = super().__new__(cls, value)
+        slope.reads, slope.tag, slope.read = reads, tag, False
+        return slope
+
+    def _use(self):
+        if not self.read:
+            self.read = True
+            self.reads.append(self.tag)
+        return float(self)
+
+    def __ne__(self, other):
+        return self._use() != other
+
+    def __rtruediv__(self, other):
+        return other / self._use()
+
+
+def counted_slopes(row, reads, tag=None):
+    """The row b -> (F, dF/db) with each slope Newton reads appended to ``reads`` as
+    ``tag``; a value-only row's (F, None) passes through."""
+
+    def counted(b):
+        f, df = row(b)
+        return f, (None if df is None else ReadSlope(df, reads, tag))
+
+    return counted
+
+
 def counting_residual(monkeypatch):
-    """Wrap the rows boundary._row_residual builds so that every row eval is recorded
-    as (row, b)."""
-    evals = []
+    """Wrap the rows boundary._row_residual builds so that every row eval of a solve is
+    recorded as (row, b), and every slope Newton reads by its row."""
+    evals, slopes = [], []
     make = boundary._row_residual
 
     def counted(*args, **kwargs):
         grid, build_row = make(*args, **kwargs)
 
         def build(i, *row_args):
-            row = build_row(i, *row_args)
+            row = counted_slopes(build_row(i, *row_args), slopes, i)
             return lambda b: evals.append((i, b)) or row(b)
 
         return grid, build
 
     monkeypatch.setattr(boundary, "_row_residual", counted)
-    return evals
+    return evals, slopes
 
 
 def no_curvature_bound(monkeypatch):
@@ -412,7 +445,7 @@ def recording_newton(monkeypatch):
 
 class TestResidualEvals:
     def test_one_eval_per_newton_step(self, monkeypatch):
-        evals = counting_residual(monkeypatch)
+        evals, _ = counting_residual(monkeypatch)
         diag = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).diagnostics
         assert diag.bisections == 0
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
@@ -424,13 +457,15 @@ class TestResidualEvals:
         # the bound a proved first step would end the row before the fallback
         monkeypatch.setattr(boundary, "_NEWTON_MAX_ITER", 1)
         no_curvature_bound(monkeypatch)
-        evals = counting_residual(monkeypatch)
+        evals, slopes = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=8, d=2), TABLE3_PARAMS)
         diag = curve.diagnostics
         assert diag.residual_evals == diag.iterations.sum() == len(evals)
         assert [i for i, _ in evals] == [i for i in range(1, 9) for _ in range(diag.iterations[i])]
         assert diag.bisections == 8
         assert diag.newton_steps == 8  # bracket ends and bisection steps excluded
+        # each row's one step reads a slope; its bracket ends and bisection evals none
+        assert slopes == list(range(1, 9))
         assert np.all(diag.iterations[1:] > 3)
         assert collocation_residuals(curve).max() <= 1e-12 * 100.0
 
@@ -488,14 +523,17 @@ class TestResidualEvals:
         assert np.all(certificate[proved] <= solved[proved])
 
 
-class TestRowAcceptance:
-    """A row ends on the eval whose |F| meets the tolerance or on a Newton iterate
-    the curvature bound proves unevaluated; ``iterations`` counts its evals either way."""
+class TestSlopeOnDemand:
+    """Newton reads a row's dF/db only when it steps from that eval: not at the
+    eval that meets the tolerance, nor at a bracket end or bisection eval.  A row
+    ends on the eval whose |F| meets the tolerance or on a Newton iterate the
+    curvature bound proves unevaluated; ``iterations`` counts its evals either way.
+    So a row accepted on its k-th eval reads k - 1 slopes, and a proved row k."""
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
-    def test_accepted_or_proved(self, family, dividend, monkeypatch):
-        evals = counting_residual(monkeypatch)
+    def test_one_slope_per_step(self, family, dividend, monkeypatch):
+        evals, slopes = counting_residual(monkeypatch)
         curve = solve_boundary(SolverConfig(n=32, d=2, family=family), params_with(dividend))
         diag = curve.diagnostics
         assert diag.bisections == 0 and diag.newton_steps == len(evals)
@@ -505,11 +543,16 @@ class TestRowAcceptance:
         proved = [curve.values[i] not in bs for i, bs in enumerate(row_evals, start=1)]
         assert any(accepted) and not all(accepted)
         assert [not a for a in accepted] == proved
+        assert ([slopes.count(i) for i in range(1, 33)]
+                == [int(it) - a for it, a in zip(diag.iterations[1:], accepted)])
+        assert len(slopes) == diag.newton_steps - sum(accepted)
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
-    def test_row_accepted_at_its_start(self, dividend):
+    def test_row_accepted_at_its_start_computes_none(self, dividend):
+        # the certificate's value-only rows return (F, None): a row Newton accepts
+        # at its start needs no slope
         p = params_with(dividend)
-        values, row_at = solved_rows(SolverConfig(n=16, d=2), p)
+        values, row_at = solved_rows(SolverConfig(n=16, d=2), p, slopes=False)
         for i in (1, 2, 7, 16):
             b, evals, _, steps = boundary._newton_scalar(row_at(i), values[i], 0.5 * values[i],
                                                          100.0, 1e-12 * p.strike, i)
@@ -814,6 +857,17 @@ class TestNewtonScalar:
         self.solve(lambda b: calls.append(b) or (b - 80.0, 1.0), x0)
         assert calls[0] == first
 
+    @pytest.mark.parametrize("row,x0,evals,slopes", [
+        (lambda b: (b - 70.0, 1.0), 70.0, 1, 0),  # accepted at the start
+        (lambda b: (b - 70.0, 1.0), 90.0, 2, 1),  # one step, then accepted
+        (lambda b: (b - 70.0, 1e-3), 100.0, 5, 1),  # escaping step, two ends, two mids
+        (lambda b: (b - 60.0, 1e-3), 100.0, 3, 1),  # escaping step, root at an end
+    ])
+    def test_slope_only_for_a_step(self, row, x0, evals, slopes):
+        read = []
+        out = boundary._newton_scalar(counted_slopes(row, read), x0, 60.0, 100.0, self.TOL, 5)
+        assert (out[1], len(read)) == (evals, slopes)
+
     def test_stalls_at_adjacent_doubles(self):
         calls = []
 
@@ -828,6 +882,15 @@ class TestNewtonScalar:
         # the last bracket is two adjacent doubles around the jump
         lo, hi = max(c for c in calls if c <= 70.0), min(c for c in calls if c > 70.0)
         assert math.nextafter(lo, hi) == hi
+
+    def test_stalled_bisection_computes_no_slope(self):
+        # the jump of the test above: its slope 0.0 at the start ends Newton,
+        # and the bracket ends and the bisection to adjacent doubles read none
+        slopes, evals = [], []
+        jump = lambda b: evals.append(b) or ((1.0 if b > 70.0 else -1.0), 0.0)  # noqa: E731
+        with pytest.raises(boundary.SolverError, match="bisection stalled"):
+            boundary._newton_scalar(counted_slopes(jump, slopes), 100.0, 60.0, 100.0, self.TOL, 5)
+        assert len(evals) > 50 and len(slopes) == 1
 
 
 def test_solve_reads_cached_rows_without_copies():
