@@ -228,7 +228,7 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
 
     One row call per residual eval; the bracket ends and bisection read its F alone.
     A step from b to b' leaves |F(b')| <= M (b' - b)^2 / 2, M bounding |F''| between
-    them (Taylor).  With curv = (c2, c1, noise) from ``_curvature_bounds``, b' is
+    them (Taylor).  With curv = (c2, c1, noise) from ``_row_residual``, b' is
     returned unevaluated when that plus noise is <= tol_abs / 4, its |F| read as
     that sum plus 3/4 tol_abs; the default curv, or a product that overflows to inf,
     proves nothing.  The start x0 is clamped into [lo, hi].  A step that is not finite
@@ -271,12 +271,21 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
-    """Grid and row builder (i, prior, log_prior, rk) -> row on cfg.n intervals.
+    """Grid, (lower, b0, lo, hi), per-row curv and row builder on cfg.n intervals.
 
-    Row i of the product-integrated boundary equation takes B_0..B_(i-1) in
-    ``prior``, their math.log values in ``log_prior`` (np.log can differ by an
-    ulp) and r K - delta B_j in ``rk``; the stateless row(b) returns (F, dF/db),
-    F its residual, or (F, None) with ``slopes=False`` (the certificate's rows).
+    ``lower`` is the perpetual bound, ``b0`` the expiry limit and [lo, hi] the Newton
+    search interval.  ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <=
+    (c2 / b + c1) / b, b > 0, from max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max
+    |x phi(x)|, e^(-r tau) and e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each
+    row's largest |weight|, with S1_i, S2_i the sums of the lag tables' 1/sigma_l,
+    1/sigma_l^2 over lags l <= i.  ``noise`` estimates F_i's rounding: a d argument
+    splits ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
+
+    build_row(i, prior, log_prior, rk) gives row i of the product-integrated boundary
+    equation from B_0..B_(i-1) in ``prior``, their math.log values in ``log_prior``
+    (np.log can differ by an ulp) and r K - delta B_j in ``rk``; the stateless row(b)
+    returns (F, dF/db), F its residual, or (F, None) with ``slopes=False`` (the
+    certificate's rows).
     tau_ij = t_(i-j), so row i views the last i entries of the lag tables over lags
     n..1; its t_i scalars come from per-solve lists.  The terms free of b are products
     of their slices, built once per row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
@@ -303,9 +312,23 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
     w_rows = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident_w = (pref * w_rows.diagonal()).tolist()
-    if delta > 0.0:
-        q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0)
-        halves = (0.5 * q_rows.diagonal()).tolist()
+    lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
+    lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
+    row_max = lambda w: np.maximum(w.max(axis=1), -w.min(axis=1))[1:]  # noqa: E731
+    inv_sig, phi, e_half = inv_sig_tau[::-1], 1.0 / _SQRT_2PI, math.exp(-0.5)
+    with np.errstate(over="ignore"):  # below sigma ~ 1e-154 the bounds are inf and prove nothing
+        s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
+        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * row_max(w_rows)
+        disc = disc_d[::-1] * phi * inv_sig
+        c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
+        noise = kappa * e_half * s1 + hi * disc
+        if delta > 0.0:
+            q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0)
+            halves = (0.5 * q_rows.diagonal()).tolist()
+            q = delta_h * phi * row_max(q_rows)
+            c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
+        noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
+    curv = list(zip(c2.tolist(), c1.tolist(), noise.tolist()))
 
     def build_row(i: int, prior: np.ndarray, log_prior: np.ndarray, rk: np.ndarray):
         k = cfg.n - i
@@ -339,33 +362,7 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
 
         return row
 
-    return grid, build_row
-
-
-@np.errstate(over="ignore")  # below sigma ~ 1e-154 the bounds are inf and prove nothing
-def _curvature_bounds(cfg: SolverConfig, p: MarketParams, lo: float, hi: float) -> list:
-    """Per-row (c2, c1, noise), row i at index i - 1: |F_i''(b)| <= (c2 / b + c1) / b, b > 0.
-
-    From max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|, e^(-r tau) and
-    e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each row's largest |weight|,
-    with S1_i, S2_i the sums of 1/sigma_l, 1/sigma_l^2 over lags l <= i (sigma_l =
-    sigma sqrt(l h)).  ``noise`` estimates F_i's rounding: a d argument splits
-    ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
-    """
-    n, h, delta, phi = cfg.n, p.expiry / cfg.n, p.dividend, 1.0 / _SQRT_2PI
-    e_half, inv_sig = math.exp(-0.5), 1.0 / (p.volatility * np.sqrt(h * np.arange(1, n + 1)))
-    row_max = lambda w: np.maximum(w.max(axis=1), -w.min(axis=1))[1:]  # noqa: E731
-    s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
-    kappa = max(abs(p.rate * p.strike - delta * x) for x in (lo, hi)) * math.sqrt(h) * phi \
-        / p.volatility * row_max(unit_weight_rows(n, cfg.d if cfg.family == FH else 0, 0.5))
-    disc = np.exp(-delta * h * np.arange(1, n + 1)) * phi * inv_sig
-    c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
-    noise = kappa * e_half * s1 + hi * disc
-    if delta > 0.0:
-        q = delta * h * phi * row_max(unit_weight_rows(n, cfg.d, 0.0))
-        c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
-    noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
-    return list(zip(c2.tolist(), c1.tolist(), noise.tolist()))
+    return grid, (lower, b0, lo, hi), curv, build_row
 
 
 def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
@@ -386,12 +383,8 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                          "the boundary equation degenerates")
     n = cfg.n
     start, builds = time.perf_counter(), unit_weight_rows.cache_info().misses
-    grid, build_row = _row_residual(cfg, p)
+    grid, (lower, b0, lo, hi), curv, build_row = _row_residual(cfg, p)
     start_w = _start_weights(n)
-    b0 = initial_boundary(p)
-    lower = perpetual_lower_bound(p)
-    lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
-    curv = _curvature_bounds(cfg, p, lo, hi)
     weights_s = time.perf_counter() - start
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
     values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
@@ -399,8 +392,10 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     flags: list[tuple[int, str, float]] = []
     newton_steps = 0
     newton_start = time.perf_counter()
-    # below sigma ~ 1e-154 d2 * d2 overflows to inf, and exp(-inf) = 0 is the kernel's limit
-    with np.errstate(over="ignore"):
+    # below sigma ~ 1e-154 d2 * d2 overflows to inf, and exp(-inf) = 0 is the kernel's limit;
+    # near K = 1e308 a slope vector overflows to inf and meets e = 0 in a dot, a NaN that
+    # no row accepts (NaN fails |F| <= tol and lo <= b' <= hi), so it ends in SolverError
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, n + 1):
             if i >= _SQRT_START:
                 k = min(5, (i - 1) // 2)
@@ -464,7 +459,7 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     p, values = curve.params, curve.values
-    _, build_row = _row_residual(cfg, p, slopes=False)
+    *_, build_row = _row_residual(cfg, p, slopes=False)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
     return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])

@@ -48,7 +48,7 @@ def params_with(dividend, rate=0.08):
 def solved_rows(cfg, p, **kwargs):
     """The solved nodes and i -> row i of boundary._row_residual(cfg, p, **kwargs) at them."""
     values = solve_boundary(cfg, p).values
-    _, build_row = boundary._row_residual(cfg, p, **kwargs)
+    *_, build_row = boundary._row_residual(cfg, p, **kwargs)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
     return values, lambda i: build_row(i, values[:i], logs[:i], rks[:i])
@@ -407,13 +407,13 @@ def counting_residual(monkeypatch):
     make = boundary._row_residual
 
     def counted(*args, **kwargs):
-        grid, build_row = make(*args, **kwargs)
+        *setup, build_row = make(*args, **kwargs)
 
         def build(i, *row_args):
             row = counted_slopes(build_row(i, *row_args), slopes, i)
             return lambda b: evals.append((i, b)) or row(b)
 
-        return grid, build
+        return *setup, build
 
     monkeypatch.setattr(boundary, "_row_residual", counted)
     return evals, slopes
@@ -422,9 +422,13 @@ def counting_residual(monkeypatch):
 def no_curvature_bound(monkeypatch):
     """Make every row's curvature bound infinite: no Newton iterate is then proved,
     and each is evaluated, as in Kim's reference, which passes no bound."""
-    bounds = boundary._curvature_bounds
-    monkeypatch.setattr(boundary, "_curvature_bounds",
-                        lambda *args: [(math.inf,) * 3] * len(bounds(*args)))
+    make = boundary._row_residual
+
+    def unbounded(*args, **kwargs):
+        grid, interval, curv, build_row = make(*args, **kwargs)
+        return grid, interval, [(math.inf,) * 3] * len(curv), build_row
+
+    monkeypatch.setattr(boundary, "_row_residual", unbounded)
 
 
 def recording_newton(monkeypatch):
@@ -581,19 +585,19 @@ class TestCurvatureProof:
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_bound_dominates_the_second_difference(self, family, dividend):
         # (F(b + e) - 2 F(b) + F(b - e)) / e^2 is F'' somewhere in [b - e, b + e],
-        # where M is largest at b - e
-        cfg, p = SolverConfig(n=32, d=2, family=family), params_with(dividend)
-        lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
-        lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
-        bounds = boundary._curvature_bounds(cfg, p, lo, hi)
-        _, row_at = solved_rows(cfg, p)
-        for i in (1, 2, 7, 32):
-            row = row_at(i)
-            c2, c1, _ = bounds[i - 1]
-            for b in np.linspace(lo + 1.0, hi - 1.0, 7):
-                e = 1e-2 * b
-                second = (row(b + e)[0] - 2.0 * row(b)[0] + row(b - e)[0]) / (e * e)
-                assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-8
+        # where M is largest at b - e; F'' scales as 1 / K, and so do bound and slack
+        cfg = SolverConfig(n=32, d=2, family=family)
+        for strike in (1e-100, 100.0, 1e100):
+            p = dataclasses.replace(params_with(dividend), strike=strike)
+            _, (_, _, lo, hi), bounds, _ = boundary._row_residual(cfg, p)
+            _, row_at = solved_rows(cfg, p)
+            for i in (1, 2, 7, 32):
+                row = row_at(i)
+                c2, c1, _ = bounds[i - 1]
+                for b in np.linspace(lo + 0.01 * strike, hi - 0.01 * strike, 7):
+                    e = 1e-2 * b
+                    second = (row(b + e)[0] - 2.0 * row(b)[0] + row(b - e)[0]) / (e * e)
+                    assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-6 / strike
 
     @pytest.mark.parametrize("rate,dividend,expiry,vol", [
         (0.2, 0.0, 0.25, 0.01), (0.2, 0.08, 0.25, 0.0063), (0.08, 0.08, 3.0, 1e-4)])
@@ -743,6 +747,15 @@ def test_vanishing_volatility_raises_solver_error(vol):
     p = dataclasses.replace(TABLE3_PARAMS, volatility=vol)
     with pytest.raises(boundary.SolverError, match="bisection stalled at row 1"):
         solve_boundary(SolverConfig(n=32, d=2), p)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_largest_strike_raises_solver_error(n):
+    # at K = 1e308 a slope vector overflows to inf and meets e = 0 in a dot; the NaN
+    # is no root, and the row fails as a solve, not with numpy's "invalid value" warning
+    p = dataclasses.replace(TABLE3_PARAMS, strike=1e308)
+    with pytest.raises(boundary.SolverError, match="bisection stalled at row 1"):
+        solve_boundary(SolverConfig(n=n, d=2), p)
 
 
 @lru_cache(maxsize=None)
