@@ -46,7 +46,7 @@ from . import barycentric  # the benchmark tracer wraps basis_matrix in its own 
 from .barycentric import BaryBasis
 from .market import ConfigurationError, MarketParams, norm_cdf
 # the benchmark tracer wraps product_weights and brq_weights in this module
-from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
+from .quadrature import _row_maxima, brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "FH",
@@ -192,8 +192,9 @@ def _perpetual_exponent(p: MarketParams) -> float:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit-spacing weight rows and start weights (used by timing studies)."""
+    """Drop the cached unit weight rows, their row maxima and the start weights (for timing)."""
     unit_weight_rows.cache_clear()
+    _row_maxima.cache_clear()
     _start_weights.cache_clear()
 
 
@@ -309,23 +310,23 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
     kern_lag, disc_d = pref * disc_r, np.exp(-delta * tau)
     slope_lag = disc_r * inv_sig_tau / _SQRT_2PI
     sig_ts, a1_ts, disc_ts = sig_tau.tolist(), a1.tolist(), disc_d.tolist()
-    w_rows = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
+    w_d = cfg.d if cfg.family == FH else 0
+    w_rows = unit_weight_rows(cfg.n, w_d, 0.5)
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident_w = (pref * w_rows.diagonal()).tolist()
     lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
     lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
-    row_max = lambda w: np.maximum(w.max(axis=1), -w.min(axis=1))[1:]  # noqa: E731
     inv_sig, phi, e_half = inv_sig_tau[::-1], 1.0 / _SQRT_2PI, math.exp(-0.5)
     with np.errstate(over="ignore"):  # below sigma ~ 1e-154 the bounds are inf and prove nothing
         s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
-        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * row_max(w_rows)
+        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * _row_maxima(cfg.n, w_d, 0.5)
         disc = disc_d[::-1] * phi * inv_sig
         c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
         noise = kappa * e_half * s1 + hi * disc
         if delta > 0.0:
             q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0)
             halves = (0.5 * q_rows.diagonal()).tolist()
-            q = delta_h * phi * row_max(q_rows)
+            q = delta_h * phi * _row_maxima(cfg.n, cfg.d, 0.0)
             c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
         noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
     curv = list(zip(c2.tolist(), c1.tolist(), noise.tolist()))

@@ -1,16 +1,12 @@
 """American option prices from a solved exercise boundary.
 
-The put value splits into its European part plus the early-exercise
-premium, an integral of discounted exercise benefits against the boundary
-over [0, t].  The premium integrand is written here once (the
-value-matching equation is this formula at S = B), and the integral is
-evaluated with the cached quadrature rows (``unit_weight_rows``) of the
-curve's rational basis, scaled to the grid spacing; the integrand's
-endpoint limit vanishes in the continuation region.  A result holds the
-value and its two parts; ``error_bound_factor`` needs no curve.
-
-Pricing is pure given an immutable curve; concurrent pricing across
-spots and times is safe.
+The put value splits into its European part plus the early-exercise premium, an
+integral of discounted exercise benefits against the boundary over [0, t].  The
+premium integrand is written here once (the value-matching equation is this
+formula at S = B), and one quadrature rule takes its integral at every t (see
+``american_put_price``).  A result holds the value and its two parts;
+``error_bound_factor`` needs no curve.  Pricing is pure given an immutable
+curve; concurrent pricing is safe.
 """
 
 from __future__ import annotations
@@ -24,13 +20,18 @@ from scipy.special import ndtr
 
 from .boundary import BoundaryCurve, _perpetual_exponent, eval_boundary
 from .market import MarketParams, _require_spot, european_put
-from .quadrature import brq_weights, unit_weight_rows  # noqa: F401 (brq_weights is traced)
+from .quadrature import _POINTS, _gauss, brq_weights, unit_weight_rows  # noqa: F401 (traced)
 
 __all__ = [
     "PriceResult",
     "error_bound_factor",
     "american_put_price",
 ]
+
+# z = sqrt(t - s) = sqrt(g) u, u in [0, 1], on a tail of length g: the alpha = 1/2 builder's
+# Gauss points give time gaps g u^2 (then 0, for t itself) and weights g w u, as ds = 2 z dz
+_TAIL_U = 0.5 * (_gauss(_POINTS)[0] + 1.0)
+_TAIL_TAU, _TAIL_W = np.append(_TAIL_U * _TAIL_U, 0.0), _TAIL_U * _gauss(_POINTS)[1]
 
 
 @dataclass(frozen=True)
@@ -75,21 +76,16 @@ def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
 
 
 def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
-    """American put value at time-to-expiry t via the premium representation.
+    """American put value at time-to-expiry t in (0, T] via the premium representation.
 
-    The premium integral over [0, t] takes Floater-Hormann quadrature
-    weights of the curve's own order on m equidistant subintervals: row m
-    of the solver's unit table for the curve's grid, times t / m.  t must
-    lie in (0, T], and one branch decides t = T, for any t within 1e-12 T
-    of it: there the nodes are the curve's grid and the boundary its stored
-    values.  Otherwise m = max(d + 1, ceil(t / h)) for the curve's spacing
-    h, and one ``eval_boundary`` call reads the boundary at the m + 1 nodes.
-    Either way the last node is t, so the read also gives B(t).  In the
-    exercise region (spot at or below B(t)) the value is exactly the payoff
-    K - spot, unless the European price exceeds that payoff: then the spot
-    lies in the continuation region, below an interpolated B(t) that
-    overshoots the true boundary (as it does near expiry on coarse grids),
-    and it takes the premium integral.
+    t snaps to T within 1e-12 T.  With h the curve's spacing and k = max(0, floor(t/h) - 1),
+    the premium over [0, kh] takes BRQ on the stored nodes 0..k (row k of the unit table,
+    times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s):
+    just above B(t) the CDF factors fall from 1/2 to 0 within (ln(S/B)/sigma)^2 of t, smoothly
+    in z.  One ``eval_boundary`` call reads B at the tail's points and at t, its last point.
+    At or below B(t) the value is exactly the payoff K - spot, unless the European price
+    exceeds it: then the spot lies in the continuation region, below an interpolated B(t)
+    that overshoots the true boundary (near expiry on coarse grids), and takes the premium.
     """
     start = time.perf_counter()
     p = curve.params
@@ -97,27 +93,21 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     T, n, d = p.expiry, curve.basis.n, curve.basis.degree
     if not 0.0 < t <= T * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {T}], got {t}")
-    if t >= T * (1.0 - 1e-12):
-        # node hits interpolate to exact unit rows, so the stored values are bitwise eval_boundary
-        t, nodes, ys = T, curve.grid, curve.values
-    else:
-        segments = max(d + 1, int(math.ceil(t / (T / n) - 1e-12)))
-        nodes = np.linspace(0.0, t, segments + 1)
-        ys = eval_boundary(curve, nodes)
+    t = T if t >= T * (1.0 - 1e-12) else t
+    k = max(0, int(t * n / T + 1e-9) - 1)
+    g = t - curve.grid[k]
+    tail_tau = g * _TAIL_TAU
+    ys = eval_boundary(curve, t - tail_tau)
     euro = european_put(t, spot, p)
     if spot <= ys[-1] and euro <= p.strike - spot:
         value = p.strike - spot
         premium = value - euro
     else:
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
-        m = nodes.size - 1
-        weights = (t / m) * unit_weight_rows(n, d, 0.0)[m, :m + 1]
-        integrand = _premium_integrand(spot, t - nodes[:-1], ys[:-1], p)
-        # the CDF factors' limit as the time gap closes: 1 below the boundary, 1/2 on it, 0 above
-        gap = spot - ys[-1]
-        endpoint = ((1.0 if gap < -1e-9 * p.strike else 0.5 if gap <= 1e-9 * p.strike else 0.0)
-                    * (p.rate * p.strike - p.dividend * spot))
-        premium = float(weights[:-1].dot(integrand) + weights[-1] * endpoint)
+        weights = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[k, :k + 1], g * _TAIL_W))
+        tau = np.concatenate((t - curve.grid[:k + 1], tail_tau[:-1]))
+        y = np.concatenate((curve.values[:k + 1], ys[:-1]))
+        premium = float(weights.dot(_premium_integrand(spot, tau, y, p)))
         value = euro + premium
     return PriceResult(value=value, european_part=euro, premium_part=premium,
                        wall_time=time.perf_counter() - start)

@@ -84,3 +84,11 @@ def unit_weight_rows(n: int, d: int, alpha: float) -> np.ndarray:
     weights = np.take_along_axis(rows, lags, axis=1)
     weights.setflags(write=False)
     return weights
+
+
+@lru_cache(maxsize=None)
+def _row_maxima(n: int, d: int, alpha: float) -> np.ndarray:
+    """Read-only largest |weight| of rows 1..n of :func:`unit_weight_rows`, row e at index e - 1."""
+    maxima = np.abs(unit_weight_rows(n, d, alpha)[1:]).max(axis=1)
+    maxima.setflags(write=False)
+    return maxima

@@ -484,6 +484,15 @@ class TestResidualEvals:
         assert curve.diagnostics.bisections == 32
         np.testing.assert_allclose(curve.values, newton, rtol=0.0, atol=1e-7)
 
+    def test_bisection_on_an_unpatched_market(self):
+        # the boundary falls from 100 to 8.02 by row 4 here; the sqrt-t starts
+        # of rows 5 and 6 land at 1.14 and 2.89, below the roots 6.42 and 5.30,
+        # where F is nearly flat, so their Newton steps leave [lo, hi]
+        p = MarketParams(strike=100.0, expiry=10.0, rate=0.001, dividend=0.0, volatility=0.8)
+        curve = solve_boundary(SolverConfig(n=32, d=2), p)
+        assert curve.diagnostics.flags == ((5, "bisection", 37.0), (6, "bisection", 38.0))
+        assert collocation_residuals(curve).max() <= 1e-12 * p.strike
+
     def test_no_bisection_on_table3(self, curve_n32_d2):
         assert curve_n32_d2.diagnostics.bisections == 0
 
@@ -1065,8 +1074,8 @@ class TestEvalBoundary:
 # residuals: n = 32, d = 2 node values on the Table-3 market with the given
 # dividend yield, the five Table-3 prices at t = T, and trapezoid nodes at
 # n = 16.  The single residual must reproduce them.  The Table-3 prices at
-# the off-node t = 1.3 were frozen from horizon-keyed weight tables that
-# pricing rebuilt per call; the shared unit-spacing rows must reproduce them.
+# t = T and at the off-node t = 1.3 were frozen from the one premium rule,
+# BRQ on the stored nodes plus the sqrt tail.
 _FROZEN = {
     (0.0, "fh"): (
         100.0, 91.05224558320029, 89.63395082678971, 88.33107210857362,
@@ -1121,12 +1130,12 @@ _FROZEN = {
         66.98410461021045, 66.83235971053627,
     ),
     "table3_prices": (
-        22.204605772977224, 16.206952123814844, 11.703816192620117,
-        8.367013522655014, 5.929829418925312,
+        22.204926922342516, 16.206958312681426, 11.703834941355693,
+        8.367029833466646, 5.929843575579781,
     ),
     "table3_prices_t1.3": (
-        20.776740440471105, 13.608718376660645, 8.409411737139836,
-        4.918417120977308, 2.740311889054092,
+        20.776297823197847, 13.608629567360945, 8.409336426407863,
+        4.918380239578466, 2.7402930126402576,
     ),
     "kim2d": (
         100.0, 83.83530530555997, 79.314877867738, 76.76076563683999,
@@ -1145,7 +1154,7 @@ def test_frozen_values(case):
     if case == "kim2d":
         got = solve_boundary_kim2d(16, TABLE3_PARAMS).values
     elif isinstance(case, str):
-        # t = T prices on the curve nodes, t = 1.3 on the off-node premium grid
+        # t = T prices at the last node, t = 1.3 off the nodes
         t = 1.3 if case.endswith("t1.3") else 3.0
         curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
         got = [american_put_price(t, s, curve).value

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 from dataclasses import replace
@@ -199,7 +200,7 @@ class TestWorkPrecision:
 
         monkeypatch.setattr(cli, "solve_boundary", recorded)
         scans = []
-        for k in range(5):
+        for k in range(9):
             code, data = run(tmp_path, f"w{k}.csv",
                              ["workprecision", "--n-list", "8,32", "--m", "3"])
             assert code == 0
@@ -214,14 +215,17 @@ class TestWorkPrecision:
         fh = {r["n"]: float(r["abs_error"]) for r in rows if r["method"] == "fh"}
         assert fh["32"] <= fh["8"]
         assert {r["method"] for r in rows} == {"fh", "bfh", "fh_m3", "bfh_m3"}
-        # hybrid beats the plain scheme at a comparable stored-node count, each
-        # cell timed by its best cold run: every scan runs the cells in turn
+        # hybrid beats the plain scheme at a comparable stored-node count, by the
+        # median of its per-scan time ratio: a scan runs the two cold cells one
+        # cell apart, so machine load moves both, and a slow scan is one vote
         cells = {(r["method"], r["n"]): r for r in rows}
         plain, hybrid = cells[("fh", "32")], cells[("fh_m3", "32")]
         assert abs(int(plain["total_nodes"]) - int(hybrid["total_nodes"])) <= 1
-        best = {key: min(float(r["wall_time"]) for scan in scans for r in scan
-                         if (r["method"], r["n"]) == key) for key in cells}
-        assert best[("fh_m3", "32")] < best[("fh", "32")]
+        ratios = []
+        for scan in scans:
+            wall = {(r["method"], r["n"]): float(r["wall_time"]) for r in scan}
+            ratios.append(wall[("fh_m3", "32")] / wall[("fh", "32")])
+        assert statistics.median(ratios) < 1.0
         # the same comparison counted in residual evals, free of machine load
         evals = {(c.config.family, c.config.hybrid_m, c.grid.size): c.diagnostics.residual_evals
                  for c in curves}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,8 +102,8 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=16, d=3, family="bfh"),
                                      SolverConfig(n=8, d=2, hybrid_m=3)])
     def test_horizon_boundary_is_last_node(self, cfg, monkeypatch):
-        # at t = T (or within 1e-12 T of it, snapped) the price reads B(T) from
-        # the last node, bit for bit the value eval_boundary(curve, T) returns
+        # t within 1e-12 T of T snaps to T, the last point of the price's one
+        # boundary read, which hits the last node: B(T) is the stored value
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         b_t = eval_boundary(curve, 3.0)
         assert b_t == curve.values[-1]
@@ -115,12 +116,12 @@ class TestAmericanPutPrice:
             assert american_put_price(t, b_t, curve).value == 100.0 - b_t
             assert american_put_price(t, above, curve).value != 100.0 - above
             assert american_put_price(t, above, curve).value == at_horizon
-        assert calls == []
+        assert [args[1][-1] for args in calls] == [3.0] * 10
 
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
     @pytest.mark.parametrize("t", [1.7283, 2.5])
     def test_off_node_reads_boundary_once(self, cfg, t, monkeypatch):
-        # one eval_boundary call gives the premium nodes and B(t), its last point
+        # one eval_boundary call gives the 16 tail points and B(t), its last point
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         calls = []
         monkeypatch.setattr(pricing, "eval_boundary",
@@ -130,24 +131,36 @@ class TestAmericanPutPrice:
             american_put_price(t, spot, curve)
             assert len(calls) == 1
             assert calls[0][0] is curve
-            assert calls[0][1][-1] == t
+            assert calls[0][1].size == 17 and calls[0][1][-1] == t
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the premium's last interval "
-                       "misses the endpoint kink just above B(T)")
     def test_price_above_boundary_at_least_payoff(self):
         # the benchmark's book market, seed 601 op 39.  S lies 9.8e-4 above
         # B(T) = 91.2776 in log, so the CDF factors fall from about 1/2 to 0
         # within tau* = (ln(S/B)/sigma)^2 = 3.8e-5 of the end, inside the last
-        # interval h = 0.0156.  The integrand at tau = h reads 1.86, about
-        # (rK - delta S)/2, while the endpoint term takes 0; taking 1/2 there
-        # gives +1.5e-3 instead.  The price is 22.83279 against the payoff
-        # 22.84168 (-8.9e-3, no flag; -1.9e-2, -4.1e-3, -1.8e-3 at n = 64, 256, 512).
+        # interval h = 0.0156.  A rule on the integrand's nodal values misses
+        # that fall (22.83279, 8.9e-3 below the payoff 22.84168); the sqrt tail
+        # resolves it: 22.84172 (+4.8e-5; -2.2e-4, +1.2e-4, +1.3e-4 at n = 64,
+        # 256, 512).
         strike = 114.20837921082617
         p = MarketParams(strike=strike, expiry=2.0, rate=0.06863049275243101,
                          dividend=0.0445198020560671, volatility=0.15804837321889428)
         curve = solve_boundary(SolverConfig(n=128, d=2), p)
         value = american_put_price(2.0, 0.8 * strike, curve).value
         assert value >= 0.2 * strike - 1e-6 * strike
+
+    @pytest.mark.parametrize("dividend", [0.0, 0.08])
+    def test_payoff_floor_just_above_the_boundary(self, dividend):
+        # 200 spots with S / B(T) - 1 log-spaced over [1e-10, 0.05] at t = T.
+        # A rule on the integrand's nodal values priced them up to 4.5e-2
+        # (delta = 0.08) and 1.3e-1 (delta = 0) below the payoff at n = 32,
+        # falling at first order; the sqrt tail keeps them above a band that
+        # falls at second order
+        p = replace(TABLE3_PARAMS, dividend=dividend)
+        for n in (32, 64, 128, 256, 512):
+            curve = solve_boundary(SolverConfig(n=n, d=2), p)
+            spots = curve.values[-1] * (1.0 + np.geomspace(1e-10, 0.05, 200))
+            gap = min(american_put_price(3.0, s, curve).value - (p.strike - s) for s in spots)
+            assert gap >= -1e-4 * p.strike * (32 / n) ** 2, n
 
     def test_deep_out_of_the_money_no_dividend(self):
         p = MarketParams(strike=100.0, expiry=3.0, rate=0.08, dividend=0.0,
