@@ -271,7 +271,7 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
                       f"{min(abs(f_lo), abs(f_hi)):.3e}")
 
 
-def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
+def _row_residual(cfg: SolverConfig, p: MarketParams):
     """Grid, (lower, b0, lo, hi), per-row curv and row builder on cfg.n intervals.
 
     ``lower`` is the perpetual bound, ``b0`` the expiry limit and [lo, hi] the Newton
@@ -285,8 +285,7 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
     build_row(i, prior, log_prior, rk) gives row i of the product-integrated boundary
     equation from B_0..B_(i-1) in ``prior``, their math.log values in ``log_prior``
     (np.log can differ by an ulp) and r K - delta B_j in ``rk``; the stateless row(b)
-    returns (F, dF/db), F its residual, or (F, None) with ``slopes=False`` (the
-    certificate's rows).
+    returns (F, dF/db), F its residual, to the solve and the certificate alike.
     tau_ij = t_(i-j), so row i views the last i entries of the lag tables over lags
     n..1; its t_i scalars come from per-solve lists.  The terms free of b are products
     of their slices, built once per row, and d2_j = ln(b) / (sigma sqrt(tau_j)) + a2_j
@@ -337,13 +336,13 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
             inv_sig_tau[k:], sig_ts[k], a1_ts[k], disc_ts[k], coincident_w[i]
         a2 = drift[k:] - log_prior * inv_sig
         kern = w_rows[i, :i] * rk * kern_lag[k:]
-        kern_slope = kern * inv_sig if slopes else None
+        kern_slope = kern * inv_sig
         if delta > 0.0:
             q_row, sig_row, half = q_rows[i, :i], sig_tau[k:], halves[i]
             smooth = q_row * disc_d[k:]
-            smooth_slope = q_row * prior * slope_lag[k:] if slopes else None
+            smooth_slope = q_row * prior * slope_lag[k:]
 
-        def row(b: float) -> tuple[float, float | None]:
+        def row(b: float) -> tuple[float, float]:
             log_b = math.log(b)
             d1_t = log_b / sig_t + a1_t
             cdf_t = norm_cdf(d1_t)
@@ -353,8 +352,6 @@ def _row_residual(cfg: SolverConfig, p: MarketParams, slopes: bool = True):
             if delta > 0.0:
                 s = float(smooth.dot(ndtr(d2 + sig_row))) + half
                 f -= delta_h * b * s
-            if not slopes:
-                return f, None
             df = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
                   - float(kern_slope.dot(e * d2)) / b - coincident * delta)
             if delta > 0.0:
@@ -431,11 +428,11 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 def eval_boundary(curve: BoundaryCurve, t):
     """Evaluate the solved boundary at time-to-expiry t in [0, T].
 
-    The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``,
-    exact at the nodes; off them a value repeats bit for bit only in the same call
-    layout, as BLAS may sum its row in another order beside other points (an ulp at
-    t = 1.375, Table-3 market, n = 16).  A scalar or 0-d ``t`` gives a float, a 1-D
-    ``t`` an array of its length; ``basis_matrix`` rejects other shapes.
+    The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``, exact at
+    the nodes; off them a value repeats bit for bit only in the same call layout, as BLAS
+    may sum its row in another order beside other points (an ulp at t = 1.375, Table-3
+    market, n = 16).  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an array of its
+    length; ``basis_matrix`` rejects other shapes.  A read <= 0 raises ConfigurationError.
     """
     T = curve.params.expiry
     tol = 1e-12 * T
@@ -446,6 +443,8 @@ def eval_boundary(curve: BoundaryCurve, t):
         raise ValueError(f"t must lie in [0, {T}], got {t!r}")
     ts = np.clip(t_arr, 0.0, T) if lo < 0.0 or hi > T else t_arr  # np.clip costs more
     ys = barycentric.basis_matrix(curve.basis, ts).dot(curve.values)
+    if not (low := ys.min(initial=math.inf)) > 0.0:  # a steep first step can dip below 0
+        raise ConfigurationError(f"boundary reads {low:.6g} <= 0 on t in [{lo:.6g}, {hi:.6g}]")
     return float(ys[0]) if t_arr.ndim == 0 else ys
 
 
@@ -460,8 +459,9 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
     p, values = curve.params, curve.values
-    *_, build_row = _row_residual(cfg, p, slopes=False)
+    *_, build_row = _row_residual(cfg, p)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
-    return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
-                     for i in range(1, cfg.n + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):  # as the row loop; K = 1e307's slope overflows
+        return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
+                         for i in range(1, cfg.n + 1)])

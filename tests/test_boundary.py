@@ -45,10 +45,10 @@ def params_with(dividend, rate=0.08):
                         volatility=0.2)
 
 
-def solved_rows(cfg, p, **kwargs):
-    """The solved nodes and i -> row i of boundary._row_residual(cfg, p, **kwargs) at them."""
+def solved_rows(cfg, p):
+    """The solved nodes and i -> row i of boundary._row_residual(cfg, p) at them."""
     values = solve_boundary(cfg, p).values
-    *_, build_row = boundary._row_residual(cfg, p, **kwargs)
+    *_, build_row = boundary._row_residual(cfg, p)
     logs = np.array([math.log(b) for b in values])
     rks = p.rate * p.strike - p.dividend * values
     return values, lambda i: build_row(i, values[:i], logs[:i], rks[:i])
@@ -354,18 +354,6 @@ class TestRowResidual:
             for b in (0.9 * values[i], values[i], 1.01 * values[i]):
                 self.check_slope(row, b)
 
-    @pytest.mark.parametrize("family", ["fh", BFH])
-    @pytest.mark.parametrize("dividend", [0.0, 0.08])
-    def test_rows_without_slopes(self, family, dividend):
-        # the certificate's rows: the full row's F, bit for bit, and no slope
-        cfg, p = SolverConfig(n=16, d=2, family=family), params_with(dividend)
-        values, full = solved_rows(cfg, p)
-        _, bare = solved_rows(cfg, p, slopes=False)
-        for i in (1, 2, 7, 16):
-            for b in (0.9 * values[i], values[i], 1.01 * values[i]):
-                f, df = full(i)(b)
-                assert df is not None and bare(i)(b) == (f, None)
-
 
 class ReadSlope(float):
     """A row's dF/db that appends ``tag`` to ``reads`` when it is first compared
@@ -391,11 +379,11 @@ class ReadSlope(float):
 
 def counted_slopes(row, reads, tag=None):
     """The row b -> (F, dF/db) with each slope Newton reads appended to ``reads`` as
-    ``tag``; a value-only row's (F, None) passes through."""
+    ``tag``."""
 
     def counted(b):
         f, df = row(b)
-        return f, (None if df is None else ReadSlope(df, reads, tag))
+        return f, ReadSlope(df, reads, tag)
 
     return counted
 
@@ -406,8 +394,8 @@ def counting_residual(monkeypatch):
     evals, slopes = [], []
     make = boundary._row_residual
 
-    def counted(*args, **kwargs):
-        *setup, build_row = make(*args, **kwargs)
+    def counted(cfg, p):
+        *setup, build_row = make(cfg, p)
 
         def build(i, *row_args):
             row = counted_slopes(build_row(i, *row_args), slopes, i)
@@ -424,8 +412,8 @@ def no_curvature_bound(monkeypatch):
     and each is evaluated, as in Kim's reference, which passes no bound."""
     make = boundary._row_residual
 
-    def unbounded(*args, **kwargs):
-        grid, interval, curv, build_row = make(*args, **kwargs)
+    def unbounded(cfg, p):
+        grid, interval, curv, build_row = make(cfg, p)
         return grid, interval, [(math.inf,) * 3] * len(curv), build_row
 
     monkeypatch.setattr(boundary, "_row_residual", unbounded)
@@ -562,14 +550,15 @@ class TestSlopeOnDemand:
 
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     def test_row_accepted_at_its_start_computes_none(self, dividend):
-        # the certificate's value-only rows return (F, None): a row Newton accepts
-        # at its start needs no slope
+        # a row that Newton accepts at its start reads no slope
         p = params_with(dividend)
-        values, row_at = solved_rows(SolverConfig(n=16, d=2), p, slopes=False)
+        values, row_at = solved_rows(SolverConfig(n=16, d=2), p)
         for i in (1, 2, 7, 16):
-            b, evals, _, steps = boundary._newton_scalar(row_at(i), values[i], 0.5 * values[i],
-                                                         100.0, 1e-12 * p.strike, i)
-            assert (b, evals, steps) == (values[i], 1, 1)
+            read = []
+            b, evals, _, steps = boundary._newton_scalar(counted_slopes(row_at(i), read),
+                                                         values[i], 0.5 * values[i], 100.0,
+                                                         1e-12 * p.strike, i)
+            assert (b, evals, steps, read) == (values[i], 1, 1, [])
 
 
 class TestCurvatureProof:
@@ -765,6 +754,16 @@ def test_largest_strike_raises_solver_error(n):
     p = dataclasses.replace(TABLE3_PARAMS, strike=1e308)
     with pytest.raises(boundary.SolverError, match="bisection stalled at row 1"):
         solve_boundary(SolverConfig(n=n, d=2), p)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("strike", [1e-300, 1e307])
+def test_certificate_at_far_strikes(strike, n):
+    # the certificate builds the solve's rows: at K = 1e307 their unused slope
+    # overflows in a dot, and it runs under the row loop's errstate to read F alone
+    p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
+    certificate = collocation_residuals(solve_boundary(SolverConfig(n=n, d=2), p))
+    assert np.all(np.isfinite(certificate)) and certificate.max() <= 1e-12 * strike
 
 
 @lru_cache(maxsize=None)

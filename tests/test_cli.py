@@ -288,6 +288,7 @@ class TestErrorHandling:
         ["boundary", "--vol", "1e-300", "--dividend", "0.08"],
         ["price", "--rate", "1e-17"],  # the perpetual exponent rounds to 0
         ["workprecision", "--vol", "1e-300", "--n-list", "8"],  # the tree's u = d
+        ["price", "--vol", "8"],  # the boundary interpolant dips below 0 near t = T
     ])
     def test_degenerate_market_exits_2(self, capsys, argv):
         code = main(argv)

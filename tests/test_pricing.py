@@ -197,6 +197,15 @@ class TestAmericanPutPrice:
         with pytest.raises(ValueError):
             american_put_price(3.5, 100.0, curve_n32_d2)
 
+    @pytest.mark.parametrize("vol,t", [(5.0, 0.2), (8.0, 3.0)])
+    def test_boundary_read_below_zero_raises(self, vol, t):
+        # the n = 32 interpolant of these steep first steps dips below 0 (to -3.2 near
+        # t = 0.135 at sigma = 5, and to -0.28 in the last tail at sigma = 8), where
+        # the premium's log would price NaN
+        curve = solve_boundary(SolverConfig(n=32, d=2), replace(TABLE3_PARAMS, volatility=vol))
+        with pytest.raises(ConfigurationError, match=r"boundary reads -\d.* <= 0 on t in \["):
+            american_put_price(t, 100.0, curve)
+
     @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_spot_rejected(self, curve_n32_d2, spot):
         with pytest.raises(ValueError, match="spot must be finite and > 0"):
