@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import ClassVar
 
@@ -224,7 +224,7 @@ def _start_weights(n: int) -> np.ndarray:
 
 
 def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: int,
-                   curv=(math.inf, math.inf, math.inf)) -> tuple[float, int, float, int]:
+                   curv=(math.inf,) * 3, scale: float = 1.0) -> tuple[float, int, float, int]:
     """Safeguarded scalar Newton on row(b) -> (F, dF/db) in [lo, hi], bisection fallback.
 
     One row call per residual eval; the bracket ends and bisection read its F alone.
@@ -236,6 +236,7 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
     or leaves [lo, hi], or _NEWTON_MAX_ITER steps, fall back to bisecting the same
     [lo, hi] until |F| <= tol_abs or the bracket is two adjacent doubles.  Returns
     (root, residual evals, |F|, Newton steps); fewer steps than evals means a fallback.
+    A SolverError prints its interval and residual times ``scale``, in the caller's units.
     """
     c2, c1, noise = curv
     b = min(max(float(x0), lo), hi)
@@ -256,8 +257,8 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
         if abs(fb) <= tol_abs:
             return b, evals, abs(fb), it
     if f_lo * f_hi > 0.0:
-        raise SolverError(f"no sign change on [{lo:.6g}, {hi:.6g}] at collocation row {step}, "
-                          f"min |F| {min(abs(f_lo), abs(f_hi)):.3e}")
+        raise SolverError(f"no sign change on [{lo * scale:.6g}, {hi * scale:.6g}] at collocation "
+                          f"row {step}, min |F| {min(abs(f_lo), abs(f_hi)) * scale:.3e}")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         evals += 1
         f_mid = row(mid)[0]
@@ -268,19 +269,22 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
         else:
             lo, f_lo = mid, f_mid
     raise SolverError(f"bisection stalled at row {step} with residual "
-                      f"{min(abs(f_lo), abs(f_hi)):.3e}")
+                      f"{min(abs(f_lo), abs(f_hi)) * scale:.3e}")
 
 
 def _row_residual(cfg: SolverConfig, p: MarketParams):
-    """Grid, (lower, b0, lo, hi), per-row curv and row builder on cfg.n intervals.
+    """Grid, (s, lower, b0, lo, hi), per-row curv and row builder on cfg.n intervals.
 
-    ``lower`` is the perpetual bound, ``b0`` the expiry limit and [lo, hi] the Newton
-    search interval.  ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <=
-    (c2 / b + c1) / b, b > 0, from max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max
-    |x phi(x)|, e^(-r tau) and e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each
-    row's largest |weight|, with S1_i, S2_i the sums of the lag tables' 1/sigma_l,
-    1/sigma_l^2 over lags l <= i.  ``noise`` estimates F_i's rounding: a d argument
-    splits ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
+    The rows solve the strike K / s in [1, 2), s = 2^(e - 1) from math.frexp(K) = (m, e):
+    the equation is homogeneous of degree one in (K, B, S), and a power of two scales it
+    exactly.  Every value here, b, F and dF/db included, is on that scale; times s it is in
+    K's units.  ``lower`` is the perpetual bound, ``b0`` the expiry limit and [lo, hi] the
+    Newton search interval.  ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <=
+    (c2 / b + c1) / b, b > 0, from max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|,
+    e^(-r tau) and e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each row's largest
+    |weight|, with S1_i, S2_i the sums of the lag tables' 1/sigma_l, 1/sigma_l^2 over lags
+    l <= i.  ``noise`` estimates F_i's rounding: a d argument splits ln b / sigma_l off and
+    so carries about eps |ln b| / sigma_l.
 
     build_row(i, prior, log_prior, rk) gives row i of the product-integrated boundary
     equation from B_0..B_(i-1) in ``prior``, their math.log values in ``log_prior``
@@ -296,8 +300,9 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     and are skipped.  Weight rows are unit-spacing: sqrt(h) is folded into
     ``pref`` and the kernel's lag table, h into ``delta_h``, both once per solve.
     """
-    grid = np.linspace(0.0, p.expiry, cfg.n + 1)
-    h = p.expiry / cfg.n
+    s = 2.0 ** (math.frexp(p.strike)[1] - 1)
+    p = replace(p, strike=p.strike / s)
+    grid, h = np.linspace(0.0, p.expiry, cfg.n + 1), p.expiry / cfg.n
     r, delta, vol = p.rate, p.dividend, p.volatility
     pref, delta_h, r_k = math.sqrt(h) / (vol * _SQRT_2PI), delta * h, r * p.strike
     tau = grid[:0:-1]
@@ -360,40 +365,34 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
 
         return row
 
-    return grid, (lower, b0, lo, hi), curv, build_row
+    return grid, (s, lower, b0, lo, hi), curv, build_row
 
 
 def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     """Solve the collocated boundary equations row by row on t_i = i T / n.
 
-    B_0 takes its analytic expiry limit and each later B_i solves its
-    scalar collocation equation given B_0..B_{i-1} (the Volterra structure
-    is lower triangular) by Newton in [lower / 2, B_0 + (B_0 - lower) / 2],
-    lower the perpetual bound: the discrete nodes of delta > r markets can
-    dip below it, and ``diagnostics.flags`` names every node outside
-    [lower, B_0].  Each row's Newton start is as in :func:`_start_weights`.
-    ``cfg.hybrid_m`` fills the curve by linear interpolation (see
-    :class:`SolverConfig`); the returned curve carries a Floater-Hormann
-    basis of order d on its stored nodes for evaluation between them.
+    B_0 takes its analytic expiry limit and each later B_i solves its scalar collocation
+    equation given B_0..B_{i-1} (the Volterra structure is lower triangular) by Newton in
+    [lower / 2, B_0 + (B_0 - lower) / 2], lower the perpetual bound: the discrete nodes of
+    delta > r markets can dip below it, and ``diagnostics.flags`` names every node outside
+    [lower, B_0].  Each row's Newton start is as in :func:`_start_weights`.  ``cfg.hybrid_m``
+    fills the curve by linear interpolation (see :class:`SolverConfig`); the returned curve
+    carries a Floater-Hormann basis of order d on its stored nodes for evaluation between
+    them.  The rows solve the strike K / s in [1, 2) (:func:`_row_residual`); the values,
+    the flag values and a SolverError's message are times s, in K's units.
     """
     if p.rate == 0.0:
         raise ValueError("rate = 0 makes early exercise worthless; "
                          "the boundary equation degenerates")
-    n = cfg.n
-    start, builds = time.perf_counter(), unit_weight_rows.cache_info().misses
-    grid, (lower, b0, lo, hi), curv, build_row = _row_residual(cfg, p)
-    start_w = _start_weights(n)
+    n, start, builds = cfg.n, time.perf_counter(), unit_weight_rows.cache_info().misses
+    grid, (s, lower, b0, lo, hi), curv, build_row = _row_residual(cfg, p)
+    start_w, unit = _start_weights(n), p.strike / s
     weights_s = time.perf_counter() - start
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * p.strike - p.dividend * b0
-    iterations = np.zeros(n + 1, dtype=int)
-    flags: list[tuple[int, str, float]] = []
-    newton_steps = 0
-    newton_start = time.perf_counter()
-    # below sigma ~ 1e-154 d2 * d2 overflows to inf, and exp(-inf) = 0 is the kernel's limit;
-    # near K = 1e308 a slope vector overflows to inf and meets e = 0 in a dot, a NaN that
-    # no row accepts (NaN fails |F| <= tol and lo <= b' <= hi), so it ends in SolverError
-    with np.errstate(over="ignore", invalid="ignore"):
+    values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * unit - p.dividend * b0
+    iterations, flags = np.zeros(n + 1, dtype=int), []
+    newton_steps, newton_start = 0, time.perf_counter()
+    with np.errstate(over="ignore"):  # below sigma ~ 1e-154 d2 * d2 is inf: e = 0, its limit
         for i in range(1, n + 1):
             if i >= _SQRT_START:
                 k = min(5, (i - 1) // 2)
@@ -402,19 +401,20 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                 guess = values[i - 1]
             b, iterations[i], _, steps = _newton_scalar(
                 build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
-                cfg.newton_tol * p.strike, i, curv[i - 1])
+                cfg.newton_tol * unit, i, curv[i - 1], s)
             if steps < iterations[i]:
                 flags.append((i, "bisection", float(iterations[i])))
-            if b - values[i - 1] > 1e-9 * p.strike:
-                flags.append((i, "non_monotone", float(b - values[i - 1])))
+            if b - values[i - 1] > 1e-9 * unit:
+                flags.append((i, "non_monotone", float(b - values[i - 1]) * s))
             if not lower <= b <= b0:
-                flags.append((i, "outside_bounds", b))
+                flags.append((i, "outside_bounds", b * s))
             newton_steps += steps
-            values[i], logs[i], rks[i] = b, math.log(b), p.rate * p.strike - p.dividend * b
+            values[i], logs[i], rks[i] = b, math.log(b), p.rate * unit - p.dividend * b
     newton_s = time.perf_counter() - newton_start
     if cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
+    values *= s
     values.setflags(write=False)
     iterations.setflags(write=False)
     diag = SolveDiagnostics(iterations=iterations, newton_steps=newton_steps, flags=tuple(flags),
@@ -452,16 +452,16 @@ def collocation_residuals(curve: BoundaryCurve) -> np.ndarray:
     """Re-evaluate every collocation equation at the solved values.
 
     Returns |F_i(B_i)| for i = 1..n (index 0 is the assigned expiry limit);
-    this is the residual certificate for an accepted solve.
+    this is the residual certificate for an accepted solve.  The solve's rows, read at
+    values / s, give times s Newton's eval-accepted |F| bit for bit (:func:`_row_residual`).
     """
-    cfg = curve.config
+    cfg, p = curve.config, curve.params
     if cfg.hybrid_m > 2:
         raise ValueError("residual certificate applies to plain solves only; "
                          "hybrid interior nodes are interpolated, not collocated")
-    p, values = curve.params, curve.values
-    *_, build_row = _row_residual(cfg, p)
+    _, (s, *_), _, build_row = _row_residual(cfg, p)
+    values = curve.values / s
     logs = np.array([math.log(b) for b in values])
-    rks = p.rate * p.strike - p.dividend * values
-    with np.errstate(over="ignore", invalid="ignore"):  # as the row loop; K = 1e307's slope overflows
-        return np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
+    rks = p.rate * (p.strike / s) - p.dividend * values
+    return s * np.array([abs(build_row(i, values[:i], logs[:i], rks[:i])(values[i])[0])
                          for i in range(1, cfg.n + 1)])

@@ -1,7 +1,9 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -45,12 +47,19 @@ def params_with(dividend, rate=0.08):
                         volatility=0.2)
 
 
+def row_scale(cfg, p):
+    """The s of boundary._row_residual(cfg, p): its rows solve the strike K / s in [1, 2)."""
+    return boundary._row_residual(cfg, p)[1][0]
+
+
 def solved_rows(cfg, p):
-    """The solved nodes and i -> row i of boundary._row_residual(cfg, p) at them."""
-    values = solve_boundary(cfg, p).values
+    """The solved nodes on the rows' scale, divided by ``row_scale``, and i -> row i of
+    boundary._row_residual(cfg, p) at them."""
+    s = row_scale(cfg, p)
+    values = solve_boundary(cfg, p).values / s
     *_, build_row = boundary._row_residual(cfg, p)
     logs = np.array([math.log(b) for b in values])
-    rks = p.rate * p.strike - p.dividend * values
+    rks = p.rate * (p.strike / s) - p.dividend * values
     return values, lambda i: build_row(i, values[:i], logs[:i], rks[:i])
 
 
@@ -332,6 +341,7 @@ class TestRowResidual:
         p = params_with(dividend)
         cfg = SolverConfig(n=n, d=d, family=family)
         values, row_at = solved_rows(cfg, p)
+        p = dataclasses.replace(p, strike=p.strike / row_scale(cfg, p))  # the rows' market
         grid = np.linspace(0.0, p.expiry, n + 1)
         h = p.expiry / n
         for i in (1, 2, 7, 16):
@@ -513,10 +523,12 @@ class TestResidualEvals:
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_certificate_repeats_solve_residuals(self, family, dividend, n, monkeypatch):
         # one residual for solve and certificate: a row accepted on an eval is
-        # rebuilt bit for bit, and a proved row certifies within its bound
+        # rebuilt bit for bit, and a proved row certifies within its bound, both
+        # on the rows' scale, where the certificate reads divided by s
+        cfg, p = SolverConfig(n=n, d=2, family=family), params_with(dividend)
         rows = recording_newton(monkeypatch)
-        curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params_with(dividend))
-        certificate = collocation_residuals(curve)
+        curve = solve_boundary(cfg, p)
+        certificate = collocation_residuals(curve) / row_scale(cfg, p)
         proved = np.array([p for _, p in rows])
         solved = np.array([out[2] for out, _ in rows])
         assert proved.any() and not proved.all()
@@ -534,14 +546,16 @@ class TestSlopeOnDemand:
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_one_slope_per_step(self, family, dividend, monkeypatch):
+        cfg, p = SolverConfig(n=32, d=2, family=family), params_with(dividend)
         evals, slopes = counting_residual(monkeypatch)
-        curve = solve_boundary(SolverConfig(n=32, d=2, family=family), params_with(dividend))
+        curve = solve_boundary(cfg, p)
+        values = curve.values / row_scale(cfg, p)  # the rows' scale, where evals are recorded
         diag = curve.diagnostics
         assert diag.bisections == 0 and diag.newton_steps == len(evals)
         row_evals = [[b for j, b in evals if j == i] for i in range(1, 33)]
         assert [len(bs) for bs in row_evals] == diag.iterations[1:].tolist()
-        accepted = [bs[-1] == curve.values[i] for i, bs in enumerate(row_evals, start=1)]
-        proved = [curve.values[i] not in bs for i, bs in enumerate(row_evals, start=1)]
+        accepted = [bs[-1] == values[i] for i, bs in enumerate(row_evals, start=1)]
+        proved = [values[i] not in bs for i, bs in enumerate(row_evals, start=1)]
         assert any(accepted) and not all(accepted)
         assert [not a for a in accepted] == proved
         assert ([slopes.count(i) for i in range(1, 33)]
@@ -551,13 +565,14 @@ class TestSlopeOnDemand:
     @pytest.mark.parametrize("dividend", [0.0, 0.08])
     def test_row_accepted_at_its_start_computes_none(self, dividend):
         # a row that Newton accepts at its start reads no slope
-        p = params_with(dividend)
-        values, row_at = solved_rows(SolverConfig(n=16, d=2), p)
+        cfg, p = SolverConfig(n=16, d=2), params_with(dividend)
+        values, row_at = solved_rows(cfg, p)
+        unit = p.strike / row_scale(cfg, p)
         for i in (1, 2, 7, 16):
             read = []
             b, evals, _, steps = boundary._newton_scalar(counted_slopes(row_at(i), read),
-                                                         values[i], 0.5 * values[i], 100.0,
-                                                         1e-12 * p.strike, i)
+                                                         values[i], 0.5 * values[i], unit,
+                                                         1e-12 * unit, i)
             assert (b, evals, steps, read) == (values[i], 1, 1, [])
 
 
@@ -583,19 +598,21 @@ class TestCurvatureProof:
     @pytest.mark.parametrize("family", ["fh", BFH])
     def test_bound_dominates_the_second_difference(self, family, dividend):
         # (F(b + e) - 2 F(b) + F(b - e)) / e^2 is F'' somewhere in [b - e, b + e],
-        # where M is largest at b - e; F'' scales as 1 / K, and so do bound and slack
+        # where M is largest at b - e; the rows solve the strike K / s in [1, 2), F''
+        # scales as 1 / (K / s), and so do bound and slack
         cfg = SolverConfig(n=32, d=2, family=family)
         for strike in (1e-100, 100.0, 1e100):
             p = dataclasses.replace(params_with(dividend), strike=strike)
-            _, (_, _, lo, hi), bounds, _ = boundary._row_residual(cfg, p)
+            _, (s, _, _, lo, hi), bounds, _ = boundary._row_residual(cfg, p)
             _, row_at = solved_rows(cfg, p)
+            unit = strike / s
             for i in (1, 2, 7, 32):
                 row = row_at(i)
                 c2, c1, _ = bounds[i - 1]
-                for b in np.linspace(lo + 0.01 * strike, hi - 0.01 * strike, 7):
+                for b in np.linspace(lo + 0.01 * unit, hi - 0.01 * unit, 7):
                     e = 1e-2 * b
                     second = (row(b + e)[0] - 2.0 * row(b)[0] + row(b - e)[0]) / (e * e)
-                    assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-6 / strike
+                    assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-6 / unit
 
     @pytest.mark.parametrize("rate,dividend,expiry,vol", [
         (0.2, 0.0, 0.25, 0.01), (0.2, 0.08, 0.25, 0.0063), (0.08, 0.08, 3.0, 1e-4)])
@@ -618,18 +635,20 @@ class TestCurvatureProof:
            n=st.sampled_from([16, 32, 64]), family=st.sampled_from(["fh", BFH]))
     def test_proved_rows_certify_within_half_the_tolerance_property(
             self, rate, dividend, vol, expiry, n, family):
+        cfg = SolverConfig(n=n, d=2, family=family)
         p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
                          volatility=vol)
         with pytest.MonkeyPatch.context() as mp:
             rows = recording_newton(mp)
             try:
-                curve = solve_boundary(SolverConfig(n=n, d=2, family=family), p)
+                curve = solve_boundary(cfg, p)
             except boundary.SolverError:
                 return  # the near-strike corner of the converge-or-raise property
-        certificate = collocation_residuals(curve)
+        s = row_scale(cfg, p)  # Newton's |F| are on the rows' scale, K / s in [1, 2)
+        certificate = collocation_residuals(curve) / s
         for i, (out, proved) in enumerate(rows, start=1):
             if proved:
-                assert certificate[i - 1] <= min(out[2], 0.5e-12 * p.strike)
+                assert certificate[i - 1] <= min(out[2], 0.5e-12 * p.strike / s)
 
     def test_newton_scalar_proves_a_step_without_its_eval(self):
         # F = (b - 70) + 1e-3 (b - 70)^2 has F'' = 2e-3 <= M(b) = 20 / b^2 on [60, 100]
@@ -690,7 +709,9 @@ class TestNewtonStart:
             return newton(f, x0, *args)
 
         monkeypatch.setattr(boundary, "_newton_scalar", recorded)
-        values = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS).values
+        cfg = SolverConfig(n=16, d=2)
+        # Newton starts on the rows' scale, K / s in [1, 2)
+        values = solve_boundary(cfg, TABLE3_PARAMS).values / row_scale(cfg, TABLE3_PARAMS)
         for i in range(1, boundary._SQRT_START):
             assert starts[i - 1] == values[i - 1]
         weights = boundary._start_weights(16)
@@ -730,6 +751,12 @@ class TestLowVolCorner:
         with pytest.raises(boundary.SolverError, match=r"at collocation row 1, "):
             solve_boundary(SolverConfig(n=n, d=2), self.P)
 
+    def test_message_in_the_callers_units(self):
+        # the rows solve K / 64 here; the message scales their interval back to K's units
+        with pytest.raises(boundary.SolverError, match=re.escape(
+                "no sign change on [49.6772, 100.323] at collocation row 1")):
+            solve_boundary(SolverConfig(n=16, d=2), self.P)
+
     def test_rise_is_flagged(self):
         curve = solve_boundary(SolverConfig(n=64, d=2), self.P)
         assert collocation_residuals(curve).max() <= 1e-12 * self.P.strike
@@ -748,12 +775,23 @@ def test_vanishing_volatility_raises_solver_error(vol):
 
 
 @pytest.mark.parametrize("n", [32, 128])
-def test_largest_strike_raises_solver_error(n):
-    # at K = 1e308 a slope vector overflows to inf and meets e = 0 in a dot; the NaN
-    # is no root, and the row fails as a solve, not with numpy's "invalid value" warning
-    p = dataclasses.replace(TABLE3_PARAMS, strike=1e308)
-    with pytest.raises(boundary.SolverError, match="bisection stalled at row 1"):
-        solve_boundary(SolverConfig(n=n, d=2), p)
+@pytest.mark.parametrize("strike", [3e307, 5e307, 1e308, 1.7e308])
+def test_largest_strikes_solve(strike, n):
+    # the rows see K / s in [1, 2), so neither the sqrt-t start nor a slope overflows
+    p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        certificate = collocation_residuals(solve_boundary(SolverConfig(n=n, d=2), p))
+    assert np.all(np.isfinite(certificate)) and certificate.max() <= 1e-12 * strike
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_solve_work_does_not_depend_on_the_strike(n):
+    # every strike reaches the rows in [1, 2), so the curvature proof accepts the same rows
+    evals = solve_boundary(SolverConfig(n=n, d=2), TABLE3_PARAMS).diagnostics.residual_evals
+    for strike in (1e-300, 1e-100, 1.0, 80.0, 117.3, 1e100, 1e300, 1e307, 1.7e308):
+        p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
+        assert solve_boundary(SolverConfig(n=n, d=2), p).diagnostics.residual_evals == evals
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -785,6 +823,16 @@ def test_boundary_scales_with_the_strike_property(u, family):
     np.testing.assert_allclose(curve.values / strike, nodes, rtol=1e-12, atol=0.0)
     assert american_put_price(3.0, strike, curve).value / strike == pytest.approx(
         price, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["fh", BFH])
+@pytest.mark.parametrize("k", [-900, -3, 1, 10, 1000])
+def test_power_of_two_strikes_scale_bit_for_bit(k, family):
+    # K = 100 * 2^k reaches the rows as K = 100 does, and a power of two scales exactly
+    p = dataclasses.replace(TABLE3_PARAMS, strike=math.ldexp(100.0, k))
+    curve = solve_boundary(SolverConfig(n=32, d=2, family=family), p)
+    nodes = solve_boundary(SolverConfig(n=32, d=2, family=family), TABLE3_PARAMS).values
+    np.testing.assert_array_equal(curve.values, np.ldexp(nodes, k))
 
 
 class TestFlags:
