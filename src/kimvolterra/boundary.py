@@ -272,19 +272,25 @@ def _newton_scalar(row, x0: float, lo: float, hi: float, tol_abs: float, step: i
                       f"{min(abs(f_lo), abs(f_hi)) * scale:.3e}")
 
 
+def _strike_scale(strike: float) -> float:
+    """The power of two s with K / s in [1, 2): the rows' scale.  A subnormal K raises."""
+    if strike < 2.0 ** -1022:  # sys.float_info.min; below it the nodes, times s, lose bits
+        raise ConfigurationError(f"strike {strike!r} is subnormal, below {2.0 ** -1022!r}")
+    return 2.0 ** (math.frexp(strike)[1] - 1)
+
+
 def _row_residual(cfg: SolverConfig, p: MarketParams):
     """Grid, (s, lower, b0, lo, hi), per-row curv and row builder on cfg.n intervals.
 
-    The rows solve the strike K / s in [1, 2), s = 2^(e - 1) from math.frexp(K) = (m, e):
-    the equation is homogeneous of degree one in (K, B, S), and a power of two scales it
-    exactly.  Every value here, b, F and dF/db included, is on that scale; times s it is in
-    K's units.  ``lower`` is the perpetual bound, ``b0`` the expiry limit and [lo, hi] the
-    Newton search interval.  ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <=
-    (c2 / b + c1) / b, b > 0, from max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|,
-    e^(-r tau) and e^(-delta tau) <= 1, |r K - delta B| on [lo, hi] and each row's largest
-    |weight|, with S1_i, S2_i the sums of the lag tables' 1/sigma_l, 1/sigma_l^2 over lags
-    l <= i.  ``noise`` estimates F_i's rounding: a d argument splits ln b / sigma_l off and
-    so carries about eps |ln b| / sigma_l.
+    The rows solve the strike K / s in [1, 2), s = :func:`_strike_scale` (K): the equation is
+    homogeneous of degree one in (K, B, S), and a power of two scales it exactly.  Every value
+    here, b, F and dF/db included, is on that scale; times s it is in K's units.  ``lower`` is
+    the perpetual bound, ``b0`` the expiry limit and [lo, hi] the Newton search interval.
+    ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <= (c2 / b + c1) / b, b > 0, from
+    max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|, e^(-r tau) and e^(-delta tau) <= 1,
+    |r K - delta B| on [lo, hi] and each row's largest |weight|, with S1_i, S2_i the sums of the
+    lag tables' 1/sigma_l, 1/sigma_l^2 over lags l <= i.  ``noise`` estimates F_i's rounding: a d
+    argument splits ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
 
     build_row(i, prior, log_prior, rk) gives row i of the product-integrated boundary
     equation from B_0..B_(i-1) in ``prior``, their math.log values in ``log_prior``
@@ -300,7 +306,7 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     and are skipped.  Weight rows are unit-spacing: sqrt(h) is folded into
     ``pref`` and the kernel's lag table, h into ``delta_h``, both once per solve.
     """
-    s = 2.0 ** (math.frexp(p.strike)[1] - 1)
+    s = _strike_scale(p.strike)
     p = replace(p, strike=p.strike / s)
     grid, h = np.linspace(0.0, p.expiry, cfg.n + 1), p.expiry / cfg.n
     r, delta, vol = p.rate, p.dividend, p.volatility
@@ -378,7 +384,7 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     [lower, B_0].  Each row's Newton start is as in :func:`_start_weights`.  ``cfg.hybrid_m``
     fills the curve by linear interpolation (see :class:`SolverConfig`); the returned curve
     carries a Floater-Hormann basis of order d on its stored nodes for evaluation between
-    them.  The rows solve the strike K / s in [1, 2) (:func:`_row_residual`); the values,
+    them.  The rows solve the strike K / s in [1, 2) (:func:`_strike_scale`); the values,
     the flag values and a SolverError's message are times s, in K's units.
     """
     if p.rate == 0.0:
@@ -428,13 +434,13 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
 def eval_boundary(curve: BoundaryCurve, t):
     """Evaluate the solved boundary at time-to-expiry t in [0, T].
 
-    The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``, exact at
-    the nodes; off them a value repeats bit for bit only in the same call layout, as BLAS
-    may sum its row in another order beside other points (an ulp at t = 1.375, Table-3
-    market, n = 16).  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an array of its
-    length; ``basis_matrix`` rejects other shapes.  A read <= 0 raises ConfigurationError.
+    The barycentric interpolant ``basis_matrix(curve.basis, t) @ curve.values``, read on K / s
+    (:func:`_strike_scale`), is exact at the nodes; off them a value repeats bit for bit only in
+    the same call layout, as BLAS may sum its row in another order beside other points (an ulp at
+    t = 1.375, Table-3 market, n = 16).  A scalar or 0-d ``t`` gives a float, a 1-D ``t`` an array
+    of its length; ``basis_matrix`` rejects other shapes.  A read <= 0 raises ConfigurationError.
     """
-    T = curve.params.expiry
+    T, s = curve.params.expiry, _strike_scale(curve.params.strike)
     tol = 1e-12 * T
     t_arr = np.asarray(t, dtype=float)
     # a NaN makes both NaN; the initial values let an empty t through, as before
@@ -442,7 +448,7 @@ def eval_boundary(curve: BoundaryCurve, t):
     if not (lo >= -tol and hi <= T + tol):
         raise ValueError(f"t must lie in [0, {T}], got {t!r}")
     ts = np.clip(t_arr, 0.0, T) if lo < 0.0 or hi > T else t_arr  # np.clip costs more
-    ys = barycentric.basis_matrix(curve.basis, ts).dot(curve.values)
+    ys = s * barycentric.basis_matrix(curve.basis, ts).dot(curve.values / s)
     if not (low := ys.min(initial=math.inf)) > 0.0:  # a steep first step can dip below 0
         raise ConfigurationError(f"boundary reads {low:.6g} <= 0 on t in [{lo:.6g}, {hi:.6g}]")
     return float(ys[0]) if t_arr.ndim == 0 else ys

@@ -202,6 +202,16 @@ def test_criterion_10_value_matching(curve_n64_d3):
     assert gap <= 1e-2
 
 
+def test_value_matching_from_the_continuation_side(curve_n64_d3):
+    # criterion 10's gap at S = B(T) is the payoff by construction; just above B(T) the put
+    # takes the premium from every node, so a boundary 1e-3 K off moves the gap past 2e-2
+    spot = float(eval_boundary(curve_n64_d3, 3.0)) * (1.0 + 1e-9)
+    gap = american_put_price(3.0, spot, curve_n64_d3).value - (100.0 - spot)
+    report(10, "value matching from the continuation side", abs(gap) <= 1e-3,
+           f"P - payoff = {gap:.2e} at S = B(T)(1 + 1e-9)")
+    assert abs(gap) <= 1e-3
+
+
 def test_criterion_11_hybrid_speedup():
     m = 4
     coarse_nodes = 17

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import re
+import sys
 import time
 import tracemalloc
 import warnings
@@ -49,7 +51,7 @@ def params_with(dividend, rate=0.08):
 
 def row_scale(cfg, p):
     """The s of boundary._row_residual(cfg, p): its rows solve the strike K / s in [1, 2)."""
-    return boundary._row_residual(cfg, p)[1][0]
+    return boundary._strike_scale(p.strike)
 
 
 def solved_rows(cfg, p):
@@ -797,8 +799,8 @@ def test_solve_work_does_not_depend_on_the_strike(n):
 @pytest.mark.parametrize("n", [32, 128])
 @pytest.mark.parametrize("strike", [1e-300, 1e307])
 def test_certificate_at_far_strikes(strike, n):
-    # the certificate builds the solve's rows: at K = 1e307 their unused slope
-    # overflows in a dot, and it runs under the row loop's errstate to read F alone
+    # the certificate builds the solve's rows on K / s in [1, 2) and reads them at
+    # values / s, so neither F nor the unused slope overflows at K = 1e307
     p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
     certificate = collocation_residuals(solve_boundary(SolverConfig(n=n, d=2), p))
     assert np.all(np.isfinite(certificate)) and certificate.max() <= 1e-12 * strike
@@ -826,13 +828,63 @@ def test_boundary_scales_with_the_strike_property(u, family):
 
 
 @pytest.mark.parametrize("family", ["fh", BFH])
-@pytest.mark.parametrize("k", [-900, -3, 1, 10, 1000])
+@pytest.mark.parametrize("k", [-900, -3, 1, 10, 1000, 1017])
 def test_power_of_two_strikes_scale_bit_for_bit(k, family):
-    # K = 100 * 2^k reaches the rows as K = 100 does, and a power of two scales exactly
+    # K = 100 * 2^k reaches the rows as K = 100 does, and a power of two scales exactly;
+    # the reads run on the rows' scale too, so at k = 1017 (K ~ 1.4e308) no dot overflows
     p = dataclasses.replace(TABLE3_PARAMS, strike=math.ldexp(100.0, k))
-    curve = solve_boundary(SolverConfig(n=32, d=2, family=family), p)
-    nodes = solve_boundary(SolverConfig(n=32, d=2, family=family), TABLE3_PARAMS).values
-    np.testing.assert_array_equal(curve.values, np.ldexp(nodes, k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = solve_boundary(SolverConfig(n=32, d=2, family=family), p)
+        base = solve_boundary(SolverConfig(n=32, d=2, family=family), TABLE3_PARAMS)
+        np.testing.assert_array_equal(curve.values, np.ldexp(base.values, k))
+        ts = np.linspace(0.0, 3.0, 401)
+        np.testing.assert_array_equal(eval_boundary(curve, ts),
+                                      np.ldexp(eval_boundary(base, ts), k))
+        for spot, t in itertools.product((70.0, 80.0, 90.0, 100.0, 105.0, 120.0),
+                                         (3.0, 1.1, 0.2)):
+            assert american_put_price(t, math.ldexp(spot, k), curve).value == \
+                math.ldexp(american_put_price(t, spot, base).value, k)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("dividend", [0.0, 0.08])
+def test_prices_at_the_largest_strike_scale_with_the_strike(dividend, n):
+    # the reads run on K / s, so at K = 1.7e308 no dot overflows and P / K repeats K = 100's
+    p = dataclasses.replace(TABLE3_PARAMS, dividend=dividend)
+    far = dataclasses.replace(p, strike=1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve, base = (solve_boundary(SolverConfig(n=n, d=2), q) for q in (far, p))
+        for x, t in itertools.product((0.8, 0.9, 1.0, 1.05), (3.0, 1.1)):
+            assert american_put_price(t, x * far.strike, curve).value / far.strike == \
+                pytest.approx(american_put_price(t, x * 100.0, base).value / 100.0,
+                              rel=2e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("strike", [1e-320, 5e-324, math.nextafter(2**-1022, 0)])
+def test_subnormal_strikes_raise(strike):
+    # a subnormal K's nodes, stored on K's scale, would be subnormal and lose bits
+    p = dataclasses.replace(TABLE3_PARAMS, strike=strike)
+    with pytest.raises(ConfigurationError, match="subnormal"):
+        solve_boundary(SolverConfig(n=32, d=2), p)
+
+
+@pytest.mark.parametrize("dividend", [0.0, 0.08, 0.5])
+def test_smallest_normal_strike_scales_with_the_strike(dividend):
+    # at K = 2^-1022 the stored nodes below K are subnormal: B = 0.15 K keeps about 50 bits
+    p = dataclasses.replace(TABLE3_PARAMS, dividend=dividend)
+    tiny = dataclasses.replace(p, strike=sys.float_info.min)
+    curve = solve_boundary(SolverConfig(n=32, d=2), tiny)
+    base = solve_boundary(SolverConfig(n=32, d=2), p)
+    assert collocation_residuals(curve).max() <= 1e-12 * tiny.strike
+    np.testing.assert_allclose(curve.values / tiny.strike, base.values / 100.0,
+                               rtol=1e-15, atol=0.0)
+    for x, t in itertools.product((0.8, 0.9, 1.0, 1.05), (3.0, 1.1)):
+        # the price itself is subnormal here, so it keeps fewer bits than the nodes
+        assert american_put_price(t, x * tiny.strike, curve).value / tiny.strike == \
+            pytest.approx(american_put_price(t, x * 100.0, base).value / 100.0,
+                          rel=2e-14, abs=0.0)
 
 
 class TestFlags:

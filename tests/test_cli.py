@@ -289,6 +289,7 @@ class TestErrorHandling:
         ["price", "--rate", "1e-17"],  # the perpetual exponent rounds to 0
         ["workprecision", "--vol", "1e-300", "--n-list", "8"],  # the tree's u = d
         ["price", "--vol", "8"],  # the boundary interpolant dips below 0 near t = T
+        ["price", "--strike", "1e-320"],  # a subnormal strike has no exact scale
     ])
     def test_degenerate_market_exits_2(self, capsys, argv):
         code = main(argv)
