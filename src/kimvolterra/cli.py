@@ -66,24 +66,17 @@ def _fmt_err(v: float) -> str:
     return f"{v:.1e}"
 
 
-def _parse_spots(text: str) -> list[float]:
-    try:
-        spots = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad spot list {text!r}") from exc
-    if not spots or not all(math.isfinite(s) and s > 0.0 for s in spots):
-        raise argparse.ArgumentTypeError(f"spots must be finite and positive, got {text!r}")
-    return spots
-
-
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
-    if not values or values != sorted(values):
-        raise argparse.ArgumentTypeError("grid sizes must be an ascending list")
-    return values
+def _comma_list(kind, noun: str, ok, rule: str):
+    """An argparse type: a comma list of ``kind`` that ``ok`` accepts, or ``rule.format(text)``."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {noun} list {text!r}") from exc
+        if not values or not ok(values):
+            raise argparse.ArgumentTypeError(rule.format(text))
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                              f"omitted; other commands default to {TABLE3_PARAMS.dividend})")
     market.add_argument("--vol", type=float, default=TABLE3_PARAMS.volatility)
 
+    # None defaults resolve in code: subparsers share parent Actions, so set_defaults(d=) sets all
     scheme = argparse.ArgumentParser(add_help=False)
     scheme.add_argument("--d", type=int, default=None, help="rational blending order")
     scheme.add_argument("--m", type=int, default=None,
@@ -127,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
                            help="price given spots")
     price.set_defaults(run=cmd_price)
-    price.add_argument("--spots", type=_parse_spots, default=None,
+    price.add_argument("--spots", default=None,
+                       type=_comma_list(float, "spot", lambda v: all(0.0 < x < math.inf for x in v),
+                                        "spots must be finite and positive, got {!r}"),
                        help="comma-separated spot prices")
     sub.add_parser("convergence", parents=[output],
                    help="interpolation convergence orders on exp(t)"
@@ -138,7 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     wp = sub.add_parser("workprecision", parents=[market, scheme, output],
                         help="wall time and error per (method, n) cell")
     wp.set_defaults(run=cmd_workprecision)
-    wp.add_argument("--n-list", type=_parse_int_list, default=[8, 16, 32, 64],
+    wp.add_argument("--n-list", default=[8, 16, 32, 64],
+                    type=_comma_list(int, "integer", lambda v: v == sorted(v),
+                                     "grid sizes must be an ascending list"),
                     help="ascending comma-separated grid sizes")
     return parser
 

@@ -767,6 +767,19 @@ class TestLowVolCorner:
         for row in (4, 5, 6):
             assert 0.005 < rises[row] < 0.01
 
+    # R = sigma sqrt(T / n) / ln(B_0 / lower) is 2.947 here at n = 64, so a floor at R = 3 lets
+    # it through, yet row 32 finds no sign change; at n = 128 (R = 2.084) it solves
+    LATE = MarketParams(strike=100.0, expiry=6.1, rate=0.265, dividend=0.008, volatility=0.054)
+
+    @pytest.mark.xfail(raises=boundary.SolverError, strict=True,
+                       reason="no sign change at collocation row 32 (ROADMAP item 19)")
+    def test_late_row_solves_at_n_64(self):
+        solve_boundary(SolverConfig(n=64, d=2), self.LATE)
+
+    def test_late_row_market_solves_at_n_128(self):
+        curve = solve_boundary(SolverConfig(n=128, d=2), self.LATE)
+        assert collocation_residuals(curve).max() <= 1e-12 * self.LATE.strike
+
 
 @pytest.mark.parametrize("vol", [1e-155, 1e-160])
 def test_vanishing_volatility_raises_solver_error(vol):
@@ -785,6 +798,25 @@ def test_largest_strikes_solve(strike, n):
         warnings.simplefilter("error")
         certificate = collocation_residuals(solve_boundary(SolverConfig(n=n, d=2), p))
     assert np.all(np.isfinite(certificate)) and certificate.max() <= 1e-12 * strike
+
+
+@pytest.mark.parametrize("family,d,dividend,expiry,n,m,tol", [
+    *[(family, 2, dividend, 1.0, 64, 3, 0.0) for family in ("fh", BFH) for dividend in (0.0, 0.08)],
+    # the n = 192 table's leading block is not the n = 48 table bit for bit, and here it shows
+    ("fh", 3, 0.5, 0.75, 48, 4, 1e-13),
+])
+def test_rows_do_not_depend_on_the_horizon(family, d, dividend, expiry, n, m, tol):
+    """Rows 0..n of the solve on (m T, m n) are the solve on (T, n): one spacing, one equation."""
+    p = params_with(dividend)
+    short = solve_boundary(SolverConfig(n=n, d=d, family=family),
+                           dataclasses.replace(p, expiry=expiry))
+    long = solve_boundary(SolverConfig(n=m * n, d=d, family=family),
+                          dataclasses.replace(p, expiry=m * expiry))
+    np.testing.assert_array_equal(long.grid[:n + 1], short.grid)
+    np.testing.assert_allclose(long.values[:n + 1], short.values, rtol=0.0, atol=tol * p.strike)
+    if tol == 0.0:
+        np.testing.assert_array_equal(long.diagnostics.iterations[:n + 1],
+                                      short.diagnostics.iterations)
 
 
 @pytest.mark.parametrize("n", [32, 128])

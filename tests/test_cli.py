@@ -272,6 +272,23 @@ class TestErrorHandling:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["price", "--spots", "nan"], "spots must be finite and positive, got 'nan'"),
+        (["price", "--spots", "abc"], "bad spot list 'abc'"),
+        (["workprecision", "--n-list", "8,2"], "grid sizes must be an ascending list"),
+        (["workprecision", "--n-list", "x"], "bad integer list 'x'"),
+    ])
+    def test_bad_list_names_its_rule(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert message in capsys.readouterr().err
+
+    def test_lists_skip_empty_entries(self):
+        args = cli.build_parser().parse_args(["price", "--spots", "80,,100, "])
+        assert args.spots == [80.0, 100.0]
+        args = cli.build_parser().parse_args(["workprecision", "--n-list", "8, 16"])
+        assert args.n_list == [8, 16]
+
     def test_workprecision_n_below_d_plus_1_fails_its_rows(self, tmp_path):
         code, data = run(tmp_path, "w.csv", ["workprecision", "--n-list", "2,8"])
         assert code == 1
