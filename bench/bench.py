@@ -35,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +44,13 @@ import scipy
 import kimvolterra
 from kimvolterra import (FH, MarketParams, SolverConfig, SolverError, american_put_price,
                          binomial_american_put, clear_weight_cache, solve_boundary)
+from kimvolterra.cli import BINOMIAL_STEPS, TABLE3_PARAMS, TABLE3_SPOTS
 from kimvolterra.quadrature import unit_weight_rows
 
-SPOTS = (80.0, 90.0, 100.0, 110.0, 120.0)
 DIVIDENDS = (0.0, 0.08)
 FLAG_KINDS = ("non_monotone", "outside_bounds", "bisection")
 SWEEP = {"rate": (0.02, 0.05, 0.08), "dividend": (0.0, 0.08, 0.2, 0.5),
          "volatility": (0.1, 0.2, 0.4), "expiry": (0.25, 1.0, 3.0, 10.0)}
-BINOMIAL_STEPS = 10_000
-TABLE3 = {"strike": 100.0, "expiry": 3.0, "rate": 0.08, "volatility": 0.2}
 
 
 def machine() -> dict:
@@ -76,7 +75,7 @@ def run_once(cfg: SolverConfig, params: MarketParams) -> tuple[object, list[floa
     builds = unit_weight_rows.cache_info().misses
     start = time.perf_counter()
     curve = solve_boundary(cfg, params)
-    results = [american_put_price(params.expiry, spot, curve) for spot in SPOTS]
+    results = [american_put_price(params.expiry, spot, curve) for spot in TABLE3_SPOTS]
     wall = time.perf_counter() - start
     diag = curve.diagnostics
     return curve, [r.value for r in results], {
@@ -121,7 +120,7 @@ def sweep(n: int) -> dict:
         evals += curve.diagnostics.residual_evals
         for kind in {kind for _, kind, _ in curve.diagnostics.flags}:
             flagged[kind] += 1
-        prices = [american_put_price(params.expiry, spot, curve).value for spot in SPOTS]
+        prices = [american_put_price(params.expiry, spot, curve).value for spot in TABLE3_SPOTS]
         digest.update(curve.values.tobytes())
         digest.update(np.array(prices).tobytes())
     return {"n": n, "cases": len(markets),
@@ -141,11 +140,12 @@ def main(argv=None) -> int:
                                                                           (32, 128))
     table3 = []
     for dividend in DIVIDENDS:
-        params = MarketParams(dividend=dividend, **TABLE3)
-        reference = [float(v) for v in binomial_american_put(BINOMIAL_STEPS, SPOTS, params)]
+        params = replace(TABLE3_PARAMS, dividend=dividend)
+        reference = [float(v)
+                     for v in binomial_american_put(BINOMIAL_STEPS, TABLE3_SPOTS, params)]
         table3 += [table3_case(n, params, runs, reference) for n in sizes]
     report = {"tag": args.tag, "quick": args.quick, "machine": machine(),
-              "spots": list(SPOTS), "binomial_steps": BINOMIAL_STEPS, "table3": table3,
+              "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS, "table3": table3,
               "sweep": [sweep(n) for n in sweep_sizes]}
     out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")

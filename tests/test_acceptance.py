@@ -7,6 +7,7 @@ same information.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from kimvolterra import (
     solve_boundary,
 )
 
-from conftest import TABLE3_BIN_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS
+from conftest import FIXED_POINT_PRICES, TABLE3_BIN_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -58,6 +59,23 @@ def test_criterion_02_method_accuracy(bin_references):
            f"{'met' if worst <= 5e-4 else 'missed'}, runtime {elapsed:.1f}s")
     assert worst <= 1e-3
     assert elapsed < 30.0
+
+
+@pytest.mark.parametrize("family", ["fh", "bfh"])
+@pytest.mark.parametrize("dividend,n,tolerance", [(0.08, 64, 1e-4), (0.0, 128, 5e-4)])
+def test_prices_within_the_fixed_point_reference(family, dividend, n, tolerance):
+    # beside criterion 02, whose tree is itself about 2e-4 off at S = 100: the fixed point is
+    # good to 1e-8, so the bounds hold the method's own error (fh 5.3e-5 and bfh 7.4e-5 at
+    # delta = 0.08, fh 2.0e-4 and bfh 2.4e-4 at delta = 0)
+    params = replace(TABLE3_PARAMS, dividend=dividend)
+    curve = solve_boundary(SolverConfig(n=n, d=2, family=family), params)
+    reference = FIXED_POINT_PRICES[dividend]
+    worst = max(abs(american_put_price(params.expiry, s, curve).value - reference[s])
+                for s in TABLE3_SPOTS)
+    report(2, f"five-point pricing against the fixed point ({family}, delta = {dividend}, "
+              f"n = {n})", worst <= tolerance,
+           f"max |price - FP-B| = {worst:.2e}, tolerance {tolerance:.0e}")
+    assert worst <= tolerance
 
 
 def test_criterion_03_boundary_limits(figure1_curves):

@@ -380,3 +380,95 @@ def test_golden_csv(tmp_path, name, argv):
     code, data = run(tmp_path, name, argv)
     assert code == 0
     assert data == (GOLDEN / name).read_bytes()
+
+
+def _no_inf(text):
+    assert "inf" not in text
+
+
+def _at_least_payoff(text):
+    # S = 1.001 B(T): the put lies above the boundary, so it is worth at least its payoff
+    assert float(json.loads(text)["rows"][0]["value"]) >= 22.8417
+
+
+# The CLI's regression pins: each row once ran as a CI step of its own through the installed
+# console script, in a fresh process with no weight tables; the comment above it is that
+# step's name without "through the console script".  Add a new pin as a row here.
+CONSOLE_PINS = [
+    # Table-3 benchmark
+    pytest.param(["table3", "--format", "json"], 0, None, id="table3"),
+    # Hybrid solves
+    pytest.param(["workprecision", "--n-list", "8,16", "--m", "3", "--format", "json"], 0, None,
+                 id="workprecision-hybrid"),
+    # Boundary JSON output
+    pytest.param(["boundary", "--format", "json"], 0, None, id="boundary-json"),
+    # Blocked weight-row builder at n = 256
+    pytest.param(["boundary", "--n", "256", "--format", "json"], 0, None, id="boundary-n256"),
+    # Lebesgue constants
+    pytest.param(["lebesgue", "--format", "json"], 0, None, id="lebesgue"),
+    # Berrut-product (bfh) solve
+    pytest.param(["price", "--family", "bfh", "--format", "json"], 0, None, id="price-bfh"),
+    # Hybrid-curve pricing
+    pytest.param(["price", "--m", "3", "--spots", "80,100,120", "--format", "json"], 0, None,
+                 id="price-hybrid"),
+    # Row-1 root below the perpetual bound
+    pytest.param(["price", "--rate", "0.02", "--dividend", "0.5", "--vol", "0.1",
+                  "--expiry", "10", "--n", "32", "--format", "json"], 0, None,
+                 id="row1-below-perpetual"),
+    # Curvature-proved Newton rows on a delta > r market whose nodes dip below the
+    # perpetual bound, at n = 256
+    pytest.param(["price", "--n", "256", "--dividend", "0.5", "--vol", "0.1",
+                  "--expiry", "10", "--format", "json"], 0, None, id="curvature-rows-n256"),
+    # A non-finite spot is a usage error (exit 2)
+    pytest.param(["price", "--spots", "nan"], 2, None, id="spot-nan"),
+    # A hybrid fill below 2 is a configuration error (exit 2)
+    pytest.param(["workprecision", "--n-list", "8", "--m", "1"], 2, None, id="hybrid-m1"),
+    # A volatility whose square underflows is a configuration error (exit 2)
+    pytest.param(["price", "--vol", "1e-170"], 2, None, id="vol-1e-170"),
+    # A strike of 1e200 solves
+    pytest.param(["price", "--strike", "1e200", "--spots", "1e200", "--format", "json"], 0, None,
+                 id="strike-1e200"),
+    # A volatility whose d2 squares past the float range is a solver failure (exit 3)
+    # without a warning
+    pytest.param(["price", "--vol", "1e-160"], 3, None, id="vol-1e-160"),
+    # A volatility whose boundary interpolant dips below zero near t = T is a
+    # configuration error (exit 2) without a warning
+    pytest.param(["price", "--vol", "8"], 2, None, id="vol-8"),
+    # A strike of 1e308, which the rows see as K / 2^1022 in [1, 2), solves (exit 0)
+    # without a warning
+    pytest.param(["price", "--strike", "1e308", "--spots", "1e308", "--n", "128"], 0, None,
+                 id="strike-1e308"),
+    # A strike of 3e307, whose sqrt-t start overflowed to inf - inf at the unscaled K, solves
+    pytest.param(["price", "--strike", "3e307", "--spots", "3e307", "--n", "32",
+                  "--format", "json"], 0, None, id="strike-3e307"),
+    # A strike of 1.7e308, whose boundary reads run on K / 2^1023, prices (exit 0)
+    # without a warning
+    pytest.param(["price", "--strike", "1.7e308", "--spots", "1.36e308", "--n", "128"], 0, None,
+                 id="strike-1.7e308"),
+    # A strike of 1e308 prints its boundary (exit 0) with no inf and no warning
+    pytest.param(["boundary", "--strike", "1e308", "--dividend", "0.08", "--n", "64",
+                  "--format", "csv"], 0, _no_inf, id="boundary-strike-1e308"),
+    # A subnormal strike is a configuration error (exit 2)
+    pytest.param(["price", "--strike", "1e-320", "--spots", "1e-320"], 2, None,
+                 id="strike-subnormal"),
+    # A spot 0.1% above B(T) prices at least its payoff 22.8417
+    pytest.param(["price", "--strike", "114.20837921082617", "--expiry", "2",
+                  "--rate", "0.06863049275243101", "--dividend", "0.0445198020560671",
+                  "--vol", "0.15804837321889428", "--n", "128",
+                  "--spots", "91.36670336866094", "--format", "json"], 0, _at_least_payoff,
+                 id="above-boundary"),
+]
+
+
+@pytest.mark.filterwarnings("error")  # several steps failed on a "Warning" in their stderr
+@pytest.mark.parametrize("argv,code,check", CONSOLE_PINS)
+def test_console_script_pin(capsys, argv, code, check):
+    clear_weight_cache()
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    if check is not None:
+        check(captured.out + captured.err)
