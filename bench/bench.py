@@ -14,8 +14,13 @@ running it against another checkout's ``src/`` measures that checkout.
   ``clear_weight_cache()`` and warm runs reuse the tables; the two
   alternate, 9 of each (3 with ``--quick``).  Times are the median and
   quartiles in seconds; ``residual_evals``, ``table_builds`` (misses of the
-  unit weight-table cache) and ``error_vs_bin10000`` (largest |price -
-  BIN(10000)| over the five spots) are deterministic.
+  unit weight-table cache), ``error_vs_bin10000`` (largest |price -
+  BIN(10000)| over the five spots) and ``error_vs_fixed_point`` (the same
+  against the fixed-point values of ``tests/data/fixed_point_prices.json``)
+  are deterministic.
+* ``to_tolerance``: per delta and tolerance in {1e-4, 1e-5}, the smallest
+  run n whose ``error_vs_fixed_point`` is within it and that case's cold
+  ``wall_s`` median, both null when no n is.
 * ``sweep``: r in {0.02, 0.05, 0.08}, delta in {0, 0.08, 0.2, 0.5}, sigma in
   {0.1, 0.2, 0.4}, T in {0.25, 1, 3, 10}, K = 100, fh, d = 2, at n = 32 and
   128: the ``SolverError``s, the curves with each flag kind, the residual
@@ -48,6 +53,8 @@ from kimvolterra.cli import BINOMIAL_STEPS, TABLE3_PARAMS, TABLE3_SPOTS
 from kimvolterra.quadrature import unit_weight_rows
 
 DIVIDENDS = (0.0, 0.08)
+FIXED_POINT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixed_point_prices.json"
+TOLERANCES = (1e-4, 1e-5)
 FLAG_KINDS = ("non_monotone", "outside_bounds", "bisection")
 SWEEP = {"rate": (0.02, 0.05, 0.08), "dividend": (0.0, 0.08, 0.2, 0.5),
          "volatility": (0.1, 0.2, 0.4), "expiry": (0.25, 1.0, 3.0, 10.0)}
@@ -84,7 +91,8 @@ def run_once(cfg: SolverConfig, params: MarketParams) -> tuple[object, list[floa
         "table_builds": unit_weight_rows.cache_info().misses - builds}
 
 
-def table3_case(n: int, params: MarketParams, runs: int, reference: list[float]) -> dict:
+def table3_case(n: int, params: MarketParams, runs: int, reference: list[float],
+                fixed_point: list[float]) -> dict:
     cfg = SolverConfig(n=n, d=2, family=FH)
     samples = {"cold": [], "warm": []}
     for _ in range(runs):
@@ -96,13 +104,26 @@ def table3_case(n: int, params: MarketParams, runs: int, reference: list[float])
     evals = curve.diagnostics.residual_evals
     case = {"n": n, "dividend": params.dividend, "runs": runs, "residual_evals": evals,
             "evals_per_row": evals / n,
-            "error_vs_bin10000": max(abs(v - ref) for v, ref in zip(prices, reference))}
+            "error_vs_bin10000": max(abs(v - ref) for v, ref in zip(prices, reference)),
+            "error_vs_fixed_point": max(abs(v - ref) for v, ref in zip(prices, fixed_point))}
     for mode, rows in samples.items():
         stats = {key: spread([m[key] for _, _, m in rows])
                  for key in ("wall_s", "weights_s", "newton_s", "price_s")}
         (stats["table_builds"],) = {m["table_builds"] for _, _, m in rows}  # one count per mode
         case[mode] = stats
     return case
+
+
+def to_tolerance(table3: list[dict]) -> list[dict]:
+    """Per delta and tolerance, the smallest n within it of the fixed point, and its cold time."""
+    rows = []
+    for dividend, tol in itertools.product(DIVIDENDS, TOLERANCES):
+        case = min((c for c in table3 if c["dividend"] == dividend
+                    and c["error_vs_fixed_point"] <= tol), key=lambda c: c["n"], default=None)
+        rows.append({"dividend": dividend, "tolerance": tol,
+                     "n": None if case is None else case["n"],
+                     "cold_wall_s": None if case is None else case["cold"]["wall_s"]["median"]})
+    return rows
 
 
 def sweep(n: int) -> dict:
@@ -138,15 +159,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sizes, runs, sweep_sizes = ((32, 64), 3, (32,)) if args.quick else ((32, 64, 128, 256), 9,
                                                                           (32, 128))
+    quoted = json.loads(FIXED_POINT.read_text(encoding="utf-8"))["prices_by_dividend"]
     table3 = []
     for dividend in DIVIDENDS:
         params = replace(TABLE3_PARAMS, dividend=dividend)
         reference = [float(v)
                      for v in binomial_american_put(BINOMIAL_STEPS, TABLE3_SPOTS, params)]
-        table3 += [table3_case(n, params, runs, reference) for n in sizes]
+        fixed_point = quoted[str(dividend)]  # keyed "0.0" and "0.08"
+        table3 += [table3_case(n, params, runs, reference, fixed_point) for n in sizes]
     report = {"tag": args.tag, "quick": args.quick, "machine": machine(),
               "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS, "table3": table3,
-              "sweep": [sweep(n) for n in sweep_sizes]}
+              "to_tolerance": to_tolerance(table3), "sweep": [sweep(n) for n in sweep_sizes]}
     out = args.out or Path(__file__).resolve().parent.parent / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")

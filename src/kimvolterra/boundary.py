@@ -44,7 +44,7 @@ from scipy.special import ndtr
 
 from . import barycentric  # the benchmark tracer wraps basis_matrix in its own module
 from .barycentric import BaryBasis
-from .market import ConfigurationError, MarketParams, norm_cdf
+from .market import ConfigurationError, MarketParams
 # the benchmark tracer wraps product_weights and brq_weights in this module
 from .quadrature import _row_maxima, brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
@@ -356,7 +356,7 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
         def row(b: float) -> tuple[float, float]:
             log_b = math.log(b)
             d1_t = log_b / sig_t + a1_t
-            cdf_t = norm_cdf(d1_t)
+            cdf_t = float(ndtr(d1_t))
             d2 = log_b * inv_sig + a2
             e = np.exp(-0.5 * d2 * d2)
             f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r_k - delta * b)

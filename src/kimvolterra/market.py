@@ -3,6 +3,7 @@
 ``european_put`` is the one scalar Black-Scholes formula, through the
 private ``_d1d2`` (a plain (d1, d2) tuple); the array d1/d2 along a boundary
 lives in the boundary solver and the premium integrand in the pricing module.
+Every normal CDF of the package is ``scipy.special.ndtr``.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``
 gives its layout, the nodes it skips, which leave 4.25e6 of the 3.40e7 nodes
@@ -21,16 +22,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 __all__ = [
     "ConfigurationError",
     "MarketParams",
-    "norm_cdf",
     "european_put",
     "binomial_american_put",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 # A tree node is dropped as an exact zero below the larger of these fractions of
 # the strike and of its spot's price floor (see _price_floors).
 _TAIL_CUTOFF = 1e-290
@@ -87,16 +87,6 @@ class MarketParams:
             raise ValueError(f"dividend must be >= 0, got {self.dividend}")
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function.
-
-    Absolute error is below 1e-15 on [-8, 8]; monotone pointwise.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"norm_cdf requires finite input, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
 def _d1d2(x: float, t: float, y: float, p: MarketParams) -> tuple[float, float]:
     """d1 = [ln(x/y) + (r - delta + sigma^2/2) t] / (sigma sqrt(t)), d2 = d1 - sigma sqrt(t).
 
@@ -125,8 +115,8 @@ def european_put(t: float, spot: float, p: MarketParams) -> float:
     if t == 0.0:
         return max(p.strike - spot, 0.0)
     d1, d2 = _d1d2(spot, t, p.strike, p)
-    return (p.strike * math.exp(-p.rate * t) * norm_cdf(-d2)
-            - spot * math.exp(-p.dividend * t) * norm_cdf(-d1))
+    return (p.strike * math.exp(-p.rate * t) * float(ndtr(-d2))
+            - spot * math.exp(-p.dividend * t) * float(ndtr(-d1)))
 
 
 def _price_floors(steps: int, batch: np.ndarray, terminal: np.ndarray, q: float,

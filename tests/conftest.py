@@ -1,5 +1,7 @@
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from kimvolterra import (
     binomial_american_put,
     european_put,
     initial_boundary,
-    norm_cdf,
     perpetual_lower_bound,
     solve_boundary,
 )
@@ -31,16 +32,12 @@ TABLE3_BIN_COLUMN = {80.0: 22.2050, 90.0: 16.2071, 100.0: 11.7037,
                      110.0: 8.3671, 120.0: 5.9299}
 TABLE3_METHOD_COLUMN = {80.0: 22.2048, 90.0: 16.2068, 100.0: 11.7037,
                         110.0: 8.3669, 120.0: 5.9298}
-# Table-3 put values at t = T by dividend yield, to 1e-8: the FP-B fixed point of Andersen,
-# Lake & Offengelden, "High-performance American option pricing" (J. Comput. Finance 20(1),
-# 2016), iterated until no node moved by 1e-14 K; 64 and 96 Chebyshev nodes agree to 2e-10.
-# A graded-collocation prototype of this paper's equation, which shares no discretization with
-# the fixed point, matches all ten to 2.1e-7.  At delta = 0 the spot 80 is exercised.
-FIXED_POINT_PRICES = {
-    0.08: dict(zip(TABLE3_SPOTS, (22.20497711, 16.20706085, 11.70387460, 8.36702412,
-                                  5.92980488))),
-    0.0: dict(zip(TABLE3_SPOTS, (20.0, 11.69759548, 6.93218866, 4.15500163, 2.51026022))),
-}
+# Table-3 put values at t = T by dividend yield, to 1e-8, from the fixed point whose provenance
+# the file states; bench/bench.py reads the same file.
+FIXED_POINT_FILE = Path(__file__).parent / "data" / "fixed_point_prices.json"
+_FIXED_POINT = json.loads(FIXED_POINT_FILE.read_text(encoding="utf-8"))
+FIXED_POINT_PRICES = {float(dividend): dict(zip(_FIXED_POINT["spots"], prices))
+                      for dividend, prices in _FIXED_POINT["prices_by_dividend"].items()}
 
 
 @pytest.fixture(scope="session")
@@ -104,7 +101,7 @@ def kim2d_row(i, grid, prior, p):
         d2 = d1 - sig_sqrt
         df = -disc_d * ndtr(-d1) - kern * np.exp(-0.5 * d2 * d2) / b
         d1_t, _ = _d1d2(b, t_i, k, p)
-        slope = (-1.0 + math.exp(-delta * t_i) * norm_cdf(-d1_t)
+        slope = (-1.0 + math.exp(-delta * t_i) * float(ndtr(-d1_t))
                  - h * (0.5 * df[0] + df[1:].sum() - 0.25 * delta))
         return (k - b) - european_put(t_i, b, p) - premium, slope
 

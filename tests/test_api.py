@@ -11,7 +11,6 @@ PUBLIC_NAMES = {
     "MarketParams",
     "binomial_american_put",
     "european_put",
-    "norm_cdf",
     "BaryBasis",
     "basis_matrix",
     "fh_weights",

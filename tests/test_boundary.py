@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 import kimvolterra.boundary as boundary
 import kimvolterra.quadrature as quadrature
@@ -30,7 +31,7 @@ from kimvolterra import (
 )
 
 from kimvolterra.barycentric import BaryBasis, basis_matrix
-from kimvolterra.market import _d1d2, norm_cdf
+from kimvolterra.market import _d1d2
 
 from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
@@ -309,7 +310,7 @@ def _paper_residual(b, i, grid, prior, w, om, p):
     r, delta, k, vol = p.rate, p.dividend, p.strike, p.volatility
     pref = 1.0 / (vol * math.sqrt(2.0 * math.pi))
     d1, d2 = _d1d2(b, t_i, k, p)
-    f = -b * math.exp(-delta * t_i) * norm_cdf(d1)
+    f = -b * math.exp(-delta * t_i) * float(ndtr(d1))
     f += k * math.exp(-r * t_i - 0.5 * d2 * d2) * pref / math.sqrt(t_i)
     f -= b * math.exp(-delta * t_i - 0.5 * d1 * d1) * pref / math.sqrt(t_i)
     tau = t_i - grid[:i]
@@ -320,7 +321,7 @@ def _paper_residual(b, i, grid, prior, w, om, p):
             - delta * b * np.exp(-delta * tau - 0.5 * d1j * d1j))
     f += pref * (w[:i] @ kern + w[i] * (r * k - delta * b))
     if delta > 0.0:
-        smooth = np.exp(-delta * tau) * np.array([norm_cdf(x) for x in d1j])
+        smooth = np.exp(-delta * tau) * ndtr(d1j)
         f -= delta * b * (om[:i] @ smooth + 0.5 * om[i])
     return f
 
