@@ -9,8 +9,8 @@ running it against another checkout's ``src/`` measures that checkout.
 * ``machine``: nproc, Python, numpy, scipy and ``git describe --always
   --dirty`` of the checkout that holds the imported package.
 * ``table3``: the Table-3 market (K = 100, T = 3, r = 0.08, sigma = 0.2,
-  fh, d = 2) at delta in {0, 0.08} and n in {32, 64, 128, 256}.  One run is
-  a solve plus the five t = T prices at S = 80 ... 120.  Cold runs follow
+  fh, d = 2) at delta in {0, 0.08} and n in {32, 64, 128, 256, 512}.  One
+  run is a solve plus the five t = T prices at S = 80 ... 120.  Cold runs follow
   ``clear_weight_cache()`` and warm runs reuse the tables; the two
   alternate, 9 of each (3 with ``--quick``).  Times are the median and
   quartiles in seconds; ``residual_evals``, ``table_builds`` (misses of the
@@ -20,7 +20,7 @@ running it against another checkout's ``src/`` measures that checkout.
   are deterministic.
 * ``to_tolerance``: per delta and tolerance in {1e-4, 1e-5}, the smallest
   run n whose ``error_vs_fixed_point`` is within it and that case's cold
-  ``wall_s`` median, both null when no n is.
+  ``wall_s`` median, both null when no n is (in a full run, none by n = 512).
 * ``sweep``: r in {0.02, 0.05, 0.08}, delta in {0, 0.08, 0.2, 0.5}, sigma in
   {0.1, 0.2, 0.4}, T in {0.25, 1, 3, 10}, K = 100, fh, d = 2, at n = 32 and
   128: the ``SolverError``s, the curves with each flag kind, the residual
@@ -157,8 +157,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output path (BENCH_<tag>.json at the repo root if omitted)")
     args = parser.parse_args(argv)
-    sizes, runs, sweep_sizes = ((32, 64), 3, (32,)) if args.quick else ((32, 64, 128, 256), 9,
-                                                                          (32, 128))
+    sizes, runs, sweep_sizes = ((32, 64), 3, (32,)) if args.quick else ((32, 64, 128, 256, 512),
+                                                                          9, (32, 128))
     quoted = json.loads(FIXED_POINT.read_text(encoding="utf-8"))["prices_by_dividend"]
     table3 = []
     for dividend in DIVIDENDS:

@@ -46,7 +46,7 @@ from . import barycentric  # the benchmark tracer wraps basis_matrix in its own 
 from .barycentric import BaryBasis
 from .market import ConfigurationError, MarketParams
 # the benchmark tracer wraps product_weights and brq_weights in this module
-from .quadrature import _row_maxima, brq_weights, product_weights, unit_weight_rows  # noqa: F401
+from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "FH",
@@ -127,7 +127,7 @@ class SolveDiagnostics:
     ``(row, kind, value)``: "bisection", the row fell back to bisection
     (value: its residual evals); "non_monotone", B_i rose above B_(i-1) by
     more than 1e-9 K (value: the rise); "outside_bounds", B_i lies below the
-    perpetual bound or above B_0 (value: B_i).  A clean solve has none.
+    perpetual bound (value: B_i; one above B_0 raises).  A clean solve has none.
     """
 
     iterations: np.ndarray
@@ -192,9 +192,8 @@ def _perpetual_exponent(p: MarketParams) -> float:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit weight rows, their row maxima and the start weights (for timing)."""
+    """Drop the cached unit weight tables, maxima included, and start weights (for timing)."""
     unit_weight_rows.cache_clear()
-    _row_maxima.cache_clear()
     _start_weights.cache_clear()
 
 
@@ -320,8 +319,7 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     kern_lag, disc_d = pref * disc_r, np.exp(-delta * tau)
     slope_lag = disc_r * inv_sig_tau / _SQRT_2PI
     sig_ts, a1_ts, disc_ts = sig_tau.tolist(), a1.tolist(), disc_d.tolist()
-    w_d = cfg.d if cfg.family == FH else 0
-    w_rows = unit_weight_rows(cfg.n, w_d, 0.5)
+    w_rows, w_max = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident_w = (pref * w_rows.diagonal()).tolist()
     lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
@@ -329,14 +327,14 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     inv_sig, phi, e_half = inv_sig_tau[::-1], 1.0 / _SQRT_2PI, math.exp(-0.5)
     with np.errstate(over="ignore"):  # below sigma ~ 1e-154 the bounds are inf and prove nothing
         s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
-        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * _row_maxima(cfg.n, w_d, 0.5)
+        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * w_max
         disc = disc_d[::-1] * phi * inv_sig
         c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
         noise = kappa * e_half * s1 + hi * disc
         if delta > 0.0:
-            q_rows = unit_weight_rows(cfg.n, cfg.d, 0.0)
+            q_rows, q_max = unit_weight_rows(cfg.n, cfg.d, 0.0)
             halves = (0.5 * q_rows.diagonal()).tolist()
-            q = delta_h * phi * _row_maxima(cfg.n, cfg.d, 0.0)
+            q = delta_h * phi * q_max
             c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
         noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
     curv = list(zip(c2.tolist(), c1.tolist(), noise.tolist()))
@@ -360,12 +358,11 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
             d2 = log_b * inv_sig + a2
             e = np.exp(-0.5 * d2 * d2)
             f = -b * disc_t * cdf_t + float(kern.dot(e)) + coincident * (r_k - delta * b)
-            if delta > 0.0:
-                s = float(smooth.dot(ndtr(d2 + sig_row))) + half
-                f -= delta_h * b * s
             df = (-disc_t * (cdf_t + math.exp(-0.5 * d1_t * d1_t) / (_SQRT_2PI * sig_t))
                   - float(kern_slope.dot(e * d2)) / b - coincident * delta)
             if delta > 0.0:
+                s = float(smooth.dot(ndtr(d2 + sig_row))) + half
+                f -= delta_h * b * s
                 df -= delta_h * (s + float(smooth_slope.dot(e)) / b)
             return f, df
 
@@ -380,12 +377,13 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
     B_0 takes its analytic expiry limit and each later B_i solves its scalar collocation
     equation given B_0..B_{i-1} (the Volterra structure is lower triangular) by Newton in
     [lower / 2, B_0 + (B_0 - lower) / 2], lower the perpetual bound: the discrete nodes of
-    delta > r markets can dip below it, and ``diagnostics.flags`` names every node outside
-    [lower, B_0].  Each row's Newton start is as in :func:`_start_weights`.  ``cfg.hybrid_m``
-    fills the curve by linear interpolation (see :class:`SolverConfig`); the returned curve
-    carries a Floater-Hormann basis of order d on its stored nodes for evaluation between
-    them.  The rows solve the strike K / s in [1, 2) (:func:`_strike_scale`); the values,
-    the flag values and a SolverError's message are times s, in K's units.
+    delta > r markets can dip below it, and ``diagnostics.flags`` names every node below it.
+    A node above B_0 (1 + 1e-9) raises SolverError: the grid is too coarse for the market.
+    Each row's Newton start is as in :func:`_start_weights`.  ``cfg.hybrid_m`` fills the
+    curve by linear interpolation (see :class:`SolverConfig`); the returned curve carries a
+    Floater-Hormann basis of order d on its stored nodes for evaluation between them.  The
+    rows solve the strike K / s in [1, 2) (:func:`_strike_scale`); the values, the flag
+    values and a SolverError's message are times s, in K's units.
     """
     if p.rate == 0.0:
         raise ValueError("rate = 0 makes early exercise worthless; "
@@ -408,11 +406,14 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
             b, iterations[i], _, steps = _newton_scalar(
                 build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
                 cfg.newton_tol * unit, i, curv[i - 1], s)
+            if b > b0 * (1.0 + 1e-9):
+                raise SolverError(f"collocation row {i} reads {b * s:.6g}, above the expiry limit "
+                                  f"{b0 * s:.6g}: n = {n} is too coarse a grid for this market")
             if steps < iterations[i]:
                 flags.append((i, "bisection", float(iterations[i])))
             if b - values[i - 1] > 1e-9 * unit:
                 flags.append((i, "non_monotone", float(b - values[i - 1]) * s))
-            if not lower <= b <= b0:
+            if b < lower:
                 flags.append((i, "outside_bounds", b * s))
             newton_steps += steps
             values[i], logs[i], rks[i] = b, math.log(b), p.rate * unit - p.dividend * b

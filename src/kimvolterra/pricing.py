@@ -104,7 +104,7 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
         premium = value - euro
     else:
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
-        weights = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[k, :k + 1], g * _TAIL_W))
+        weights = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
         tau = np.concatenate((t - curve.grid[:k + 1], tail_tau[:-1]))
         y = np.concatenate((curve.values[:k + 1], ys[:-1]))
         premium = float(weights.dot(_premium_integrand(spot, tau, y, p)))

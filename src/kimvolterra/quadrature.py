@@ -9,8 +9,8 @@ u = (e - s)^(1-alpha), each unit subinterval e - s in [m - 1, m] gets 16
 Gauss-Legendre points in u.  Their offsets v = e - s lie strictly inside
 (m - 1, m) whatever the row end e, so every row shares one Cauchy table
 T[(m, q), l] = 1 / (l - v_q(m)) over the lags l = e - j, and no point meets
-a node.  The solve, pricing and the per-basis weights all read their rows
-from one cached read-only table of rows 0..n per (n, d, alpha), unit nodes.
+a node.  The solve, pricing and the per-basis weights all read one cached
+read-only table of rows 0..n, with its row maxima, per (n, d, alpha), unit nodes.
 """
 
 from __future__ import annotations
@@ -40,21 +40,21 @@ def brq_weights(basis: BaryBasis) -> np.ndarray:
 
 def product_weights(basis: BaryBasis, alpha: float = 0.5) -> np.ndarray:
     """Weights w_j = int_{t_0}^{t_n} L_j(s) (t_n - s)^(-alpha) ds, n = ``basis.n``:
-    row n of :func:`unit_weight_rows` for the basis order, times h^(1-alpha) on the spacing h."""
-    row = unit_weight_rows(basis.n, basis.degree, alpha)[basis.n]
+    row n of the basis order's :func:`unit_weight_rows` table, times h^(1-alpha) on spacing h."""
+    row = unit_weight_rows(basis.n, basis.degree, alpha)[0][basis.n]
     weights = (basis.span / basis.n) ** (1.0 - alpha) * row
     weights.setflags(write=False)
     return weights
 
 
 @lru_cache(maxsize=None)
-def unit_weight_rows(n: int, d: int, alpha: float) -> np.ndarray:
-    """Read-only table W[e, j] = int_0^e L_j(s) (e - s)^(-alpha) ds on the unit nodes 0..n.
+def unit_weight_rows(n: int, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only table W[e, j] = int_0^e L_j(s) (e - s)^(-alpha) ds on the unit nodes 0..n,
+    and the read-only maxima M[e - 1] = max_j |W[e, j]| of rows 1..n, from the same build.
 
-    Row e is on the Floater-Hormann basis of order min(d, e) over the nodes
-    0..e, zero beyond node e.  With B[l, e] its barycentric weights by lag
-    l = e - j, each block of points adds ((g / D)^T @ T) * B^T to the rows,
-    D = T @ B and g the Gauss weights of the points m <= e.
+    Row e is on the Floater-Hormann basis of order min(d, e) over the nodes 0..e, zero beyond
+    node e.  With B[l, e] its barycentric weights by lag l = e - j, each block of points adds
+    ((g / D)^T @ T) * B^T to the rows, D = T @ B and g the Gauss weights of the points m <= e.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -82,13 +82,7 @@ def unit_weight_rows(n: int, d: int, alpha: float) -> np.ndarray:
     if not np.all(np.isfinite(rows)):
         raise ValueError("product weights must be finite")
     weights = np.take_along_axis(rows, lags, axis=1)
+    maxima = np.abs(weights[1:]).max(axis=1)
     weights.setflags(write=False)
-    return weights
-
-
-@lru_cache(maxsize=None)
-def _row_maxima(n: int, d: int, alpha: float) -> np.ndarray:
-    """Read-only largest |weight| of rows 1..n of :func:`unit_weight_rows`, row e at index e - 1."""
-    maxima = np.abs(unit_weight_rows(n, d, alpha)[1:]).max(axis=1)
     maxima.setflags(write=False)
-    return maxima
+    return weights, maxima

@@ -38,11 +38,11 @@ from conftest import TABLE3_PARAMS, kim2d_row, solve_boundary_kim2d
 
 def product_rows(n, d, family):
     """Cached unit product rows 0..n of a solve; Berrut's basis is order 0."""
-    return quadrature.unit_weight_rows(n, d if family == "fh" else 0, 0.5)
+    return quadrature.unit_weight_rows(n, d if family == "fh" else 0, 0.5)[0]
 
 
 def brq_rows(n, d):
-    return quadrature.unit_weight_rows(n, d, 0.0)
+    return quadrature.unit_weight_rows(n, d, 0.0)[0]
 
 
 def params_with(dividend, rate=0.08):
@@ -238,6 +238,7 @@ class TestSolveBoundary:
         assert builds() == 2
         clear_weight_cache()
         assert quadrature.unit_weight_rows.cache_info().currsize == 0
+        assert boundary._start_weights.cache_info().currsize == 0
         solve_boundary(cfg, params_with(0.08))
         assert builds() == 2
 
@@ -266,9 +267,9 @@ class TestSolveBoundary:
     def test_rows_converged_in_gauss_points(self, monkeypatch, d, alpha):
         # 16 points per unit subinterval already give the 32-point rows
         n = 128
-        rows = quadrature.unit_weight_rows(n, d, alpha)
+        rows = quadrature.unit_weight_rows(n, d, alpha)[0]
         monkeypatch.setattr(quadrature, "_POINTS", 32)
-        fine = quadrature.unit_weight_rows.__wrapped__(n, d, alpha)
+        fine = quadrature.unit_weight_rows.__wrapped__(n, d, alpha)[0]
         np.testing.assert_allclose(rows, fine, rtol=0.0, atol=1e-13)
 
     @pytest.mark.parametrize("family", ["fh", BFH])
@@ -735,12 +736,13 @@ class TestNewtonStart:
             curve = solve_boundary(SolverConfig(n=n, d=2), p)
         except boundary.SolverError:
             # the known corner: a perpetual bound within 3% of the strike, on
-            # any n and row (a curve that climbs past the search interval)
+            # any n and row (a node above B_0, or a row-1 root past the search interval)
             assert perpetual_lower_bound(p) > 0.97 * p.strike
             return
         diag = curve.diagnostics
         assert collocation_residuals(curve).max() <= 1e-12 * p.strike
         assert diag.residual_evals == diag.iterations.sum()
+        assert curve.values.max() <= initial_boundary(p) * (1.0 + 1e-9)
 
 
 class TestLowVolCorner:
@@ -769,17 +771,24 @@ class TestLowVolCorner:
             assert 0.005 < rises[row] < 0.01
 
     # R = sigma sqrt(T / n) / ln(B_0 / lower) is 2.947 here at n = 64, so a floor at R = 3 lets
-    # it through, yet row 32 finds no sign change; at n = 128 (R = 2.084) it solves
+    # it through, yet the nodes rise above B_0 from row 9; at n = 128 (R = 2.084) it solves
     LATE = MarketParams(strike=100.0, expiry=6.1, rate=0.265, dividend=0.008, volatility=0.054)
 
     @pytest.mark.xfail(raises=boundary.SolverError, strict=True,
-                       reason="no sign change at collocation row 32 (ROADMAP item 19)")
+                       reason="row 9 rises above the expiry limit B_0: n = 64 is too coarse "
+                              "(ROADMAP item 19)")
     def test_late_row_solves_at_n_64(self):
         solve_boundary(SolverConfig(n=64, d=2), self.LATE)
+
+    def test_node_above_the_expiry_limit_raises(self):
+        with pytest.raises(boundary.SolverError, match=re.escape(
+                "collocation row 9 reads 100.012, above the expiry limit 100: n = 64 ")):
+            solve_boundary(SolverConfig(n=64, d=2), self.LATE)
 
     def test_late_row_market_solves_at_n_128(self):
         curve = solve_boundary(SolverConfig(n=128, d=2), self.LATE)
         assert collocation_residuals(curve).max() <= 1e-12 * self.LATE.strike
+        assert curve.values.max() <= curve.values[0]
 
 
 @pytest.mark.parametrize("vol", [1e-155, 1e-160])

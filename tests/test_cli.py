@@ -451,6 +451,10 @@ CONSOLE_PINS = [
     # A subnormal strike is a configuration error (exit 2)
     pytest.param(["price", "--strike", "1e-320", "--spots", "1e-320"], 2, None,
                  id="strike-subnormal"),
+    # A near-strike market whose row 9 rises above the expiry limit at n = 64 is a solver
+    # failure (exit 3), not a flagged curve
+    pytest.param(["price", "--rate", "0.265", "--dividend", "0.008", "--vol", "0.054",
+                  "--expiry", "6.1", "--n", "64"], 3, None, id="above-expiry-limit"),
     # A spot 0.1% above B(T) prices at least its payoff 22.8417
     pytest.param(["price", "--strike", "114.20837921082617", "--expiry", "2",
                   "--rate", "0.06863049275243101", "--dividend", "0.0445198020560671",

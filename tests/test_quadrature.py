@@ -163,7 +163,7 @@ class TestUnitWeightRows:
         for n in (3, 8, 17):
             for start, span in ((0.0, 1.0), (0.0, 0.25), (-2.5, 7.3)):
                 basis = BaryBasis(np.linspace(start, start + span, n + 1), d)
-                row = (basis.span / n) ** (1.0 - alpha) * unit_weight_rows(n, d, alpha)[n]
+                row = (basis.span / n) ** (1.0 - alpha) * unit_weight_rows(n, d, alpha)[0][n]
                 np.testing.assert_array_equal(product_weights(basis, alpha), row)
                 if alpha == 0.0:
                     np.testing.assert_array_equal(brq_weights(basis), row)
@@ -171,8 +171,11 @@ class TestUnitWeightRows:
     def test_table_shape_and_zeros(self):
         n, d = 9, 3
         for alpha in (0.0, 0.5):
-            table = unit_weight_rows(n, d, alpha)
+            table, maxima = unit_weight_rows(n, d, alpha)
             assert table.shape == (n + 1, n + 1)
             assert table.flags.writeable is False
             assert np.all(np.triu(table, 1) == 0.0)
-            assert unit_weight_rows(n, d, alpha) is table
+            assert unit_weight_rows(n, d, alpha)[0] is table
+            # the curvature bound's row maxima come from the same build, bit for bit
+            np.testing.assert_array_equal(maxima, np.abs(table[1:]).max(axis=1))
+            assert maxima.flags.writeable is False
