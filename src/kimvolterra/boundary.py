@@ -46,7 +46,7 @@ from . import barycentric  # the benchmark tracer wraps basis_matrix in its own 
 from .barycentric import BaryBasis
 from .market import ConfigurationError, MarketParams
 # the benchmark tracer wraps product_weights and brq_weights in this module
-from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
+from .quadrature import _expiry_read, brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "FH",
@@ -192,8 +192,9 @@ def _perpetual_exponent(p: MarketParams) -> float:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit weight tables, maxima included, and start weights (for timing)."""
+    """Drop the cached unit weight tables (maxima included), t = T layouts and start weights."""
     unit_weight_rows.cache_clear()
+    _expiry_read.cache_clear()
     _start_weights.cache_clear()
 
 
@@ -390,11 +391,12 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                          "the boundary equation degenerates")
     n, start, builds = cfg.n, time.perf_counter(), unit_weight_rows.cache_info().misses
     grid, (s, lower, b0, lo, hi), curv, build_row = _row_residual(cfg, p)
-    start_w, unit = _start_weights(n), p.strike / s
+    start_w, unit, delta = _start_weights(n), p.strike / s, p.dividend
+    tol, b_max, rise, r_unit = cfg.newton_tol * unit, b0 * (1.0 + 1e-9), 1e-9 * unit, p.rate * unit
     weights_s = time.perf_counter() - start
     values, logs, rks = np.empty(n + 1), np.empty(n + 1), np.empty(n + 1)
-    values[0], logs[0], rks[0] = b0, math.log(b0), p.rate * unit - p.dividend * b0
-    iterations, flags = np.zeros(n + 1, dtype=int), []
+    values[0], logs[0], rks[0] = b0, math.log(b0), r_unit - delta * b0
+    iterations, flags, prev = [0], [], b0
     newton_steps, newton_start = 0, time.perf_counter()
     with np.errstate(over="ignore"):  # below sigma ~ 1e-154 d2 * d2 is inf: e = 0, its limit
         for i in range(1, n + 1):
@@ -402,32 +404,32 @@ def solve_boundary(cfg: SolverConfig, p: MarketParams) -> BoundaryCurve:
                 k = min(5, (i - 1) // 2)
                 guess = float(start_w[i - _SQRT_START, 5 - k:].dot(values[i - 2 * k:i - 1:2]))
             else:
-                guess = values[i - 1]
-            b, iterations[i], _, steps = _newton_scalar(
-                build_row(i, values[:i], logs[:i], rks[:i]), guess, lo, hi,
-                cfg.newton_tol * unit, i, curv[i - 1], s)
-            if b > b0 * (1.0 + 1e-9):
+                guess = prev
+            b, evals, _, steps = _newton_scalar(build_row(i, values[:i], logs[:i], rks[:i]),
+                                                guess, lo, hi, tol, i, curv[i - 1], s)
+            if b > b_max:
                 raise SolverError(f"collocation row {i} reads {b * s:.6g}, above the expiry limit "
                                   f"{b0 * s:.6g}: n = {n} is too coarse a grid for this market")
-            if steps < iterations[i]:
-                flags.append((i, "bisection", float(iterations[i])))
-            if b - values[i - 1] > 1e-9 * unit:
-                flags.append((i, "non_monotone", float(b - values[i - 1]) * s))
+            if steps < evals:
+                flags.append((i, "bisection", float(evals)))
+            if b - prev > rise:
+                flags.append((i, "non_monotone", (b - prev) * s))
             if b < lower:
                 flags.append((i, "outside_bounds", b * s))
+            iterations.append(evals)
             newton_steps += steps
-            values[i], logs[i], rks[i] = b, math.log(b), p.rate * unit - p.dividend * b
+            values[i], logs[i], rks[i], prev = b, math.log(b), r_unit - delta * b, b
     newton_s = time.perf_counter() - newton_start
     if cfg.hybrid_m > 2:
         fine = np.linspace(0.0, p.expiry, n * (cfg.hybrid_m - 1) + 1)
         grid, values = fine, np.interp(fine, grid, values)
     values *= s
     values.setflags(write=False)
-    iterations.setflags(write=False)
-    diag = SolveDiagnostics(iterations=iterations, newton_steps=newton_steps, flags=tuple(flags),
-                            wall_time=time.perf_counter() - start, weights_s=weights_s,
-                            newton_s=newton_s,
+    diag = SolveDiagnostics(iterations=np.array(iterations), newton_steps=newton_steps,
+                            flags=tuple(flags), wall_time=time.perf_counter() - start,
+                            weights_s=weights_s, newton_s=newton_s,
                             weights_cached=unit_weight_rows.cache_info().misses == builds)
+    diag.iterations.setflags(write=False)
     return BoundaryCurve(values=values, basis=BaryBasis(grid, cfg.d),
                          params=p, config=cfg, diagnostics=diag)
 

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .boundary import BoundaryCurve, _perpetual_exponent, eval_boundary
-from .market import MarketParams, _require_spot, european_put
-from .quadrature import _POINTS, _gauss, brq_weights, unit_weight_rows  # noqa: F401 (traced)
+from .boundary import BoundaryCurve, _perpetual_exponent, _strike_scale, eval_boundary
+from .market import ConfigurationError, MarketParams, _require_spot, european_put
+from .quadrature import _TAIL_U, _TAIL_W, _expiry_read, brq_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "PriceResult",
@@ -28,10 +29,8 @@ __all__ = [
     "american_put_price",
 ]
 
-# z = sqrt(t - s) = sqrt(g) u, u in [0, 1], on a tail of length g: the alpha = 1/2 builder's
-# Gauss points give time gaps g u^2 (then 0, for t itself) and weights g w u, as ds = 2 z dz
-_TAIL_U = 0.5 * (_gauss(_POINTS)[0] + 1.0)
-_TAIL_TAU, _TAIL_W = np.append(_TAIL_U * _TAIL_U, 0.0), _TAIL_U * _gauss(_POINTS)[1]
+_TAIL_TAU = np.append(_TAIL_U * _TAIL_U, 0.0)  # the tail's time gaps, then 0 for t itself
+_AT_EXPIRY = weakref.WeakKeyDictionary()  # curve (hashed by identity) -> its t = T premium
 
 
 @dataclass(frozen=True)
@@ -75,6 +74,27 @@ def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
             - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
 
 
+def _expiry_premium(curve: BoundaryCurve) -> tuple:
+    """A curve's kept t = T premium arrays on K / s, s = :func:`_strike_scale` (K): s, 1 / v,
+    m / v, v, w (r K / s) e^(-r tau) and w delta e^(-delta tau), with v = sigma sqrt tau,
+    m = (r - delta + sigma^2/2) tau - ln y, (w, tau) :func:`_expiry_read`'s times h and y the
+    nodes 0..n - 1 then the tail's reads.  A read <= 0 raises, as in ``eval_boundary``."""
+    if (arrays := _AT_EXPIRY.get(curve)) is None:
+        p, n = curve.params, curve.basis.n
+        weights, gaps, rows = _expiry_read(n, curve.basis.degree)
+        s, tau, w = _strike_scale(p.strike), p.expiry / n * gaps, p.expiry / n * weights
+        y = curve.values / s
+        if not (low := (tail := rows.dot(y)).min()) > 0.0:  # a steep first step can dip below 0
+            raise ConfigurationError(f"boundary reads {low * s:.6g} <= 0 on t in "
+                                     f"[{p.expiry - tau[-1]:.6g}, {p.expiry:.6g}]")
+        v = p.volatility * np.sqrt(tau)
+        m = (p.rate - p.dividend + 0.5 * p.volatility**2) * tau - np.log(np.append(y[:n], tail))
+        arrays = _AT_EXPIRY[curve] = (s, 1.0 / v, m / v, v,
+                                      w * (p.rate * (p.strike / s)) * np.exp(-p.rate * tau),
+                                      w * p.dividend * np.exp(-p.dividend * tau))
+    return arrays
+
+
 def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
     """American put value at time-to-expiry t in (0, T] via the premium representation.
 
@@ -82,7 +102,8 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     the premium over [0, kh] takes BRQ on the stored nodes 0..k (row k of the unit table,
     times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s):
     just above B(t) the CDF factors fall from 1/2 to 0 within (ln(S/B)/sigma)^2 of t, smoothly
-    in z.  One ``eval_boundary`` call reads B at the tail's points and at t, its last point.
+    in z.  Off T, one ``eval_boundary`` call reads B at the tail's points and at t, its last
+    point; at T, B(T) is the last node and the curve keeps :func:`_expiry_premium`'s arrays.
     At or below B(t) the value is exactly the payoff K - spot, unless the European price
     exceeds it: then the spot lies in the continuation region, below an interpolated B(t)
     that overshoots the true boundary (near expiry on coarse grids), and takes the premium.
@@ -93,15 +114,21 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     T, n, d = p.expiry, curve.basis.n, curve.basis.degree
     if not 0.0 < t <= T * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {T}], got {t}")
-    t = T if t >= T * (1.0 - 1e-12) else t
-    k = max(0, int(t * n / T + 1e-9) - 1)
-    g = t - curve.grid[k]
-    tail_tau = g * _TAIL_TAU
-    ys = eval_boundary(curve, t - tail_tau)
+    if t >= T * (1.0 - 1e-12):  # t snaps to T, where B(T) is the last node
+        (s, inv_sig, a, sig, w_r, w_d), t, b_t = _expiry_premium(curve), T, curve.values[-1]
+    else:
+        k = max(0, int(t * n / T + 1e-9) - 1)
+        g = t - curve.grid[k]
+        tail_tau = g * _TAIL_TAU
+        b_t = (ys := eval_boundary(curve, t - tail_tau))[-1]
     euro = european_put(t, spot, p)
-    if spot <= ys[-1] and euro <= p.strike - spot:
+    if spot <= b_t and euro <= p.strike - spot:
         value = p.strike - spot
         premium = value - euro
+    elif t == T:  # the premium as in the else branch, from the curve's spot-free arrays
+        d1 = math.log(spot / s) * inv_sig + a
+        premium = s * float(w_r.dot(ndtr(sig - d1))) - spot * float(w_d.dot(ndtr(-d1)))
+        value = euro + premium
     else:
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
         weights = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))

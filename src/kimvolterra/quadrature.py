@@ -10,7 +10,8 @@ Gauss-Legendre points in u.  Their offsets v = e - s lie strictly inside
 (m - 1, m) whatever the row end e, so every row shares one Cauchy table
 T[(m, q), l] = 1 / (l - v_q(m)) over the lags l = e - j, and no point meets
 a node.  The solve, pricing and the per-basis weights all read one cached
-read-only table of rows 0..n, with its row maxima, per (n, d, alpha), unit nodes.
+read-only table of rows 0..n, with its row maxima, per (n, d, alpha), unit nodes;
+a price at t = T also reads one cached layout per (n, d), :func:`_expiry_read`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .barycentric import BaryBasis, basis_matrix, fh_weights  # noqa: F401 (basis_matrix is traced)
+from .barycentric import BaryBasis, basis_matrix, fh_weights
 
 __all__ = [
     "brq_weights",
@@ -30,6 +31,8 @@ __all__ = [
 _POINTS = 16  # Gauss-Legendre points per unit subinterval
 _BLOCK = 8  # subintervals per block of the Cauchy table
 _gauss = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # an eigensolve per call
+_TAIL_U = 0.5 * (_gauss(_POINTS)[0] + 1.0)  # a price's tail g in z = sqrt(t - s) = sqrt(g) u:
+_TAIL_W = _TAIL_U * _gauss(_POINTS)[1]  # time gaps g u^2 and weights g w u, as ds = 2 z dz
 
 
 def brq_weights(basis: BaryBasis) -> np.ndarray:
@@ -86,3 +89,16 @@ def unit_weight_rows(n: int, d: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     weights.setflags(write=False)
     maxima.setflags(write=False)
     return weights, maxima
+
+
+@lru_cache(maxsize=None)
+def _expiry_read(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The t = T price's read-only layout on the unit nodes 0..n, order d: weights (row n - 1
+    of the alpha = 0 table, then the tail's), time gaps (n, ..., 1, then the tail's u^2), both
+    times h on spacing h, and the (16, n + 1) ``basis_matrix`` rows of the tail points n - u^2."""
+    weights = np.concatenate((unit_weight_rows(n, d, 0.0)[0][n - 1, :n], _TAIL_W))
+    gaps = np.concatenate((np.arange(n, 0, -1.0), _TAIL_U * _TAIL_U))
+    rows = basis_matrix(BaryBasis(np.arange(n + 1.0), d), n - _TAIL_U * _TAIL_U)
+    for a in (weights, gaps, rows):
+        a.setflags(write=False)
+    return weights, gaps, rows

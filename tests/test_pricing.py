@@ -1,18 +1,25 @@
+import gc
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
+import kimvolterra.barycentric as barycentric
 import kimvolterra.pricing as pricing
+import kimvolterra.quadrature as quadrature
 from kimvolterra import (
+    BFH,
+    FH,
     ConfigurationError,
     MarketParams,
     SolverConfig,
     SolverError,
     american_put_price,
+    clear_weight_cache,
     error_bound_factor,
     eval_boundary,
     european_put,
@@ -102,8 +109,8 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=16, d=3, family="bfh"),
                                      SolverConfig(n=8, d=2, hybrid_m=3)])
     def test_horizon_boundary_is_last_node(self, cfg, monkeypatch):
-        # t within 1e-12 T of T snaps to T, the last point of the price's one
-        # boundary read, which hits the last node: B(T) is the stored value
+        # t within 1e-12 T of T snaps to T, where B(T) is the last stored node:
+        # a price at T reads no interpolant
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         b_t = eval_boundary(curve, 3.0)
         assert b_t == curve.values[-1]
@@ -116,7 +123,36 @@ class TestAmericanPutPrice:
             assert american_put_price(t, b_t, curve).value == 100.0 - b_t
             assert american_put_price(t, above, curve).value != 100.0 - above
             assert american_put_price(t, above, curve).value == at_horizon
-        assert [args[1][-1] for args in calls] == [3.0] * 10
+        assert calls == []
+
+    def test_prices_at_expiry_after_the_first_read_no_interpolant(self, monkeypatch):
+        # the (n, d) layout reads the tail's basis rows once; a curve's first price at T
+        # keeps its premium arrays, so four more spots call neither basis_matrix nor
+        # eval_boundary
+        clear_weight_cache()
+        curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
+        calls = []
+        for module, name in ((pricing, "eval_boundary"), (quadrature, "basis_matrix"),
+                             (barycentric, "basis_matrix")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        american_put_price(3.0, 100.0, curve)
+        assert calls == ["basis_matrix"]
+        calls.clear()
+        for spot in (80.0, 90.0, 110.0, 120.0):
+            american_put_price(3.0, spot, curve)
+        assert calls == []
+
+    def test_premium_arrays_live_with_their_curve(self):
+        gc.collect()
+        kept = len(pricing._AT_EXPIRY)
+        curve = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
+        american_put_price(3.0, 100.0, curve)
+        assert len(pricing._AT_EXPIRY) == kept + 1
+        del curve
+        gc.collect()
+        assert len(pricing._AT_EXPIRY) == kept
 
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
     @pytest.mark.parametrize("t", [1.7283, 2.5])
@@ -241,3 +277,43 @@ def test_price_between_european_and_strike_property(rate, dividend, vol, expiry,
     t, spot = share * expiry, moneyness * p.strike
     value = american_put_price(t, spot, curve).value
     assert european_put(t, spot, p) - 1e-10 * p.strike <= value <= p.strike * (1.0 + 1e-10)
+
+
+def _price_at_expiry_reference(spot, curve):
+    """The t = T price by the rule on the stored nodes: row n - 1 of the alpha = 0 table
+    times h, then 16 Gauss-Legendre points in sqrt(T - s) on the last interval, read through
+    eval_boundary together with B(T)."""
+    p, n = curve.params, curve.basis.n
+    T = p.expiry
+    x, w = np.polynomial.legendre.leggauss(16)
+    u = 0.5 * (x + 1.0)
+    g = T - curve.grid[n - 1]
+    ys = eval_boundary(curve, T - g * np.append(u * u, 0.0))
+    euro = european_put(T, spot, p)
+    if spot <= ys[-1] and euro <= p.strike - spot:
+        return p.strike - spot
+    head = (T / n) * quadrature.unit_weight_rows(n, curve.basis.degree, 0.0)[0][n - 1, :n]
+    weights = np.concatenate((head, g * u * w))
+    tau = np.concatenate((T - curve.grid[:n], g * u * u))
+    y = np.concatenate((curve.values[:n], ys[:-1]))
+    sig = p.volatility * np.sqrt(tau)
+    d1 = (np.log(spot / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig
+    return euro + float(weights.dot(p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(sig - d1)
+                                    - p.dividend * spot * np.exp(-p.dividend * tau) * ndtr(-d1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([FH, BFH]), d=st.integers(0, 3), n=st.sampled_from([1, 2, 16, 64]),
+       hybrid_m=st.sampled_from([2, 3]), dividend=st.sampled_from([0.0, 0.08]),
+       strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
+       below=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+       above=st.one_of(st.just(1.0 + 2.0**-52), st.floats(1.0, 1.05)))
+def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, hybrid_m, dividend,
+                                                                 strike, below, above):
+    # the first spot builds the curve's premium arrays and the second reads them
+    assume(n >= d + 1)
+    p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend)
+    curve = solve_boundary(SolverConfig(n=n, d=d, family=family, hybrid_m=hybrid_m), p)
+    for spot in (below * curve.values[-1], above * curve.values[-1]):
+        value = american_put_price(p.expiry, spot, curve).value
+        assert abs(value - _price_at_expiry_reference(spot, curve)) <= 1e-14 * strike
