@@ -1,12 +1,12 @@
 """American option prices from a solved exercise boundary.
 
 The put value splits into its European part plus the early-exercise premium, an
-integral of discounted exercise benefits against the boundary over [0, t].  The
-premium integrand is written here once (the value-matching equation is this
-formula at S = B), and one quadrature rule takes its integral at every t (see
-``american_put_price``).  A result holds the value and its two parts;
-``error_bound_factor`` needs no curve.  Pricing is pure given an immutable
-curve; concurrent pricing is safe.
+integral of discounted exercise benefits against the boundary over [0, t] that one
+quadrature rule takes at every t (see ``american_put_price``).  The integrand is
+``_premium_integrand`` (the value-matching equation is it at S = B); at t = T a curve
+keeps its spot-free factors (``_expiry_premium``), which a price combines with the spot.
+A result holds the value and its two parts; ``error_bound_factor`` needs no curve.
+Pricing is pure given an immutable curve, the kept factors its alone; it is thread-safe.
 """
 
 from __future__ import annotations

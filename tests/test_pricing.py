@@ -305,14 +305,15 @@ def _price_at_expiry_reference(spot, curve):
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from([FH, BFH]), d=st.integers(0, 3), n=st.sampled_from([1, 2, 16, 64]),
        hybrid_m=st.sampled_from([2, 3]), dividend=st.sampled_from([0.0, 0.08]),
-       strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
+       rate=st.sampled_from([0.03, 0.08]), strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
        below=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
        above=st.one_of(st.just(1.0 + 2.0**-52), st.floats(1.0, 1.05)))
 def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, hybrid_m, dividend,
-                                                                 strike, below, above):
-    # the first spot builds the curve's premium arrays and the second reads them
+                                                                 rate, strike, below, above):
+    # the first spot builds the curve's premium arrays and the second reads them; r = 0.03
+    # keeps r and delta apart, so no e^(-r tau) can stand in for an e^(-delta tau)
     assume(n >= d + 1)
-    p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend)
+    p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend, rate=rate)
     curve = solve_boundary(SolverConfig(n=n, d=d, family=family, hybrid_m=hybrid_m), p)
     for spot in (below * curve.values[-1], above * curve.values[-1]):
         value = american_put_price(p.expiry, spot, curve).value
