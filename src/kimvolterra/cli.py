@@ -47,6 +47,7 @@ __all__ = ["main", "build_parser"]
 TABLE3_SPOTS = (80.0, 90.0, 100.0, 110.0, 120.0)
 TABLE3_PARAMS = MarketParams(strike=100.0, expiry=3.0, rate=0.08,
                              dividend=0.08, volatility=0.2)
+_FIXED_POINT_AT_120 = {0.08: 5.92980488, 0.0: 2.51026022}  # tests/data/fixed_point_prices.json
 TABLE3_TOLERANCE = 1e-3
 FIGURE1_DIVIDENDS = (0.0, 0.04, 0.08, 0.12)
 BINOMIAL_STEPS = 10_000
@@ -267,7 +268,8 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
 
 
 def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
-    """Wall time and absolute error per (method, n); spot fixed at 120."""
+    """Wall time and absolute error per (method, n) at S = 120, against the fixed point on the
+    Table-3 market at a dividend it holds and against BIN(10000) on any other market."""
     methods = [("fh", FH, 2), ("bfh", BFH, 2)]
     if (m := args.m) is not None:
         if m < 2:
@@ -277,7 +279,12 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
     params = _market_from_args(args)
     d = args.d if args.d is not None else 2
     spot = 120.0
-    reference = binomial_american_put(BINOMIAL_STEPS, spot, params)
+    if params in (replace(TABLE3_PARAMS, dividend=q) for q in _FIXED_POINT_AT_120):
+        reference = _FIXED_POINT_AT_120[params.dividend]
+        source = "fixed point (Andersen, Lake & Offengelden 2016)"
+    else:
+        reference = binomial_american_put(BINOMIAL_STEPS, spot, params)
+        source = f"BIN({BINOMIAL_STEPS})"
     header = ["method", "n", "total_nodes", "wall_time", "abs_error", "status"]
     rows = []
     passed = True
@@ -302,7 +309,7 @@ def cmd_workprecision(args) -> tuple[list[str], list[list[str]], bool, dict]:
             "m": args.m, "spot": spot, "strike": params.strike,
             "expiry": params.expiry, "rate": params.rate,
             "dividend": params.dividend, "vol": params.volatility,
-            "binomial_steps": BINOMIAL_STEPS}
+            "reference": source}
     return header, rows, passed, spec
 
 

@@ -1,11 +1,9 @@
 """American option prices from a solved exercise boundary.
 
-The put value splits into its European part plus the early-exercise premium, an
-integral of discounted exercise benefits against the boundary over [0, t] that one
-quadrature rule takes at every t (see ``american_put_price``).  The integrand is
-``_premium_integrand`` (the value-matching equation is it at S = B); at t = T a curve
-keeps its spot-free factors (``_expiry_premium``), which a price combines with the spot.
-A result holds the value and its two parts; ``error_bound_factor`` needs no curve.
+The put is its European part plus the early-exercise premium, Kim's (1990) density taken
+against the boundary over [0, t] by one quadrature rule at every t.  ``_premium_factors``
+writes the density once, as spot-free factors that one combine step sums for a spot; a curve
+keeps its t = T factors (``_expiry_premium``).  ``error_bound_factor`` needs no curve.
 Pricing is pure given an immutable curve, the kept factors its alone; it is thread-safe.
 """
 
@@ -60,38 +58,31 @@ def error_bound_factor(spot: float, p: MarketParams) -> float:
     return scale * (math.sqrt(p.dividend) * spot / p.strike + math.sqrt(p.rate))
 
 
-def _premium_integrand(x: float, tau: np.ndarray, y: np.ndarray,
-                       p: MarketParams) -> np.ndarray:
-    """Early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau) N(-d1).
-
-    ``y`` holds the boundary values at the time gaps ``tau`` > 0; the
-    pricing integral takes x = spot and the value-matching equation x = B.
-    """
-    sig_sqrt = p.volatility * np.sqrt(tau)
-    d1 = (np.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
-    d2 = d1 - sig_sqrt
-    return (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
-            - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
+def _premium_factors(p: MarketParams, s: float, w: np.ndarray, tau: np.ndarray,
+                     y: np.ndarray) -> tuple:
+    """Spot-free premium factors on the rows' scale K / s: 1/v, m/v, v, w (rK/s) e^(-r tau) and
+    w delta e^(-delta tau) (None at delta = 0), v = sigma sqrt tau, m = (r - delta + sigma^2/2) tau
+    - ln y, for weights w at time gaps tau > 0 and reads y on K / s.  With d1 = ln(S/s)/v + m/v,
+    Kim's (1990) r K e^(-r tau) N(-d2) - delta S e^(-delta tau) N(-d1) sums to the premium."""
+    v = p.volatility * np.sqrt(tau)
+    m = (p.rate - p.dividend + 0.5 * p.volatility**2) * tau - np.log(y)
+    return (1.0 / v, m / v, v, w * (p.rate * (p.strike / s)) * np.exp(-p.rate * tau),
+            w * p.dividend * np.exp(-p.dividend * tau) if p.dividend else None)
 
 
 def _expiry_premium(curve: BoundaryCurve) -> tuple:
-    """A curve's kept t = T premium arrays on K / s, s = :func:`_strike_scale` (K): s, 1 / v,
-    m / v, v, w (r K / s) e^(-r tau) and w delta e^(-delta tau), with v = sigma sqrt tau,
-    m = (r - delta + sigma^2/2) tau - ln y, (w, tau) :func:`_expiry_read`'s times h and y the
-    nodes 0..n - 1 then the tail's reads.  A read <= 0 raises, as in ``eval_boundary``."""
+    """A curve's kept t = T premium: s, then :func:`_premium_factors` on :func:`_expiry_read`'s
+    layout times h, nodes 0..n - 1 and tail reads.  A read <= 0 raises, as in ``eval_boundary``."""
     if (arrays := _AT_EXPIRY.get(curve)) is None:
         p, n = curve.params, curve.basis.n
         weights, gaps, rows = _expiry_read(n, curve.basis.degree)
-        s, tau, w = _strike_scale(p.strike), p.expiry / n * gaps, p.expiry / n * weights
+        s, tau = _strike_scale(p.strike), p.expiry / n * gaps
         y = curve.values / s
         if not (low := (tail := rows.dot(y)).min()) > 0.0:  # a steep first step can dip below 0
             raise ConfigurationError(f"boundary reads {low * s:.6g} <= 0 on t in "
                                      f"[{p.expiry - tau[-1]:.6g}, {p.expiry:.6g}]")
-        v = p.volatility * np.sqrt(tau)
-        m = (p.rate - p.dividend + 0.5 * p.volatility**2) * tau - np.log(np.append(y[:n], tail))
-        arrays = _AT_EXPIRY[curve] = (s, 1.0 / v, m / v, v,
-                                      w * (p.rate * (p.strike / s)) * np.exp(-p.rate * tau),
-                                      w * p.dividend * np.exp(-p.dividend * tau))
+        arrays = _AT_EXPIRY[curve] = (s, *_premium_factors(p, s, p.expiry / n * weights, tau,
+                                                           np.append(y[:n], tail)))
     return arrays
 
 
@@ -115,26 +106,26 @@ def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResu
     if not 0.0 < t <= T * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {T}], got {t}")
     if t >= T * (1.0 - 1e-12):  # t snaps to T, where B(T) is the last node
-        (s, inv_sig, a, sig, w_r, w_d), t, b_t = _expiry_premium(curve), T, curve.values[-1]
+        (s, inv_v, m_v, v, w_r, w_d), t, b_t = _expiry_premium(curve), T, curve.values[-1]
     else:
         k = max(0, int(t * n / T + 1e-9) - 1)
-        g = t - curve.grid[k]
-        tail_tau = g * _TAIL_TAU
-        b_t = (ys := eval_boundary(curve, t - tail_tau))[-1]
+        g, s = t - curve.grid[k], _strike_scale(p.strike)
+        b_t = (ys := eval_boundary(curve, t - g * _TAIL_TAU))[-1]
     euro = european_put(t, spot, p)
     if spot <= b_t and euro <= p.strike - spot:
         value = p.strike - spot
         premium = value - euro
-    elif t == T:  # the premium as in the else branch, from the curve's spot-free arrays
-        d1 = math.log(spot / s) * inv_sig + a
-        premium = s * float(w_r.dot(ndtr(sig - d1))) - spot * float(w_d.dot(ndtr(-d1)))
-        value = euro + premium
     else:
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
-        weights = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
-        tau = np.concatenate((t - curve.grid[:k + 1], tail_tau[:-1]))
-        y = np.concatenate((curve.values[:k + 1], ys[:-1]))
-        premium = float(weights.dot(_premium_integrand(spot, tau, y, p)))
+        if t < T:  # the head's nodes 0..k, then the tail's points
+            w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
+            tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
+            y = np.append(curve.values[:k + 1], ys[:-1]) / s
+            inv_v, m_v, v, w_r, w_d = _premium_factors(p, s, w, tau, y)
+        minus_d1 = -math.log(spot / s) * inv_v - m_v  # -d1 bit for bit, one array op fewer
+        premium = s * float(w_r.dot(ndtr(v + minus_d1)))
+        if w_d is not None:
+            premium -= spot * float(w_d.dot(ndtr(minus_d1)))
         value = euro + premium
     return PriceResult(value=value, european_part=euro, premium_part=premium,
                        wall_time=time.perf_counter() - start)

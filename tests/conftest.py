@@ -21,7 +21,6 @@ from kimvolterra import (
     solve_boundary,
 )
 from kimvolterra.market import _d1d2
-from kimvolterra.pricing import _premium_integrand
 
 # Benchmark fixture set: 3-year put, r = delta = 8%, sigma = 20%, K = 100.
 TABLE3_PARAMS = MarketParams(strike=100.0, expiry=3.0, rate=0.08,
@@ -75,6 +74,17 @@ def figure1_curves():
     return curves
 
 
+def premium_density(x, tau, y, p):
+    """Kim's (1990) early-exercise premium density r K e^(-r tau) N(-d2) - delta x e^(-delta tau)
+    N(-d1) at boundary values y and time gaps tau > 0, written apart from the library's factors:
+    the pricing integral takes x = spot and the value-matching equation x = B."""
+    sig_sqrt = p.volatility * np.sqrt(tau)
+    d1 = (np.log(x / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig_sqrt
+    d2 = d1 - sig_sqrt
+    return (p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(-d2)
+            - p.dividend * x * np.exp(-p.dividend * tau) * ndtr(-d1))
+
+
 def kim2d_row(i, grid, prior, p):
     """Row i of Kim's (1990) trapezoid-discretized value-matching equation as
     b -> (F, dF/db): K - B = European(B) + premium(B), the pricing formula at
@@ -93,7 +103,7 @@ def kim2d_row(i, grid, prior, p):
     kern = (r * k - delta * prior) * np.exp(-r * tau) / (sig_sqrt * math.sqrt(2.0 * math.pi))
 
     def row(b):
-        f = _premium_integrand(b, tau, prior, p)
+        f = premium_density(b, tau, prior, p)
         # s = t_i endpoint: equal arguments push both CDF factors to 1/2
         end = 0.5 * (r * k - delta * b)
         premium = h * (0.5 * f[0] + f[1:].sum() + 0.5 * end)

@@ -15,6 +15,8 @@ import kimvolterra.cli as cli
 from kimvolterra import MarketParams, SolverConfig, SolverError, clear_weight_cache, solve_boundary
 from kimvolterra.cli import main
 
+from conftest import FIXED_POINT_PRICES
+
 
 def run(tmp_path, name, argv):
     out = tmp_path / name
@@ -231,6 +233,30 @@ class TestWorkPrecision:
                  for c in curves}
         assert (evals[("fh", 3, int(hybrid["total_nodes"]))]
                 < evals[("fh", 2, int(plain["total_nodes"]))])
+
+    def test_fixed_point_values_are_the_data_file(self):
+        assert cli._FIXED_POINT_AT_120 == {dividend: prices[120.0]
+                                           for dividend, prices in FIXED_POINT_PRICES.items()}
+
+    @pytest.mark.parametrize("argv,reference", [
+        ([], "fixed point (Andersen, Lake & Offengelden 2016)"),
+        (["--dividend", "0"], "fixed point (Andersen, Lake & Offengelden 2016)"),
+        (["--rate", "0.07"], "BIN(10000)"),
+    ])
+    def test_spec_names_its_reference(self, tmp_path, argv, reference):
+        code, data = run(tmp_path, "w.json",
+                         ["workprecision", "--n-list", "8", "--format", "json", *argv])
+        assert code == 0
+        assert json.loads(data)["spec"]["reference"] == reference
+
+    def test_default_market_error_falls_with_n(self, tmp_path):
+        # against the fixed point the method's own error shows: BIN(10000) is about 1.4e-4 off
+        # at S = 120, so against the tree the column stalls from n = 16 on
+        code, data = run(tmp_path, "w.csv", ["workprecision", "--n-list", "8,16,32,64,128"])
+        assert code == 0
+        _, rows = rows_of(data)
+        fh = [float(r["abs_error"]) for r in rows if r["method"] == "fh"]
+        assert len(fh) == 5 and all(a > b for a, b in zip(fh, fh[1:]))
 
 
 class TestErrorHandling:

@@ -28,7 +28,7 @@ from kimvolterra import (
 )
 
 from conftest import (TABLE3_BIN_COLUMN, TABLE3_METHOD_COLUMN, TABLE3_PARAMS, TABLE3_SPOTS,
-                      solve_boundary_kim2d)
+                      premium_density, solve_boundary_kim2d)
 
 
 class TestErrorBoundFactor:
@@ -153,6 +153,19 @@ class TestAmericanPutPrice:
         del curve
         gc.collect()
         assert len(pricing._AT_EXPIRY) == kept
+
+    @pytest.mark.parametrize("dividend,calls", [(0.0, 1), (0.08, 2)])
+    @pytest.mark.parametrize("t", [3.0, 1.7283])
+    def test_dividend_term_costs_a_cdf_call_only_when_delta_is_positive(self, dividend, calls, t,
+                                                                          monkeypatch):
+        # a warm price in the continuation region makes one ndtr call for the rate term and,
+        # at delta > 0 alone, one for the dividend term
+        curve = solve_boundary(SolverConfig(n=32, d=2), replace(TABLE3_PARAMS, dividend=dividend))
+        american_put_price(t, 120.0, curve)
+        args = []
+        monkeypatch.setattr(pricing, "ndtr", lambda x: args.append(x) or ndtr(x))
+        american_put_price(t, 120.0, curve)
+        assert len(args) == calls
 
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
     @pytest.mark.parametrize("t", [1.7283, 2.5])
@@ -279,27 +292,26 @@ def test_price_between_european_and_strike_property(rate, dividend, vol, expiry,
     assert european_put(t, spot, p) - 1e-10 * p.strike <= value <= p.strike * (1.0 + 1e-10)
 
 
-def _price_at_expiry_reference(spot, curve):
-    """The t = T price by the rule on the stored nodes: row n - 1 of the alpha = 0 table
-    times h, then 16 Gauss-Legendre points in sqrt(T - s) on the last interval, read through
-    eval_boundary together with B(T)."""
+def _price_by_the_node_and_tail_rule(t, spot, curve):
+    """The price at t by the rule on the stored nodes: with k = max(0, floor(t n / T) - 1),
+    row k of the alpha = 0 table times h on nodes 0..k, then 16 Gauss-Legendre points in
+    sqrt(t - s) on [t_k, t], read through eval_boundary together with B(t); conftest's
+    density is the integrand."""
     p, n = curve.params, curve.basis.n
     T = p.expiry
+    k = max(0, int(t * n / T + 1e-9) - 1)
     x, w = np.polynomial.legendre.leggauss(16)
     u = 0.5 * (x + 1.0)
-    g = T - curve.grid[n - 1]
-    ys = eval_boundary(curve, T - g * np.append(u * u, 0.0))
-    euro = european_put(T, spot, p)
+    g = t - curve.grid[k]
+    ys = eval_boundary(curve, t - g * np.append(u * u, 0.0))
+    euro = european_put(t, spot, p)
     if spot <= ys[-1] and euro <= p.strike - spot:
         return p.strike - spot
-    head = (T / n) * quadrature.unit_weight_rows(n, curve.basis.degree, 0.0)[0][n - 1, :n]
+    head = (T / n) * quadrature.unit_weight_rows(n, curve.basis.degree, 0.0)[0][k, :k + 1]
     weights = np.concatenate((head, g * u * w))
-    tau = np.concatenate((T - curve.grid[:n], g * u * u))
-    y = np.concatenate((curve.values[:n], ys[:-1]))
-    sig = p.volatility * np.sqrt(tau)
-    d1 = (np.log(spot / y) + (p.rate - p.dividend + 0.5 * p.volatility**2) * tau) / sig
-    return euro + float(weights.dot(p.rate * p.strike * np.exp(-p.rate * tau) * ndtr(sig - d1)
-                                    - p.dividend * spot * np.exp(-p.dividend * tau) * ndtr(-d1)))
+    tau = np.concatenate((t - curve.grid[:k + 1], g * u * u))
+    y = np.concatenate((curve.values[:k + 1], ys[:-1]))
+    return euro + float(weights.dot(premium_density(spot, tau, y, p)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -307,14 +319,19 @@ def _price_at_expiry_reference(spot, curve):
        hybrid_m=st.sampled_from([2, 3]), dividend=st.sampled_from([0.0, 0.08]),
        rate=st.sampled_from([0.03, 0.08]), strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
        below=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
-       above=st.one_of(st.just(1.0 + 2.0**-52), st.floats(1.0, 1.05)))
+       above=st.one_of(st.just(1.0 + 2.0**-52), st.floats(1.0, 1.05)),
+       share=st.one_of(st.just(1.0), st.floats(1e-3, 0.999)))
 def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, hybrid_m, dividend,
-                                                                 rate, strike, below, above):
-    # the first spot builds the curve's premium arrays and the second reads them; r = 0.03
-    # keeps r and delta apart, so no e^(-r tau) can stand in for an e^(-delta tau)
+                                                                 rate, strike, below, above,
+                                                                 share):
+    # at T the first spot builds the curve's premium arrays and the second reads them; off T
+    # each price builds its own.  r = 0.03 keeps r and delta apart, so no e^(-r tau) can
+    # stand in for an e^(-delta tau)
     assume(n >= d + 1)
     p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend, rate=rate)
     curve = solve_boundary(SolverConfig(n=n, d=d, family=family, hybrid_m=hybrid_m), p)
-    for spot in (below * curve.values[-1], above * curve.values[-1]):
-        value = american_put_price(p.expiry, spot, curve).value
-        assert abs(value - _price_at_expiry_reference(spot, curve)) <= 1e-14 * strike
+    t = share * p.expiry
+    b_t = curve.values[-1] if share == 1.0 else float(eval_boundary(curve, t))
+    for spot in (below * b_t, above * b_t):
+        value = american_put_price(t, spot, curve).value
+        assert abs(value - _price_by_the_node_and_tail_rule(t, spot, curve)) <= 1e-14 * strike
