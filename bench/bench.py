@@ -10,9 +10,9 @@ running it against another checkout's ``src/`` measures that checkout.
   --dirty`` of the checkout that holds the imported package.
 * ``table3``: the Table-3 market (K = 100, T = 3, r = 0.08, sigma = 0.2,
   fh, d = 2) at delta in {0, 0.08} and n in {32, 64, 128, 256, 512}.  One
-  run is a solve plus the five t = T prices at S = 80 ... 120.  Cold runs follow
-  ``clear_weight_cache()`` and warm runs reuse the tables; the two
-  alternate, 9 of each (3 with ``--quick``).  Times are the median and
+  run is a solve plus one call pricing the five t = T spots S = 80 ... 120.
+  Cold runs follow ``clear_weight_cache()`` and warm runs reuse the tables;
+  the two alternate, 9 of each (3 with ``--quick``).  Times are the median and
   quartiles in seconds; ``residual_evals``, ``table_builds`` (misses of the
   unit weight-table cache), ``error_vs_bin10000`` (largest |price -
   BIN(10000)| over the five spots) and ``error_vs_fixed_point`` (the same
@@ -78,16 +78,16 @@ def spread(samples: list[float]) -> dict:
 
 
 def run_once(cfg: SolverConfig, params: MarketParams) -> tuple[object, list[float], dict]:
-    """One end-to-end run: a solve plus the five t = T prices."""
+    """One end-to-end run: a solve plus the five t = T prices in one call."""
     builds = unit_weight_rows.cache_info().misses
     start = time.perf_counter()
     curve = solve_boundary(cfg, params)
-    results = [american_put_price(params.expiry, spot, curve) for spot in TABLE3_SPOTS]
+    result = american_put_price(params.expiry, TABLE3_SPOTS, curve)
     wall = time.perf_counter() - start
     diag = curve.diagnostics
-    return curve, [r.value for r in results], {
+    return curve, result.value.tolist(), {
         "wall_s": wall, "weights_s": diag.weights_s, "newton_s": diag.newton_s,
-        "price_s": sum(r.wall_time for r in results),
+        "price_s": result.wall_time,
         "table_builds": unit_weight_rows.cache_info().misses - builds}
 
 
@@ -141,9 +141,8 @@ def sweep(n: int) -> dict:
         evals += curve.diagnostics.residual_evals
         for kind in {kind for _, kind, _ in curve.diagnostics.flags}:
             flagged[kind] += 1
-        prices = [american_put_price(params.expiry, spot, curve).value for spot in TABLE3_SPOTS]
         digest.update(curve.values.tobytes())
-        digest.update(np.array(prices).tobytes())
+        digest.update(american_put_price(params.expiry, TABLE3_SPOTS, curve).value.tobytes())
     return {"n": n, "cases": len(markets),
             "solver_errors": len(errors), "failures": errors, "flagged_curves": flagged,
             "residual_evals": evals, "sha256": digest.hexdigest()}

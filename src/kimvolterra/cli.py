@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     price = sub.add_parser("price", parents=[market, scheme, grid, family, output],
                            help="price given spots")
     price.set_defaults(run=cmd_price)
-    price.add_argument("--spots", default=None,
+    price.add_argument("--spots", default=[100.0],
                        type=_comma_list(float, "spot", lambda v: all(0.0 < x < math.inf for x in v),
                                         "spots must be finite and positive, got {!r}"),
                        help="comma-separated spot prices")
@@ -162,19 +162,15 @@ def _diagnostics(curves) -> list[dict]:
 
 def cmd_table3(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Fixed five-spot benchmark: binomial reference vs the n=32, d=2 scheme."""
-    params = TABLE3_PARAMS
     cfg = SolverConfig(n=32, d=2, family=args.family)
-    curve = solve_boundary(cfg, params)
+    curve = solve_boundary(cfg, TABLE3_PARAMS)
     header = ["S", "bin", "price", "abs_error"]
-    rows = []
-    passed = True
-    references = binomial_american_put(BINOMIAL_STEPS, TABLE3_SPOTS, params)
-    for spot, reference in zip(TABLE3_SPOTS, references):
-        result = american_put_price(params.expiry, spot, curve)
-        err = abs(result.value - reference)
-        passed = passed and err <= TABLE3_TOLERANCE
-        rows.append([f"{spot:.0f}", _fmt_price(reference),
-                     _fmt_price(result.value), _fmt_err(err)])
+    references = binomial_american_put(BINOMIAL_STEPS, TABLE3_SPOTS, TABLE3_PARAMS)
+    values = american_put_price(TABLE3_PARAMS.expiry, TABLE3_SPOTS, curve).value.tolist()
+    errors = [abs(value - reference) for value, reference in zip(values, references)]
+    rows = [[f"{spot:.0f}", _fmt_price(reference), _fmt_price(value), _fmt_err(err)]
+            for spot, reference, value, err in zip(TABLE3_SPOTS, references, values, errors)]
+    passed = all(err <= TABLE3_TOLERANCE for err in errors)
     spec = {"command": "table3", "family": args.family, "n": cfg.n, "d": cfg.d,
             "spots": list(TABLE3_SPOTS), "binomial_steps": BINOMIAL_STEPS,
             "tolerance": TABLE3_TOLERANCE, "diagnostics": _diagnostics([curve])}
@@ -186,18 +182,17 @@ def cmd_boundary(args) -> tuple[list[str], list[list[str]], bool, dict]:
     dividends = (args.dividend,) if args.dividend is not None else FIGURE1_DIVIDENDS
     header = ["dividend", "t", "boundary"]
     rows = []
-    passed = True
     cfg = _config_from_args(args, default_n=64, default_d=3)
     curves = []
     for dividend in dividends:
         params = replace(_market_from_args(args), dividend=dividend)
         curve = solve_boundary(cfg, params)
         curves.append(curve)
-        passed = passed and all(kind != "non_monotone" for _, kind, _ in curve.diagnostics.flags)
         ts = np.linspace(0.0, params.expiry, 200)
         values = eval_boundary(curve, ts)
         for t, b in zip(ts, values):
             rows.append([f"{dividend:.4f}", f"{t:.6f}", f"{b:.6f}"])
+    passed = all(kind != "non_monotone" for c in curves for _, kind, _ in c.diagnostics.flags)
     spec = {"command": "boundary", "dividends": [float(d) for d in dividends],
             "strike": args.strike, "expiry": args.expiry, "rate": args.rate,
             "vol": args.vol, "family": args.family, "n": cfg.n, "d": cfg.d, "m": args.m,
@@ -209,20 +204,15 @@ def cmd_price(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Premium-representation prices at the requested spots."""
     params = _market_from_args(args)
     cfg = _config_from_args(args, default_n=32, default_d=2)
-    spots = args.spots if args.spots is not None else [100.0]
     curve = solve_boundary(cfg, params)
     header = ["S", "value", "european", "premium", "bound_factor"]
-    rows = []
-    for spot in spots:
-        result = american_put_price(params.expiry, spot, curve)
-        rows.append([_fmt_price(spot), _fmt_price(result.value),
-                     _fmt_price(result.european_part),
-                     _fmt_price(result.premium_part),
-                     f"{error_bound_factor(spot, params):.6f}"])
+    result = american_put_price(params.expiry, args.spots, curve)
+    rows = [[*map(_fmt_price, row), f"{error_bound_factor(row[0], params):.6f}"]
+            for row in zip(args.spots, result.value, result.european_part, result.premium_part)]
     spec = {"command": "price", "strike": params.strike, "expiry": params.expiry,
             "rate": params.rate, "dividend": params.dividend, "vol": params.volatility,
             "family": cfg.family, "n": cfg.n, "d": cfg.d, "m": args.m,
-            "spots": [float(s) for s in spots], "diagnostics": _diagnostics([curve])}
+            "spots": [float(s) for s in args.spots], "diagnostics": _diagnostics([curve])}
     return header, rows, True, spec
 
 
@@ -253,16 +243,14 @@ def cmd_lebesgue(args) -> tuple[list[str], list[list[str]], bool, dict]:
     """Sampled Lebesgue constants against 2^(d-1) (2 + ln n)."""
     header = ["d", "n", "lebesgue", "bound", "within_bound"]
     rows = []
-    passed = True
     for d in (1, 2, 3):
         for n in (8, 16, 32, 64, 128, 256):
             basis = BaryBasis(np.linspace(0.0, 1.0, n + 1), d)
             lam = lebesgue_constant(basis, oversample=30)
             bound = 2.0 ** (d - 1) * (2.0 + math.log(n))
-            ok = lam <= bound
-            passed = passed and ok
             rows.append([str(d), str(n), f"{lam:.6f}", f"{bound:.6f}",
-                         "true" if ok else "false"])
+                         "true" if lam <= bound else "false"])
+    passed = all(row[-1] == "true" for row in rows)
     spec = {"command": "lebesgue", "oversample": 30}
     return header, rows, passed, spec
 

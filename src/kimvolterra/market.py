@@ -104,6 +104,15 @@ def _require_spot(spot: float) -> None:
         raise ValueError(f"spot must be finite and > 0, got {spot!r}")
 
 
+def _require_spots(spot: float | Sequence[float]) -> float | list[float]:
+    """A number as a float, or a non-empty 1-D sequence as a list of floats, each finite and > 0."""
+    values = float(spot) if isinstance(spot, float) else np.asarray(spot, dtype=float).tolist()
+    if not (0.0 < values < math.inf if isinstance(values, float)
+            else values and all(isinstance(x, float) and 0.0 < x < math.inf for x in values)):
+        raise ValueError(f"spot must be finite and > 0 (one or a 1-D sequence), got {spot!r}")
+    return values
+
+
 def european_put(t: float, spot: float, p: MarketParams) -> float:
     """European put value at time-to-expiry t for the given spot.
 
@@ -223,9 +232,7 @@ def binomial_american_put(steps: int, spot: float | Sequence[float],
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    batch = np.asarray(spot, dtype=float)
-    if batch.ndim > 1 or batch.size == 0 or not (np.isfinite(batch) & (batch > 0.0)).all():
-        raise ValueError(f"spot must be finite and > 0 (one or a 1-D sequence), got {spot!r}")
+    batch = np.asarray(_require_spots(spot))
     dt = p.expiry / steps
     u = math.exp(p.volatility * math.sqrt(dt))
     d = 1.0 / u

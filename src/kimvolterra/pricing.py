@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 import time
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
 from .boundary import BoundaryCurve, _perpetual_exponent, _strike_scale, eval_boundary
-from .market import ConfigurationError, MarketParams, _require_spot, european_put
+from .market import ConfigurationError, MarketParams, _require_spot, _require_spots, european_put
 from .quadrature import _TAIL_U, _TAIL_W, _expiry_read, brq_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
@@ -35,14 +36,15 @@ _AT_EXPIRY = weakref.WeakKeyDictionary()  # curve (hashed by identity) -> its t 
 class PriceResult:
     """Option value with its decomposition and runtime diagnostics.
 
-    ``value`` always equals ``european_part + premium_part``.  The factor
-    that turns a boundary error into a price error bound is not stored; it
-    depends on the spot and market alone, so ``error_bound_factor`` gives it.
+    One spot gives floats, and a sequence read-only float arrays in its order, each entry the
+    bits of a one-spot call, with one ``wall_time``.  ``value`` always equals ``european_part +
+    premium_part``.  The factor that turns a boundary error into a price error bound is not
+    stored; it depends on the spot and market alone, so ``error_bound_factor`` gives it.
     """
 
-    value: float
-    european_part: float
-    premium_part: float
+    value: float | np.ndarray
+    european_part: float | np.ndarray
+    premium_part: float | np.ndarray
     wall_time: float
 
 
@@ -86,46 +88,49 @@ def _expiry_premium(curve: BoundaryCurve) -> tuple:
     return arrays
 
 
-def american_put_price(t: float, spot: float, curve: BoundaryCurve) -> PriceResult:
+def american_put_price(t: float, spot: float | Sequence[float],
+                       curve: BoundaryCurve) -> PriceResult:
     """American put value at time-to-expiry t in (0, T] via the premium representation.
 
-    t snaps to T within 1e-12 T.  With h the curve's spacing and k = max(0, floor(t/h) - 1),
-    the premium over [0, kh] takes BRQ on the stored nodes 0..k (row k of the unit table,
+    ``spot`` is a number or a non-empty 1-D sequence (see :class:`PriceResult`), all checked
+    first.  t snaps to T within 1e-12 T.  With h the curve's spacing and k = max(0, floor(t/h) -
+    1), the premium over [0, kh] takes BRQ on the stored nodes 0..k (row k of the unit table,
     times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s):
     just above B(t) the CDF factors fall from 1/2 to 0 within (ln(S/B)/sigma)^2 of t, smoothly
     in z.  Off T, one ``eval_boundary`` call reads B at the tail's points and at t, its last
-    point; at T, B(T) is the last node and the curve keeps :func:`_expiry_premium`'s arrays.
-    At or below B(t) the value is exactly the payoff K - spot, unless the European price
-    exceeds it: then the spot lies in the continuation region, below an interpolated B(t)
-    that overshoots the true boundary (near expiry on coarse grids), and takes the premium.
+    point, and one factor build serves all spots; at T, B(T) is the last node and the curve
+    keeps :func:`_expiry_premium`'s arrays.  At or below B(t) the value is exactly the payoff
+    K - spot, unless the European price exceeds it: then the spot lies in the continuation
+    region, below an interpolated B(t) that overshoots the true boundary (near expiry on
+    coarse grids), and takes the premium.
     """
-    start = time.perf_counter()
-    p = curve.params
-    _require_spot(spot)
+    start, p, spots = time.perf_counter(), curve.params, _require_spots(spot)
     T, n, d = p.expiry, curve.basis.n, curve.basis.degree
     if not 0.0 < t <= T * (1.0 + 1e-12):
         raise ValueError(f"t must lie in (0, {T}], got {t}")
     if t >= T * (1.0 - 1e-12):  # t snaps to T, where B(T) is the last node
         (s, inv_v, m_v, v, w_r, w_d), t, b_t = _expiry_premium(curve), T, curve.values[-1]
     else:
-        k = max(0, int(t * n / T + 1e-9) - 1)
+        k, w_r = max(0, int(t * n / T + 1e-9) - 1), None
         g, s = t - curve.grid[k], _strike_scale(p.strike)
         b_t = (ys := eval_boundary(curve, t - g * _TAIL_TAU))[-1]
-    euro = european_put(t, spot, p)
-    if spot <= b_t and euro <= p.strike - spot:
-        value = p.strike - spot
-        premium = value - euro
-    else:
+    parts = []  # (value, european, premium) per spot
+    for x in spots if isinstance(spots, list) else [spots]:
+        euro = european_put(t, x, p)
+        if x <= b_t and euro <= p.strike - x:
+            parts.append((p.strike - x, euro, p.strike - x - euro))
+            continue
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
-        if t < T:  # the head's nodes 0..k, then the tail's points
+        if w_r is None:  # the head's nodes 0..k, then the tail's points
             w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
             tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
             y = np.append(curve.values[:k + 1], ys[:-1]) / s
             inv_v, m_v, v, w_r, w_d = _premium_factors(p, s, w, tau, y)
-        minus_d1 = -math.log(spot / s) * inv_v - m_v  # -d1 bit for bit, one array op fewer
+        minus_d1 = -math.log(x / s) * inv_v - m_v  # -d1 bit for bit, one array op fewer
         premium = s * float(w_r.dot(ndtr(v + minus_d1)))
         if w_d is not None:
-            premium -= spot * float(w_d.dot(ndtr(minus_d1)))
-        value = euro + premium
-    return PriceResult(value=value, european_part=euro, premium_part=premium,
-                       wall_time=time.perf_counter() - start)
+            premium -= x * float(w_d.dot(ndtr(minus_d1)))
+        parts.append((euro + premium, euro, premium))
+    if isinstance(spots, list):  # one array per field, read-only as it lies on immutable bytes
+        parts = [[np.frombuffer(np.array(field).tobytes()) for field in zip(*parts)]]
+    return PriceResult(*parts[0], time.perf_counter() - start)

@@ -19,6 +19,7 @@ from kimvolterra import (
     SolverConfig,
     SolverError,
     american_put_price,
+    binomial_american_put,
     clear_weight_cache,
     error_bound_factor,
     eval_boundary,
@@ -170,17 +171,39 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
     @pytest.mark.parametrize("t", [1.7283, 2.5])
     def test_off_node_reads_boundary_once(self, cfg, t, monkeypatch):
-        # one eval_boundary call gives the 16 tail points and B(t), its last point
+        # one eval_boundary call gives the 16 tail points and B(t), its last point, for one
+        # spot or for five in one call
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         calls = []
         monkeypatch.setattr(pricing, "eval_boundary",
                             lambda *args: calls.append(args) or eval_boundary(*args))
-        for spot in (50.0, 100.0):  # exercise and continuation regions
+        # exercise and continuation regions, then both in one call
+        for spot in (50.0, 100.0, (50.0, 100.0, 80.0, 120.0, 50.0)):
             calls.clear()
             american_put_price(t, spot, curve)
             assert len(calls) == 1
             assert calls[0][0] is curve
             assert calls[0][1].size == 17 and calls[0][1][-1] == t
+
+    @pytest.mark.parametrize("spots", [[100.0, math.nan, 90.0], (0.0, 100.0), [100.0, 90.0, -1.0],
+                                       [100.0, math.inf], [[100.0, 90.0]],
+                                       np.full((2, 1), 100.0), [], np.empty(0)])
+    @pytest.mark.parametrize("t", [3.0, 1.7283])
+    def test_bad_spots_raise_before_any_work(self, spots, t, monkeypatch):
+        # a bad entry anywhere, a 2-D or an empty input raises the tree's error before the
+        # boundary read, a European price, the factor build or a kept t = T premium
+        curve = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
+        calls = []
+        for name in ("eval_boundary", "european_put", "_premium_factors"):
+            fn = getattr(pricing, name)
+            monkeypatch.setattr(pricing, name, lambda *args, fn=fn, name=name:
+                                calls.append(name) or fn(*args))
+        with pytest.raises(ValueError, match=r"spot must be finite and > 0 \(one or a 1-D") as put:
+            american_put_price(t, spots, curve)
+        assert calls == [] and curve not in pricing._AT_EXPIRY
+        with pytest.raises(ValueError) as tree:
+            binomial_american_put(10, spots, TABLE3_PARAMS)
+        assert str(put.value) == str(tree.value)
 
     def test_price_above_boundary_at_least_payoff(self):
         # the benchmark's book market, seed 601 op 39.  S lies 9.8e-4 above
@@ -335,3 +358,38 @@ def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, h
     for spot in (below * b_t, above * b_t):
         value = american_put_price(t, spot, curve).value
         assert abs(value - _price_by_the_node_and_tail_rule(t, spot, curve)) <= 1e-14 * strike
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([FH, BFH]), d=st.integers(0, 3), n=st.sampled_from([1, 2, 16, 64]),
+       hybrid_m=st.sampled_from([2, 3]), dividend=st.sampled_from([0.0, 0.08]),
+       rate=st.sampled_from([0.03, 0.08]), strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
+       below=st.one_of(st.just(1.0), st.floats(0.5, 1.0)),
+       above=st.one_of(st.just(1.0 + 2.0**-52), st.floats(1.0, 1.05)),
+       more=st.lists(st.floats(0.5, 1.05), max_size=4),
+       share=st.one_of(st.just(1.0), st.floats(1e-3, 0.999)))
+def test_many_spots_match_one_spot_calls_property(family, d, n, hybrid_m, dividend, rate, strike,
+                                                  below, above, more, share):
+    # the node-and-tail property's domain: spots on both sides of B(t), duplicates included, in
+    # one call give read-only arrays whose entries have the bits of one-spot calls, which give
+    # Python floats.  At T the sequence call keeps the curve's premium arrays, which the
+    # one-spot calls then read
+    assume(n >= d + 1)
+    p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend, rate=rate)
+    curve = solve_boundary(SolverConfig(n=n, d=d, family=family, hybrid_m=hybrid_m), p)
+    t = share * p.expiry
+    b_t = float(curve.values[-1] if share == 1.0 else eval_boundary(curve, t))
+    spots = [below * b_t, above * b_t, *(f * b_t for f in more)]
+    spots += spots[::2]
+    many = american_put_price(t, spots, curve)
+    ones = [american_put_price(t, x, curve) for x in spots]
+    assert type(many.wall_time) is float
+    for name in ("value", "european_part", "premium_part"):
+        field = getattr(many, name)
+        assert field.dtype == np.float64 and field.shape == (len(spots),)
+        assert not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 0.0
+        assert all(type(getattr(one, name)) is float for one in ones)
+        assert field.tobytes() == np.array([getattr(one, name) for one in ones]).tobytes()
+    assert american_put_price(t, np.float64(spots[0]), curve).value == ones[0].value
