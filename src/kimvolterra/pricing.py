@@ -93,16 +93,16 @@ def american_put_price(t: float, spot: float | Sequence[float],
     """American put value at time-to-expiry t in (0, T] via the premium representation.
 
     ``spot`` is a number or a non-empty 1-D sequence (see :class:`PriceResult`), all checked
-    first.  t snaps to T within 1e-12 T.  With h the curve's spacing and k = max(0, floor(t/h) -
-    1), the premium over [0, kh] takes BRQ on the stored nodes 0..k (row k of the unit table,
-    times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s):
-    just above B(t) the CDF factors fall from 1/2 to 0 within (ln(S/B)/sigma)^2 of t, smoothly
-    in z.  Off T, one ``eval_boundary`` call reads B at the tail's points and at t, its last
-    point, and one factor build serves all spots; at T, B(T) is the last node and the curve
-    keeps :func:`_expiry_premium`'s arrays.  At or below B(t) the value is exactly the payoff
-    K - spot, unless the European price exceeds it: then the spot lies in the continuation
-    region, below an interpolated B(t) that overshoots the true boundary (near expiry on
-    coarse grids), and takes the premium.
+    first.  t snaps to T within 1e-12 T.  With h the curve's spacing and
+    k = max(0, floor(t/h) - 1), the premium over [0, kh] takes BRQ on the stored nodes 0..k (row
+    k of the unit table, times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre
+    in z = sqrt(t - s): just above B(t) the CDF factors fall from 1/2 to 0 within
+    (ln(S/B)/sigma)^2 of t, smoothly in z.  Off T, one ``eval_boundary`` call reads B at the
+    tail's points and at t, its last point, and one factor build serves all spots; at T, B(T)
+    is the last node and the curve keeps :func:`_expiry_premium`'s arrays.  At or below B(t)
+    the value is exactly the payoff K - spot, unless the European price exceeds it: then the
+    spot lies in the continuation region, below an interpolated B(t) that overshoots the true
+    boundary (near expiry on coarse grids), and takes the premium.
     """
     start, p, spots = time.perf_counter(), curve.params, _require_spots(spot)
     T, n, d = p.expiry, curve.basis.n, curve.basis.degree
