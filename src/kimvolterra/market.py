@@ -2,7 +2,7 @@
 
 ``european_put`` is the one scalar Black-Scholes formula, through the
 private ``_d1d2`` (a plain (d1, d2) tuple); the array d1/d2 along a boundary
-lives in the boundary solver and the premium integrand in the pricing module.
+lives in the boundary solver, and the premium's in ``pricing._premium_factors``.
 Every normal CDF of the package is ``scipy.special.ndtr``.
 
 The binomial tree prices a batch of spots at once; ``binomial_american_put``

@@ -3,8 +3,10 @@
 The put is its European part plus the early-exercise premium, Kim's (1990) density taken
 against the boundary over [0, t] by one quadrature rule at every t.  ``_premium_factors``
 writes the density once, as spot-free factors that one combine step sums for a spot; a curve
-keeps its t = T factors (``_expiry_premium``).  ``error_bound_factor`` needs no curve.
-Pricing is pure given an immutable curve, the kept factors its alone; it is thread-safe.
+keeps them for T and its last t < T (``_premium``).  ``error_bound_factor`` needs no curve.
+Pricing is pure given an immutable curve, the kept factors its alone; it is thread-safe.  A
+curve's entry is replaced whole after a build, so a raise keeps nothing, and a race can cost a
+rebuild but never returns another t's premium, as each t is its own key.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
 ]
 
 _TAIL_TAU = np.append(_TAIL_U * _TAIL_U, 0.0)  # the tail's time gaps, then 0 for t itself
-_AT_EXPIRY = weakref.WeakKeyDictionary()  # curve (hashed by identity) -> its t = T premium
+_PREMIUMS = weakref.WeakKeyDictionary()  # curve (hashed by identity) -> {t: its premium}
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,30 @@ def _premium_factors(p: MarketParams, s: float, w: np.ndarray, tau: np.ndarray,
             w * p.dividend * np.exp(-p.dividend * tau) if p.dividend else None)
 
 
-def _expiry_premium(curve: BoundaryCurve) -> tuple:
-    """A curve's kept t = T premium: s, then :func:`_premium_factors` on :func:`_expiry_read`'s
-    layout times h, nodes 0..n - 1 and tail reads.  A read <= 0 raises, as in ``eval_boundary``."""
-    if (arrays := _AT_EXPIRY.get(curve)) is None:
-        p, n = curve.params, curve.basis.n
-        weights, gaps, rows = _expiry_read(n, curve.basis.degree)
-        s, tau = _strike_scale(p.strike), p.expiry / n * gaps
-        y = curve.values / s
-        if not (low := (tail := rows.dot(y)).min()) > 0.0:  # a steep first step can dip below 0
-            raise ConfigurationError(f"boundary reads {low * s:.6g} <= 0 on t in "
-                                     f"[{p.expiry - tau[-1]:.6g}, {p.expiry:.6g}]")
-        arrays = _AT_EXPIRY[curve] = (s, *_premium_factors(p, s, p.expiry / n * weights, tau,
-                                                           np.append(y[:n], tail)))
+def _premium(curve: BoundaryCurve, t: float) -> tuple:
+    """A (curve, t)'s spot-free premium: s, B(t), then :func:`_premium_factors`' arrays, kept for
+    T and the last t < T.  At T, :func:`_expiry_read`'s (n, d) layout times h: head weights on
+    nodes 0..n - 1, then 16 tail reads (one <= 0 raises, as in ``eval_boundary``); B(T) is the
+    last node.  Off T, with k = max(0, floor(t/h) - 1): row k of the unit alpha = 0 table times
+    h on nodes 0..k, then the tail's points on [kh, t], one ``eval_boundary`` call with B(t)."""
+    if (arrays := (kept := _PREMIUMS.get(curve, {})).get(t)) is None:
+        p, n, d = curve.params, curve.basis.n, curve.basis.degree
+        T, s = p.expiry, _strike_scale(p.strike)
+        if t == T:  # a steep first step can dip below 0 in the tail's reads
+            weights, gaps, rows = _expiry_read(n, d)
+            tau, y, b_t = T / n * gaps, curve.values / s, curve.values[-1]
+            if not (low := (tail := rows.dot(y)).min()) > 0.0:
+                raise ConfigurationError(f"boundary reads {low * s:.6g} <= 0 on t in "
+                                         f"[{T - tau[-1]:.6g}, {T:.6g}]")
+            w, y = T / n * weights, np.append(y[:n], tail)
+        else:
+            k = max(0, int(t * n / T + 1e-9) - 1)
+            b_t = (ys := eval_boundary(curve, t - (g := t - curve.grid[k]) * _TAIL_TAU))[-1]
+            w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
+            tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
+            y = np.append(curve.values[:k + 1], ys[:-1]) / s
+        arrays = (s, b_t, *_premium_factors(p, s, w, tau, y))
+        _PREMIUMS[curve] = ({T: kept[T]} if T in kept else {}) | {t: arrays}
     return arrays
 
 
@@ -93,27 +106,19 @@ def american_put_price(t: float, spot: float | Sequence[float],
     """American put value at time-to-expiry t in (0, T] via the premium representation.
 
     ``spot`` is a number or a non-empty 1-D sequence (see :class:`PriceResult`), all checked
-    first.  t snaps to T within 1e-12 T.  With h the curve's spacing and
-    k = max(0, floor(t/h) - 1), the premium over [0, kh] takes BRQ on the stored nodes 0..k (row
-    k of the unit table, times h), and over [kh, t], one or two panels, 16-point Gauss-Legendre
-    in z = sqrt(t - s): just above B(t) the CDF factors fall from 1/2 to 0 within
-    (ln(S/B)/sigma)^2 of t, smoothly in z.  Off T, one ``eval_boundary`` call reads B at the
-    tail's points and at t, its last point, and one factor build serves all spots; at T, B(T)
-    is the last node and the curve keeps :func:`_expiry_premium`'s arrays.  At or below B(t)
-    the value is exactly the payoff K - spot, unless the European price exceeds it: then the
-    spot lies in the continuation region, below an interpolated B(t) that overshoots the true
-    boundary (near expiry on coarse grids), and takes the premium.
+    first.  t snaps to T within 1e-12 T.  The premium over [0, t] is BRQ on the stored nodes and,
+    over the last one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s) (layouts in
+    :func:`_premium`): just above B(t) the CDF factors fall from 1/2 to 0 within
+    (ln(S/B)/sigma)^2 of t, smoothly in z.  One combine step per spot sums the (curve, t)'s
+    factors.  At or below B(t) the value is exactly the payoff K - spot, unless the European
+    price exceeds it: then the spot lies in the continuation region, below an interpolated B(t)
+    that overshoots the true boundary (near expiry on coarse grids), and takes the premium.
     """
     start, p, spots = time.perf_counter(), curve.params, _require_spots(spot)
-    T, n, d = p.expiry, curve.basis.n, curve.basis.degree
-    if not 0.0 < t <= T * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in (0, {T}], got {t}")
-    if t >= T * (1.0 - 1e-12):  # t snaps to T, where B(T) is the last node
-        (s, inv_v, m_v, v, w_r, w_d), t, b_t = _expiry_premium(curve), T, curve.values[-1]
-    else:
-        k, w_r = max(0, int(t * n / T + 1e-9) - 1), None
-        g, s = t - curve.grid[k], _strike_scale(p.strike)
-        b_t = (ys := eval_boundary(curve, t - g * _TAIL_TAU))[-1]
+    if not 0.0 < t <= p.expiry * (1.0 + 1e-12):
+        raise ValueError(f"t must lie in (0, {p.expiry}], got {t}")
+    t = p.expiry if t >= p.expiry * (1.0 - 1e-12) else t  # snapped, so B(T) is the last node
+    s, b_t, inv_v, m_v, v, w_r, w_d = _premium(curve, t)
     parts = []  # (value, european, premium) per spot
     for x in spots if isinstance(spots, list) else [spots]:
         euro = european_put(t, x, p)
@@ -121,11 +126,6 @@ def american_put_price(t: float, spot: float | Sequence[float],
             parts.append((p.strike - x, euro, p.strike - x - euro))
             continue
         # above B(t), or below an interpolated B(t) that a European price over the payoff refutes
-        if w_r is None:  # the head's nodes 0..k, then the tail's points
-            w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
-            tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
-            y = np.append(curve.values[:k + 1], ys[:-1]) / s
-            inv_v, m_v, v, w_r, w_d = _premium_factors(p, s, w, tau, y)
         minus_d1 = -math.log(x / s) * inv_v - m_v  # -d1 bit for bit, one array op fewer
         premium = s * float(w_r.dot(ndtr(v + minus_d1)))
         if w_d is not None:

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -146,14 +148,19 @@ class TestAmericanPutPrice:
         assert calls == []
 
     def test_premium_arrays_live_with_their_curve(self):
+        # a curve keeps T's premium and its last off-T t's, and both die with it
         gc.collect()
-        kept = len(pricing._AT_EXPIRY)
+        kept = len(pricing._PREMIUMS)
         curve = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
         american_put_price(3.0, 100.0, curve)
-        assert len(pricing._AT_EXPIRY) == kept + 1
+        american_put_price(1.7283, 100.0, curve)
+        assert len(pricing._PREMIUMS) == kept + 1
+        assert sorted(pricing._PREMIUMS[curve]) == [1.7283, 3.0]
+        american_put_price(2.5, 100.0, curve)
+        assert sorted(pricing._PREMIUMS[curve]) == [2.5, 3.0]
         del curve
         gc.collect()
-        assert len(pricing._AT_EXPIRY) == kept
+        assert len(pricing._PREMIUMS) == kept
 
     @pytest.mark.parametrize("dividend,calls", [(0.0, 1), (0.08, 2)])
     @pytest.mark.parametrize("t", [3.0, 1.7283])
@@ -171,19 +178,26 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=8, d=2, hybrid_m=3)])
     @pytest.mark.parametrize("t", [1.7283, 2.5])
     def test_off_node_reads_boundary_once(self, cfg, t, monkeypatch):
-        # one eval_boundary call gives the 16 tail points and B(t), its last point, for one
-        # spot or for five in one call
+        # one read per (curve, t): the first call at an off-node t makes one eval_boundary call,
+        # which gives the 16 tail points and B(t), its last point; later calls at t, whatever
+        # their spots, read nothing.  A new t reads once, and T's kept premium survives it
         curve = solve_boundary(cfg, TABLE3_PARAMS)
+        american_put_price(3.0, 100.0, curve)
         calls = []
         monkeypatch.setattr(pricing, "eval_boundary",
                             lambda *args: calls.append(args) or eval_boundary(*args))
+        american_put_price(t, 100.0, curve)
+        assert len(calls) == 1
+        assert calls[0][0] is curve
+        assert calls[0][1].size == 17 and calls[0][1][-1] == t
         # exercise and continuation regions, then both in one call
         for spot in (50.0, 100.0, (50.0, 100.0, 80.0, 120.0, 50.0)):
-            calls.clear()
             american_put_price(t, spot, curve)
-            assert len(calls) == 1
-            assert calls[0][0] is curve
-            assert calls[0][1].size == 17 and calls[0][1][-1] == t
+        assert len(calls) == 1
+        american_put_price(t / 2, 100.0, curve)
+        assert len(calls) == 2 and calls[1][1][-1] == t / 2
+        american_put_price(3.0, (50.0, 100.0), curve)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("spots", [[100.0, math.nan, 90.0], (0.0, 100.0), [100.0, 90.0, -1.0],
                                        [100.0, math.inf], [[100.0, 90.0]],
@@ -191,7 +205,7 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("t", [3.0, 1.7283])
     def test_bad_spots_raise_before_any_work(self, spots, t, monkeypatch):
         # a bad entry anywhere, a 2-D or an empty input raises the tree's error before the
-        # boundary read, a European price, the factor build or a kept t = T premium
+        # boundary read, a European price, the factor build or a kept premium
         curve = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
         calls = []
         for name in ("eval_boundary", "european_put", "_premium_factors"):
@@ -200,7 +214,7 @@ class TestAmericanPutPrice:
                                 calls.append(name) or fn(*args))
         with pytest.raises(ValueError, match=r"spot must be finite and > 0 \(one or a 1-D") as put:
             american_put_price(t, spots, curve)
-        assert calls == [] and curve not in pricing._AT_EXPIRY
+        assert calls == [] and curve not in pricing._PREMIUMS
         with pytest.raises(ValueError) as tree:
             binomial_american_put(10, spots, TABLE3_PARAMS)
         assert str(put.value) == str(tree.value)
@@ -277,6 +291,55 @@ class TestAmericanPutPrice:
         curve = solve_boundary(SolverConfig(n=32, d=2), replace(TABLE3_PARAMS, volatility=vol))
         with pytest.raises(ConfigurationError, match=r"boundary reads -\d.* <= 0 on t in \["):
             american_put_price(t, 100.0, curve)
+
+    def test_a_read_below_zero_keeps_nothing(self):
+        # the raise comes before a (curve, t)'s premium is kept, so a repeat call raises the same
+        # message, and a premium kept at another t stays
+        curve = solve_boundary(SolverConfig(n=32, d=2), replace(TABLE3_PARAMS, volatility=8.0))
+        messages, below_zero = [], r"boundary reads -\d.* <= 0 on t in \["
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=below_zero) as err:
+                american_put_price(3.0, 100.0, curve)
+            messages.append(str(err.value))
+            assert curve not in pricing._PREMIUMS
+        curve = solve_boundary(SolverConfig(n=32, d=2), replace(TABLE3_PARAMS, volatility=5.0))
+        american_put_price(3.0, 100.0, curve)
+        american_put_price(2.5, 100.0, curve)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match=below_zero) as err:
+                american_put_price(0.2, 100.0, curve)
+            messages.append(str(err.value))
+            assert sorted(pricing._PREMIUMS[curve]) == [2.5, 3.0]
+        assert messages[0] == messages[1] != messages[2] == messages[3]
+
+    def test_threads_pricing_one_curve_at_alternating_t_get_single_threaded_bits(self):
+        # two threads replace the curve's kept premium in turn; a race may rebuild an entry but
+        # never prices with another t's factors
+        times, spots, cfg = (3.0, 1.7283, 2.5, 0.4), (80.0, 95.0, 120.0), SolverConfig(n=32, d=2)
+        expected = {}
+        for t in times:  # each t on its own fresh curve, so no kept premium stands in for another
+            expected[t] = american_put_price(t, spots, solve_boundary(cfg, TABLE3_PARAMS)).value
+        curve = solve_boundary(cfg, TABLE3_PARAMS)
+        start, wrong = threading.Barrier(2), []
+
+        def price(offset):
+            start.wait()
+            for i in range(300):
+                t = times[(i + offset) % len(times)]
+                if american_put_price(t, spots, curve).value.tobytes() != expected[t].tobytes():
+                    wrong.append((offset, i, t))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=price, args=(offset,)) for offset in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
     @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_spot_rejected(self, curve_n32_d2, spot):
@@ -358,6 +421,29 @@ def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, h
     for spot in (below * b_t, above * b_t):
         value = american_put_price(t, spot, curve).value
         assert abs(value - _price_by_the_node_and_tail_rule(t, spot, curve)) <= 1e-14 * strike
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([4, 16, 32]), hybrid_m=st.sampled_from([2, 3]),
+       dividend=st.sampled_from([0.0, 0.08]), strike=st.sampled_from([1e-300, 100.0, 1.7e308]),
+       shares=st.lists(st.floats(1e-3, 0.999), min_size=1, max_size=3),
+       calls=st.lists(st.tuples(st.integers(0, 3), st.floats(0.5, 1.0), st.floats(1.0, 1.05)),
+                      min_size=1, max_size=8))
+def test_pricing_history_does_not_change_a_price_property(n, hybrid_m, dividend, strike, shares,
+                                                          calls):
+    # a sequence of t (T, repeats and new off-T values, index 0 being T) on one curve, with spots
+    # on both sides of B(t): each call has the bits of the same call on a freshly solved curve,
+    # whatever premiums the curve keeps from the calls before it
+    cfg, p = SolverConfig(n=n, d=2, hybrid_m=hybrid_m), replace(TABLE3_PARAMS, strike=strike,
+                                                                dividend=dividend)
+    curve, times = solve_boundary(cfg, p), [1.0, *shares]
+    for index, below, above in calls:
+        t = times[min(index, len(times) - 1)] * p.expiry
+        b_t = float(curve.values[-1] if t == p.expiry else eval_boundary(curve, t))
+        spots = [below * b_t, above * b_t]
+        kept, fresh = (american_put_price(t, spots, c) for c in (curve, solve_boundary(cfg, p)))
+        for name in ("value", "european_part", "premium_part"):
+            assert getattr(kept, name).tobytes() == getattr(fresh, name).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
