@@ -313,14 +313,14 @@ class TestAmericanPutPrice:
         assert messages[0] == messages[1] != messages[2] == messages[3]
 
     def test_threads_pricing_one_curve_at_alternating_t_get_single_threaded_bits(self):
-        # two threads replace the curve's kept premium in turn; a race may rebuild an entry but
-        # never prices with another t's factors
+        # three threads (more than the two cores CI gives) replace the curve's kept premium in
+        # turn; a race may rebuild an entry but never prices with another t's factors
         times, spots, cfg = (3.0, 1.7283, 2.5, 0.4), (80.0, 95.0, 120.0), SolverConfig(n=32, d=2)
         expected = {}
         for t in times:  # each t on its own fresh curve, so no kept premium stands in for another
             expected[t] = american_put_price(t, spots, solve_boundary(cfg, TABLE3_PARAMS)).value
         curve = solve_boundary(cfg, TABLE3_PARAMS)
-        start, wrong = threading.Barrier(2), []
+        start, wrong, done = threading.Barrier(3, timeout=60.0), [], []
 
         def price(offset):
             start.wait()
@@ -328,18 +328,21 @@ class TestAmericanPutPrice:
                 t = times[(i + offset) % len(times)]
                 if american_put_price(t, spots, curve).value.tobytes() != expected[t].tobytes():
                     wrong.append((offset, i, t))
+            done.append(offset)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=price, args=(offset,)) for offset in (0, 1)]
+            threads = [threading.Thread(target=price, args=(offset,), daemon=True)
+                       for offset in (0, 1, 2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60.0)
         finally:
             sys.setswitchinterval(interval)
-        assert wrong == []
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [0, 1, 2] and wrong == []
 
     @pytest.mark.parametrize("spot", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_spot_rejected(self, curve_n32_d2, spot):
