@@ -97,7 +97,7 @@ def _premium(curve: BoundaryCurve, t: float) -> tuple:
             tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
             y = np.append(curve.values[:k + 1], ys[:-1]) / s
         arrays = (s, b_t, *_premium_factors(p, s, w, tau, y))
-        _PREMIUMS[curve] = ({T: kept[T]} if T in kept else {}) | {t: arrays}
+        _PREMIUMS[curve] = {u: kept[u] for u in kept if T in (u, t)} | {t: arrays}
     return arrays
 
 

@@ -148,12 +148,13 @@ class TestAmericanPutPrice:
         assert calls == []
 
     def test_premium_arrays_live_with_their_curve(self):
-        # a curve keeps T's premium and its last off-T t's, and both die with it
+        # a curve keeps T's premium and its last off-T t's, whichever came first, and both die
+        # with it
         gc.collect()
         kept = len(pricing._PREMIUMS)
         curve = solve_boundary(SolverConfig(n=16, d=2), TABLE3_PARAMS)
-        american_put_price(3.0, 100.0, curve)
         american_put_price(1.7283, 100.0, curve)
+        american_put_price(3.0, 100.0, curve)
         assert len(pricing._PREMIUMS) == kept + 1
         assert sorted(pricing._PREMIUMS[curve]) == [1.7283, 3.0]
         american_put_price(2.5, 100.0, curve)
