@@ -46,7 +46,7 @@ from . import barycentric  # the benchmark tracer wraps basis_matrix in its own 
 from .barycentric import BaryBasis
 from .market import ConfigurationError, MarketParams
 # the benchmark tracer wraps product_weights and brq_weights in this module
-from .quadrature import _expiry_read, brq_weights, product_weights, unit_weight_rows  # noqa: F401
+from .quadrature import brq_weights, product_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "FH",
@@ -192,9 +192,8 @@ def _perpetual_exponent(p: MarketParams) -> float:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit weight tables (maxima included), t = T layouts and start weights."""
+    """Drop the cached unit weight tables (maxima included) and start weights."""
     unit_weight_rows.cache_clear()
-    _expiry_read.cache_clear()
     _start_weights.cache_clear()
 
 

@@ -21,8 +21,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from .boundary import BoundaryCurve, _perpetual_exponent, _strike_scale, eval_boundary
-from .market import ConfigurationError, MarketParams, _require_spot, _require_spots, european_put
-from .quadrature import _TAIL_U, _TAIL_W, _expiry_read, brq_weights, unit_weight_rows  # noqa: F401
+from .market import MarketParams, _require_spot, _require_spots, european_put
+from .quadrature import _TAIL_U, _TAIL_W, brq_weights, unit_weight_rows  # noqa: F401
 
 __all__ = [
     "PriceResult",
@@ -76,26 +76,18 @@ def _premium_factors(p: MarketParams, s: float, w: np.ndarray, tau: np.ndarray,
 
 def _premium(curve: BoundaryCurve, t: float) -> tuple:
     """A (curve, t)'s spot-free premium: s, B(t), then :func:`_premium_factors`' arrays, kept for
-    T and the last t < T.  At T, :func:`_expiry_read`'s (n, d) layout times h: head weights on
-    nodes 0..n - 1, then 16 tail reads (one <= 0 raises, as in ``eval_boundary``); B(T) is the
-    last node.  Off T, with k = max(0, floor(t/h) - 1): row k of the unit alpha = 0 table times
-    h on nodes 0..k, then the tail's points on [kh, t], one ``eval_boundary`` call with B(t)."""
+    T and the last t < T.  With k = max(0, floor(t/h) - 1): row k of the unit alpha = 0 table
+    times h on nodes 0..k, then the tail's points on [kh, t], one ``eval_boundary`` call with
+    B(t) (a read <= 0 raises).  At T, k = n - 1 and the read ends on the last node, so B(T) is
+    that node."""
     if (arrays := (kept := _PREMIUMS.get(curve, {})).get(t)) is None:
         p, n, d = curve.params, curve.basis.n, curve.basis.degree
         T, s = p.expiry, _strike_scale(p.strike)
-        if t == T:  # a steep first step can dip below 0 in the tail's reads
-            weights, gaps, rows = _expiry_read(n, d)
-            tau, y, b_t = T / n * gaps, curve.values / s, curve.values[-1]
-            if not (low := (tail := rows.dot(y)).min()) > 0.0:
-                raise ConfigurationError(f"boundary reads {low * s:.6g} <= 0 on t in "
-                                         f"[{T - tau[-1]:.6g}, {T:.6g}]")
-            w, y = T / n * weights, np.append(y[:n], tail)
-        else:
-            k = max(0, int(t * n / T + 1e-9) - 1)
-            b_t = (ys := eval_boundary(curve, t - (g := t - curve.grid[k]) * _TAIL_TAU))[-1]
-            w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
-            tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
-            y = np.append(curve.values[:k + 1], ys[:-1]) / s
+        k = max(0, int(t * n / T + 1e-9) - 1)
+        b_t = (ys := eval_boundary(curve, t - (g := t - curve.grid[k]) * _TAIL_TAU))[-1]
+        w = np.concatenate(((T / n) * unit_weight_rows(n, d, 0.0)[0][k, :k + 1], g * _TAIL_W))
+        tau = np.concatenate((t - curve.grid[:k + 1], g * _TAIL_TAU[:-1]))
+        y = np.append(curve.values[:k + 1], ys[:-1]) / s
         arrays = (s, b_t, *_premium_factors(p, s, w, tau, y))
         _PREMIUMS[curve] = {u: kept[u] for u in kept if T in (u, t)} | {t: arrays}
     return arrays
@@ -107,7 +99,7 @@ def american_put_price(t: float, spot: float | Sequence[float],
 
     ``spot`` is a number or a non-empty 1-D sequence (see :class:`PriceResult`), all checked
     first.  t snaps to T within 1e-12 T.  The premium over [0, t] is BRQ on the stored nodes and,
-    over the last one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s) (layouts in
+    over the last one or two panels, 16-point Gauss-Legendre in z = sqrt(t - s) (the layout in
     :func:`_premium`): just above B(t) the CDF factors fall from 1/2 to 0 within
     (ln(S/B)/sigma)^2 of t, smoothly in z.  One combine step per spot sums the (curve, t)'s
     factors.  At or below B(t) the value is exactly the payoff K - spot, unless the European

@@ -238,7 +238,6 @@ class TestSolveBoundary:
         assert builds() == 2
         clear_weight_cache()
         assert quadrature.unit_weight_rows.cache_info().currsize == 0
-        assert quadrature._expiry_read.cache_info().currsize == 0
         assert boundary._start_weights.cache_info().currsize == 0
         solve_boundary(cfg, params_with(0.08))
         assert builds() == 2

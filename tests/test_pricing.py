@@ -112,8 +112,8 @@ class TestAmericanPutPrice:
     @pytest.mark.parametrize("cfg", [SolverConfig(n=32, d=2), SolverConfig(n=16, d=3, family="bfh"),
                                      SolverConfig(n=8, d=2, hybrid_m=3)])
     def test_horizon_boundary_is_last_node(self, cfg, monkeypatch):
-        # t within 1e-12 T of T snaps to T, where B(T) is the last stored node:
-        # a price at T reads no interpolant
+        # t within 1e-12 T of T snaps to T, where B(T) is the last stored node: one boundary
+        # read per (curve, t), T included, ending on that node; later calls at T read nothing
         curve = solve_boundary(cfg, TABLE3_PARAMS)
         b_t = eval_boundary(curve, 3.0)
         assert b_t == curve.values[-1]
@@ -122,26 +122,29 @@ class TestAmericanPutPrice:
                             lambda *args: calls.append(args) or eval_boundary(*args))
         above = math.nextafter(b_t, math.inf)
         at_horizon = american_put_price(3.0, above, curve).value
+        assert len(calls) == 1
+        assert calls[0][0] is curve
+        assert calls[0][1].size == 17 and calls[0][1][-1] == 3.0
         for t in (3.0, 3.0 * (1.0 + 1e-13), 3.0 * (1.0 - 1e-13)):
             assert american_put_price(t, b_t, curve).value == 100.0 - b_t
             assert american_put_price(t, above, curve).value != 100.0 - above
             assert american_put_price(t, above, curve).value == at_horizon
-        assert calls == []
+        assert len(calls) == 1
 
     def test_prices_at_expiry_after_the_first_read_no_interpolant(self, monkeypatch):
-        # the (n, d) layout reads the tail's basis rows once; a curve's first price at T
-        # keeps its premium arrays, so four more spots call neither basis_matrix nor
-        # eval_boundary
+        # a curve's first price at T makes one eval_boundary call, whose one basis_matrix call
+        # reads the tail and the last node, and keeps its premium arrays; four more spots call
+        # neither basis_matrix nor eval_boundary
         clear_weight_cache()
         curve = solve_boundary(SolverConfig(n=32, d=2), TABLE3_PARAMS)
         calls = []
         for module, name in ((pricing, "eval_boundary"), (quadrature, "basis_matrix"),
                              (barycentric, "basis_matrix")):
-            fn = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name:
-                                calls.append(name) or fn(*args))
+            fn, label = getattr(module, name), f"{module.__name__.rsplit('.')[-1]}.{name}"
+            monkeypatch.setattr(module, name, lambda *args, fn=fn, label=label:
+                                calls.append(label) or fn(*args))
         american_put_price(3.0, 100.0, curve)
-        assert calls == ["basis_matrix"]
+        assert calls == ["pricing.eval_boundary", "barycentric.basis_matrix"]
         calls.clear()
         for spot in (80.0, 90.0, 110.0, 120.0):
             american_put_price(3.0, spot, curve)
@@ -414,9 +417,9 @@ def _price_by_the_node_and_tail_rule(t, spot, curve):
 def test_price_at_expiry_matches_the_node_and_tail_rule_property(family, d, n, hybrid_m, dividend,
                                                                  rate, strike, below, above,
                                                                  share):
-    # at T the first spot builds the curve's premium arrays and the second reads them; off T
-    # each price builds its own.  r = 0.03 keeps r and delta apart, so no e^(-r tau) can
-    # stand in for an e^(-delta tau)
+    # at every t the first spot builds the (curve, t)'s premium arrays and the second reads
+    # them.  r = 0.03 keeps r and delta apart, so no e^(-r tau) can stand in for an
+    # e^(-delta tau)
     assume(n >= d + 1)
     p = replace(TABLE3_PARAMS, strike=strike, dividend=dividend, rate=rate)
     curve = solve_boundary(SolverConfig(n=n, d=d, family=family, hybrid_m=hybrid_m), p)
