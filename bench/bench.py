@@ -14,7 +14,8 @@ running it against another checkout's ``src/`` measures that checkout.
   Cold runs follow ``clear_weight_cache()`` and warm runs reuse the tables;
   the two alternate, 9 of each (3 with ``--quick``).  Times are the median and
   quartiles in seconds; ``residual_evals``, ``table_builds`` (misses of the
-  unit weight-table cache), ``error_vs_bin10000`` (largest |price -
+  unit weight-table cache), ``evals_by_rows`` (the residual evals of Newton rows 1-4, 5-10,
+  11-40 and > 40, from ``SolveDiagnostics.iterations``), ``error_vs_bin10000`` (largest |price -
   BIN(10000)| over the five spots) and ``error_vs_fixed_point`` (the same
   against the fixed-point values of ``tests/data/fixed_point_prices.json``)
   are deterministic.
@@ -24,7 +25,8 @@ running it against another checkout's ``src/`` measures that checkout.
 * ``sweep``: r in {0.02, 0.05, 0.08}, delta in {0, 0.08, 0.2, 0.5}, sigma in
   {0.1, 0.2, 0.4}, T in {0.25, 1, 3, 10}, K = 100, fh, d = 2, at n = 32 and
   128: the ``SolverError``s, the curves with each flag kind, the residual
-  evals, and a SHA-256 over every curve's nodes and its five t = T prices.
+  evals, their ``evals_by_rows``, and a SHA-256 over every curve's nodes and its five t = T
+  prices.
 
 ``--quick`` keeps n = 32 and 64 and the n = 32 sweep, as a smoke run.
 """
@@ -56,6 +58,8 @@ DIVIDENDS = (0.0, 0.08)
 FIXED_POINT = Path(__file__).resolve().parent.parent / "tests" / "data" / "fixed_point_prices.json"
 TOLERANCES = (1e-4, 1e-5)
 FLAG_KINDS = ("non_monotone", "outside_bounds", "bisection")
+ROW_RANGES = {"1-4": slice(1, 5), "5-10": slice(5, 11), "11-40": slice(11, 41),
+              ">40": slice(41, None)}
 SWEEP = {"rate": (0.02, 0.05, 0.08), "dividend": (0.0, 0.08, 0.2, 0.5),
          "volatility": (0.1, 0.2, 0.4), "expiry": (0.25, 1.0, 3.0, 10.0)}
 
@@ -75,6 +79,11 @@ def spread(samples: list[float]) -> dict:
     """Median and quartiles of the samples."""
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def evals_by_rows(iterations: np.ndarray) -> dict:
+    """A solve's residual evals per Newton row range; ``iterations[i]`` counts row i's."""
+    return {key: int(iterations[rows].sum()) for key, rows in ROW_RANGES.items()}
 
 
 def run_once(cfg: SolverConfig, params: MarketParams) -> tuple[object, list[float], dict]:
@@ -104,6 +113,7 @@ def table3_case(n: int, params: MarketParams, runs: int, reference: list[float],
     evals = curve.diagnostics.residual_evals
     case = {"n": n, "dividend": params.dividend, "runs": runs, "residual_evals": evals,
             "evals_per_row": evals / n,
+            "evals_by_rows": evals_by_rows(curve.diagnostics.iterations),
             "error_vs_bin10000": max(abs(v - ref) for v, ref in zip(prices, reference)),
             "error_vs_fixed_point": max(abs(v - ref) for v, ref in zip(prices, fixed_point))}
     for mode, rows in samples.items():
@@ -131,6 +141,7 @@ def sweep(n: int) -> dict:
     digest = hashlib.sha256()
     markets = [dict(zip(SWEEP, values)) for values in itertools.product(*SWEEP.values())]
     errors, flagged, evals = [], dict.fromkeys(FLAG_KINDS, 0), 0
+    by_rows = dict.fromkeys(ROW_RANGES, 0)
     for market in markets:
         params = MarketParams(strike=100.0, **market)
         try:
@@ -139,13 +150,15 @@ def sweep(n: int) -> dict:
             errors.append({**market, "error": str(exc)})
             continue
         evals += curve.diagnostics.residual_evals
+        for key, count in evals_by_rows(curve.diagnostics.iterations).items():
+            by_rows[key] += count
         for kind in {kind for _, kind, _ in curve.diagnostics.flags}:
             flagged[kind] += 1
         digest.update(curve.values.tobytes())
         digest.update(american_put_price(params.expiry, TABLE3_SPOTS, curve).value.tobytes())
     return {"n": n, "cases": len(markets),
             "solver_errors": len(errors), "failures": errors, "flagged_curves": flagged,
-            "residual_evals": evals, "sha256": digest.hexdigest()}
+            "residual_evals": evals, "evals_by_rows": by_rows, "sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:

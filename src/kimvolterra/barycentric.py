@@ -78,12 +78,18 @@ def fh_weights(n: int, d: int) -> np.ndarray:
     beta_i = (-1)^(i-d) * sum_{j in J_i} C(d, i-j) with
     J_i = {max(0, i-d) <= j <= min(i, n-d)}; d = 0 reduces to Berrut's
     weights and |beta_0| = |beta_n| = 1.  The sums over J_i are the full
-    convolution of n - d + 1 ones with the binomials C(d, .).
+    convolution of n - d + 1 ones with the binomials C(d, .).  Weights past the largest
+    double raise ValueError: from d = 1030 a binomial is, and from d = 1025 a sum can be.
     """
     if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
                for k in (n, d)) or not 0 <= d <= n:
         raise ValueError(f"need integers n and 0 <= d <= n, got d={d!r}, n={n!r}")
-    beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
+    try:
+        beta = np.convolve(np.ones(n - d + 1), [float(math.comb(d, k)) for k in range(d + 1)])
+    except OverflowError:
+        beta = np.array([math.inf])
+    if not np.isfinite(beta).all():
+        raise ValueError(f"Floater-Hormann order d={d} on {n + 1} nodes overflows a double")
     beta[(d + 1) % 2::2] *= -1.0
     return beta
 

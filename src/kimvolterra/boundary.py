@@ -192,7 +192,7 @@ def _perpetual_exponent(p: MarketParams) -> float:
 
 
 def clear_weight_cache() -> None:
-    """Drop the cached unit weight tables (maxima included) and start weights."""
+    """Drop the cached unit weight tables (per-row lag sums included) and start weights."""
     unit_weight_rows.cache_clear()
     _start_weights.cache_clear()
 
@@ -287,9 +287,9 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     the perpetual bound, ``b0`` the expiry limit and [lo, hi] the Newton search interval.
     ``curv[i - 1]`` = (c2, c1, noise) bounds row i: |F_i''(b)| <= (c2 / b + c1) / b, b > 0, from
     max |(1 - x^2) e^(-x^2/2)| = 1, max phi, max |x phi(x)|, e^(-r tau) and e^(-delta tau) <= 1,
-    |r K - delta B| on [lo, hi] and each row's largest |weight|, with S1_i, S2_i the sums of the
-    lag tables' 1/sigma_l, 1/sigma_l^2 over lags l <= i.  ``noise`` estimates F_i's rounding: a d
-    argument splits ln b / sigma_l off and so carries about eps |ln b| / sigma_l.
+    |r K - delta B| on [lo, hi] and the unit table's per-row lag sums of |W[i, i - l]| l^(-k/2),
+    times (sigma sqrt h)^(-k), k = 1, 2.  ``noise`` estimates F_i's rounding: a d argument splits
+    ln b / sigma_l off, sigma_l = sigma sqrt(l h), and so carries about eps |ln b| / sigma_l.
 
     build_row(i, prior, log_prior, rk) gives row i of the product-integrated boundary
     equation from B_0..B_(i-1) in ``prior``, their math.log values in ``log_prior``
@@ -319,23 +319,22 @@ def _row_residual(cfg: SolverConfig, p: MarketParams):
     kern_lag, disc_d = pref * disc_r, np.exp(-delta * tau)
     slope_lag = disc_r * inv_sig_tau / _SQRT_2PI
     sig_ts, a1_ts, disc_ts = sig_tau.tolist(), a1.tolist(), disc_d.tolist()
-    w_rows, w_max = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
+    w_rows, w_sums = unit_weight_rows(cfg.n, cfg.d if cfg.family == FH else 0, 0.5)
     # coincident node: d1, d2 -> 0 as the time gap vanishes with equal arguments
     coincident_w = (pref * w_rows.diagonal()).tolist()
     lower, b0 = perpetual_lower_bound(p), initial_boundary(p)
     lo, hi = 0.5 * lower, b0 + 0.5 * (b0 - lower)
     inv_sig, phi, e_half = inv_sig_tau[::-1], 1.0 / _SQRT_2PI, math.exp(-0.5)
     with np.errstate(over="ignore"):  # below sigma ~ 1e-154 the bounds are inf and prove nothing
-        s1, s2 = np.cumsum(inv_sig), np.cumsum(inv_sig * inv_sig)
-        kappa = max(abs(r_k - delta * x) for x in (lo, hi)) * pref * w_max
+        lag_sig = inv_sig[0] ** np.arange(1.0, 3.0)  # 1 / sigma_l = l^(-1/2) / (sigma sqrt h)
+        s1, s2 = (max(abs(r_k - delta * x) for x in (lo, hi)) * pref * w_sums * lag_sig).T
         disc = disc_d[::-1] * phi * inv_sig
-        c2, c1 = kappa * (s2 + e_half * s1), disc * (1.0 + e_half * inv_sig)
-        noise = kappa * e_half * s1 + hi * disc
+        c2, c1, noise = s2 + e_half * s1, disc * (1.0 + e_half * inv_sig), e_half * s1 + hi * disc
         if delta > 0.0:
-            q_rows, q_max = unit_weight_rows(cfg.n, cfg.d, 0.0)
+            q_rows, q_sums = unit_weight_rows(cfg.n, cfg.d, 0.0)
             halves = (0.5 * q_rows.diagonal()).tolist()
-            q = delta_h * phi * q_max
-            c1, noise = c1 + q * (s1 + e_half * s2), noise + hi * q * s1
+            q1, q2 = (delta_h * phi * q_sums * lag_sig).T
+            c1, noise = c1 + q1 + e_half * q2, noise + hi * q1
         noise *= 2.0 ** -51 * max(abs(math.log(lo)), abs(math.log(hi)), 1.0)  # 2 eps |ln b|
     curv = list(zip(c2.tolist(), c1.tolist(), noise.tolist()))
 

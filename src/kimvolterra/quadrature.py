@@ -10,7 +10,7 @@ Gauss-Legendre points in u.  Their offsets v = e - s lie strictly inside
 (m - 1, m) whatever the row end e, so every row shares one Cauchy table
 T[(m, q), l] = 1 / (l - v_q(m)) over the lags l = e - j, and no point meets
 a node.  The solve, pricing and the per-basis weights all read one cached
-read-only table of rows 0..n, with its row maxima, per (n, d, alpha), unit nodes.
+read-only table of rows 0..n, with its per-row lag sums, per (n, d, alpha), unit nodes.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ def product_weights(basis: BaryBasis, alpha: float = 0.5) -> np.ndarray:
 @lru_cache(maxsize=None)
 def unit_weight_rows(n: int, d: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Read-only table W[e, j] = int_0^e L_j(s) (e - s)^(-alpha) ds on the unit nodes 0..n,
-    and the read-only maxima M[e - 1] = max_j |W[e, j]| of rows 1..n, from the same build.
+    and the read-only per-row lag sums S[e - 1] = sum_l |W[e, e - l]| (l^(-1/2), l^(-1)) over
+    the lags l = 1..e of rows 1..n, from the same build: the curvature bound of a Newton row.
 
     Row e is on the Floater-Hormann basis of order min(d, e) over the nodes 0..e, zero beyond
     node e.  With B[l, e] its barycentric weights by lag l = e - j, each block of points adds
@@ -64,7 +65,7 @@ def unit_weight_rows(n: int, d: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     width = n + 1
     lags = (np.arange(width)[:, None] - np.arange(width)) % width
     b = np.zeros((width, width))  # B^T, zero for l > e
-    for e in range(width):  # slice writes: padding each row cost about as much as the integrals
+    for e in range(n, -1, -1):  # slice writes; row n first, as its weights overflow first
         b[e, :e + 1] = fh_weights(e, min(d, e))[::-1]
     power = 1.0 - alpha
     x, w = _gauss(_POINTS)
@@ -84,8 +85,8 @@ def unit_weight_rows(n: int, d: int, alpha: float) -> tuple[np.ndarray, np.ndarr
     rows *= b
     if not np.all(np.isfinite(rows)):
         raise ValueError("product weights must be finite")
+    sums = np.abs(rows[1:, 1:]) @ np.arange(1.0, width)[:, None] ** [-0.5, -1.0]  # by lag
     weights = np.take_along_axis(rows, lags, axis=1)
-    maxima = np.abs(weights[1:]).max(axis=1)
     weights.setflags(write=False)
-    maxima.setflags(write=False)
-    return weights, maxima
+    sums.setflags(write=False)
+    return weights, sums

@@ -73,6 +73,17 @@ class TestFloaterHormannWeights:
         with pytest.raises(ValueError, match="0 <= d <= n"):
             fh_weights(n, d)
 
+    @pytest.mark.parametrize("n,d", [(1029, 1029), (1064, 1024)])
+    def test_largest_orders_fit_a_double(self, n, d):
+        assert np.isfinite(fh_weights(n, d)).all()
+
+    @pytest.mark.parametrize("n,d", [(1030, 1030), (1065, 1025), (1200, 1100)])
+    def test_weights_past_the_largest_double_raise(self, n, d):
+        # from d = 1030 C(d, d // 2) exceeds the largest double; at d = 1025 on n = d + 40
+        # nodes a sum of 41 binomials does
+        with pytest.raises(ValueError, match=f"order d={d} on {n + 1} nodes overflows"):
+            fh_weights(n, d)
+
     def test_matches_written_out_sums(self):
         # beta_i = (-1)^(i-d) sum_{j in J_i} C(d, i-j), bit for bit
         for n in range(301):

@@ -45,7 +45,8 @@ def test_layout(quick):
         list(itertools.product((0.0, 0.08), (32, 64)))
     for case in quick["table3"]:
         assert set(case) == {"n", "dividend", "runs", "residual_evals", "evals_per_row",
-                             "error_vs_bin10000", "error_vs_fixed_point", "cold", "warm"}
+                             "evals_by_rows", "error_vs_bin10000", "error_vs_fixed_point",
+                             "cold", "warm"}
         assert case["runs"] == 3
         for mode in ("cold", "warm"):
             assert set(case[mode]) == STATS | {"table_builds"}
@@ -65,6 +66,17 @@ def test_quick_sweep_solves_every_market(quick):
     assert (sweep["n"], sweep["cases"], sweep["solver_errors"], sweep["failures"]) == \
         (32, 144, 0, [])
     assert set(sweep["flagged_curves"]) == {"non_monotone", "outside_bounds", "bisection"}
+
+
+def test_evals_by_rows_sum_to_the_residual_evals(quick):
+    # rows 1-4, 5-10, 11-40 and > 40 part every solve's rows 1..n
+    for entry in quick["table3"] + quick["sweep"]:
+        by_rows = entry["evals_by_rows"]
+        assert set(by_rows) == {"1-4", "5-10", "11-40", ">40"}
+        assert all(isinstance(v, int) and v >= 0 for v in by_rows.values())
+        assert sum(by_rows.values()) == entry["residual_evals"]
+    # n = 32 has no row past 40
+    assert all(c["evals_by_rows"][">40"] == 0 for c in quick["table3"] if c["n"] == 32)
 
 
 def test_to_tolerance_is_the_smallest_n_within_it(quick):

@@ -654,6 +654,41 @@ class TestCurvatureProof:
             if proved:
                 assert certificate[i - 1] <= min(out[2], 0.5e-12 * p.strike / s)
 
+    @settings(max_examples=40, deadline=None)
+    @given(rate=st.floats(0.005, 0.3), dividend=st.just(0.0) | st.floats(1e-3, 0.5),
+           vol=st.floats(0.05, 0.8), expiry=st.floats(0.02, 10.0),
+           n=st.sampled_from([16, 32, 64]), family=st.sampled_from(["fh", BFH]))
+    def test_row_curvature_bound_property(self, rate, dividend, vol, expiry, n, family):
+        # each row's (c2, c1) weighs 1 / sigma_l^k by its own |W[i, i - l]|, so it is at most
+        # the bound from the row's largest |weight| times the sums of 1 / sigma_l^k over its
+        # lags, and it still dominates F_i'' (see test_bound_dominates_the_second_difference)
+        cfg = SolverConfig(n=n, d=2, family=family)
+        p = MarketParams(strike=100.0, expiry=expiry, rate=rate, dividend=dividend,
+                         volatility=vol)
+        try:
+            _, row_at = solved_rows(cfg, p)
+        except boundary.SolverError:
+            return  # the near-strike corner of the converge-or-raise property
+        _, (s, _, _, lo, hi), curv, _ = boundary._row_residual(cfg, p)
+        unit, h = p.strike / s, expiry / n
+        phi, e_half = 1.0 / math.sqrt(2.0 * math.pi), math.exp(-0.5)
+        sig = vol * np.sqrt(h * np.arange(1, n + 1))  # sigma_l over the lags l = 1..n
+        s1, s2 = np.cumsum(1.0 / sig), np.cumsum(1.0 / sig ** 2)
+        kappa = max(abs(rate * unit - dividend * x) for x in (lo, hi)) * math.sqrt(h) * phi / vol
+        w, q = product_rows(n, 2, family), brq_rows(n, 2)
+        for i in range(1, n + 1):
+            c2, c1, _ = curv[i - 1]
+            sig_t = sig[i - 1]  # sigma sqrt(t_i)
+            c2_max = kappa * np.abs(w[i]).max() * (s2[i - 1] + e_half * s1[i - 1])
+            c1_max = (math.exp(-dividend * i * h) * phi / sig_t * (1.0 + e_half / sig_t)
+                      + dividend * h * phi * np.abs(q[i]).max() * (s1[i - 1] + e_half * s2[i - 1]))
+            assert c2 <= c2_max * (1.0 + 1e-12) and c1 <= c1_max * (1.0 + 1e-12)
+            row = row_at(i)
+            for b in np.linspace(lo + 0.01 * unit, hi - 0.01 * unit, 3):
+                e = 1e-2 * b
+                second = (row(b + e)[0] - 2.0 * row(b)[0] + row(b - e)[0]) / (e * e)
+                assert abs(second) <= (c2 / (b - e) + c1) / (b - e) + 1e-6 / unit
+
     def test_newton_scalar_proves_a_step_without_its_eval(self):
         # F = (b - 70) + 1e-3 (b - 70)^2 has F'' = 2e-3 <= M(b) = 20 / b^2 on [60, 100]
         evals = []

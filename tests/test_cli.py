@@ -417,6 +417,10 @@ def _at_least_payoff(text):
     assert float(json.loads(text)["rows"][0]["value"]) >= 22.8417
 
 
+def _names_d_1100(text):
+    assert "d=1100" in text
+
+
 # The CLI's regression pins: each row once ran as a CI step of its own through the installed
 # console script, in a fresh process with no weight tables; the comment above it is that
 # step's name without "through the console script".  Add a new pin as a row here.
@@ -481,6 +485,9 @@ CONSOLE_PINS = [
     # failure (exit 3), not a flagged curve
     pytest.param(["price", "--rate", "0.265", "--dividend", "0.008", "--vol", "0.054",
                   "--expiry", "6.1", "--n", "64"], 3, None, id="above-expiry-limit"),
+    # An order d whose Floater-Hormann weights overflow a double is a configuration error
+    # (exit 2) that names d, raised before any weight row is built
+    pytest.param(["boundary", "--n", "1200", "--d", "1100"], 2, _names_d_1100, id="d-1100"),
     # A spot 0.1% above B(T) prices at least its payoff 22.8417
     pytest.param(["price", "--strike", "114.20837921082617", "--expiry", "2",
                   "--rate", "0.06863049275243101", "--dividend", "0.0445198020560671",

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
+import kimvolterra.quadrature as quadrature
 from kimvolterra import (
     BaryBasis,
     brq_weights,
@@ -171,11 +172,27 @@ class TestUnitWeightRows:
     def test_table_shape_and_zeros(self):
         n, d = 9, 3
         for alpha in (0.0, 0.5):
-            table, maxima = unit_weight_rows(n, d, alpha)
+            table, sums = unit_weight_rows(n, d, alpha)
             assert table.shape == (n + 1, n + 1)
             assert table.flags.writeable is False
             assert np.all(np.triu(table, 1) == 0.0)
             assert unit_weight_rows(n, d, alpha)[0] is table
-            # the curvature bound's row maxima come from the same build, bit for bit
-            np.testing.assert_array_equal(maxima, np.abs(table[1:]).max(axis=1))
-            assert maxima.flags.writeable is False
+            # the curvature bound's per-row lag sums of |W[e, e - l]| l^(-1/2) and |W[e, e - l]| / l
+            reference = [[sum(abs(table[e, e - l]) * l ** -power for l in range(1, e + 1))
+                          for power in (0.5, 1.0)] for e in range(1, n + 1)]
+            np.testing.assert_allclose(sums, reference, rtol=1e-14, atol=0.0)
+            assert sums.flags.writeable is False
+
+    def test_overflowing_order_raises_before_any_row(self, monkeypatch):
+        # row n's weights are the largest, so an order whose weights overflow a double
+        # raises on the first basis built, not after a thousand rows
+        built, fh_weights = [], quadrature.fh_weights
+
+        def counted(n, d):
+            built.append((n, d))
+            return fh_weights(n, d)
+
+        monkeypatch.setattr(quadrature, "fh_weights", counted)
+        with pytest.raises(ValueError, match="d=1100 "):
+            unit_weight_rows.__wrapped__(1200, 1100, 0.5)
+        assert built == [(1200, 1100)]
